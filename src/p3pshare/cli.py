@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 parse error, 3 degenerate scene,
-4 campaign failures present, 5 I/O error.
+4 campaign failures present, 5 I/O error, 6 inconsistent solution (a
+recovered solution failed the basic-constraint check inside the solver).
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import numpy as np
 
 from . import conics, loci, scenes, sceneio, sharing, solver
 from .errors import (DegenerateAngleError, DegenerateInputError,
-                     DegeneratePencilError, P3PError, SceneParseError)
+                     DegeneratePencilError, InconsistentInputError, P3PError,
+                     SceneParseError)
 from .geometry import canonical_frame, cocyclic_degeneracy, view_angles_from_center
 
 EXIT_OK = 0
@@ -21,6 +23,7 @@ EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_CAMPAIGN_FAIL = 4
 EXIT_IO = 5
+EXIT_INCONSISTENT = 6
 
 
 def _g(x: float) -> str:
@@ -242,6 +245,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except InconsistentInputError as exc:
+        print(f"inconsistent solution: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     except P3PError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,16 +1,18 @@
 """The two characteristic conics and their exact intersection.
 
-The solver eliminates v by a resultant in u, finds the real roots of the
-resulting quartic via companion-matrix eigenvalues, back-substitutes v and
-polishes every candidate with damped Newton on the bivariate system.
+The solver eliminates v by a closed-form resultant in u, takes the real
+roots of that quartic as companion-matrix eigenvalues, back-substitutes v and
+polishes every candidate with damped Newton on the bivariate system. All but
+the eigenvalue call is float arithmetic: numpy's per-call cost dominates here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import DegeneratePencilError
 from .geometry import RatioPair, ViewAngles
@@ -35,9 +37,12 @@ class Conic:
     c_1: float
 
     @property
+    def terms(self) -> tuple[float, ...]:
+        return (self.c_vv, self.c_uv, self.c_uu, self.c_u, self.c_v, self.c_1)
+
+    @property
     def coeffs(self) -> np.ndarray:
-        return np.array([self.c_vv, self.c_uv, self.c_uu,
-                         self.c_u, self.c_v, self.c_1])
+        return np.array(self.terms)
 
     def __call__(self, u, v):
         return (self.c_vv * v * v + self.c_uv * u * v + self.c_uu * u * u
@@ -49,10 +54,10 @@ class Conic:
 
     def scaled(self) -> "Conic":
         """Same zero set, coefficients normalized to unit max norm."""
-        m = float(np.max(np.abs(self.coeffs)))
+        m = max(abs(c) for c in self.terms)
         if m == 0.0:
             raise DegeneratePencilError("zero conic")
-        return Conic(*(self.coeffs / m))
+        return Conic(*(c / m for c in self.terms))
 
 
 @dataclass(frozen=True)
@@ -90,58 +95,73 @@ def difference_conic(pair: ConicPair) -> Conic:
 def newton_polish(F1: Conic, F2: Conic, u: float, v: float,
                   tol: float = 1e-13, max_iter: int = 50):
     """Damped Newton on (F1, F2) = 0; returns (u, v, residual)."""
-    p = np.array([u, v])
-
-    def res(q):
-        return max(abs(F1(q[0], q[1])), abs(F2(q[0], q[1])))
-
-    best = p.copy()
-    best_r = res(p)
+    u, v = float(u), float(v)
+    best_r = max(abs(F1(u, v)), abs(F2(u, v)))
     for _ in range(max_iter):
         if best_r < tol:
             break
-        J = np.vstack([F1.gradient(*p), F2.gradient(*p)])
-        F = np.array([F1(*p), F2(*p)])
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -F, rcond=None)[0]
-        if not np.all(np.isfinite(step)):
+        f1, f2 = F1(u, v), F2(u, v)
+        # Jacobian [[a, b], [c, d]] from the two gradients, solved by LU with
+        # row pivoting; an exactly zero pivot (singular) falls back to lstsq
+        a = F1.c_uv * v + 2.0 * F1.c_uu * u + F1.c_u
+        b = 2.0 * F1.c_vv * v + F1.c_uv * u + F1.c_v
+        c = F2.c_uv * v + 2.0 * F2.c_uu * u + F2.c_u
+        d = 2.0 * F2.c_vv * v + F2.c_uv * u + F2.c_v
+        if abs(c) > abs(a):
+            a, b, c, d, f1, f2 = c, d, a, b, f2, f1
+        l = c / a if a else 0.0
+        u22 = d - l * b
+        if a and u22:
+            dv = (l * f1 - f2) / u22
+            du = (-f1 - b * dv) / a
+        else:
+            du, dv = np.linalg.lstsq(np.array([[a, b], [c, d]]),
+                                     np.array([-f1, -f2]), rcond=None)[0].tolist()
+        if not (math.isfinite(du) and math.isfinite(dv)):
             break
         # backtracking keeps the iteration from overshooting near tangency
         lam = 1.0
-        improved = False
         for _ in range(8):
-            q = p + lam * step
-            r = res(q)
+            qu, qv = u + lam * du, v + lam * dv
+            r = max(abs(F1(qu, qv)), abs(F2(qu, qv)))
             if r < best_r:
-                p, best, best_r, improved = q, q.copy(), r, True
+                u, v, best_r = qu, qv, r
                 break
             lam *= 0.5
-        if not improved:
+        else:
             break
-    return float(best[0]), float(best[1]), best_r
-
-
-def _v_poly(conic: Conic):
-    """Coefficients of the conic as a quadratic in v (each poly in u, low-first)."""
-    A = np.array([conic.c_vv])
-    B = np.array([conic.c_v, conic.c_uv])
-    D = np.array([conic.c_1, conic.c_u, conic.c_uu])
-    return A, B, D
+    return u, v, best_r
 
 
 def resultant_in_u(F1: Conic, F2: Conic) -> np.ndarray:
-    """Degree<=4 polynomial in u (low-first) eliminating v from the pair."""
-    A1, B1, D1 = _v_poly(F1)
-    A2, B2, D2 = _v_poly(F2)
-    T1 = P.polysub(P.polymul(A1, D2), P.polymul(A2, D1))
-    T2 = P.polysub(P.polymul(A1, B2), P.polymul(A2, B1))
-    T3 = P.polysub(P.polymul(B1, D2), P.polymul(B2, D1))
-    r = P.polysub(P.polymul(T1, T1), P.polymul(T2, T3))
-    out = np.zeros(5)
-    out[:len(r)] = r
-    return out
+    """Degree<=4 polynomial in u (low-first) eliminating v from the pair.
+
+    With each conic A v^2 + B(u) v + D(u): T1^2 - T2 T3 for T1 = A1 D2 - A2 D1,
+    T2 = A1 B2 - A2 B1, T3 = B1 D2 - B2 D1, summed in convolution order."""
+    a, b0, b1, d0, d1, d2 = F1.c_vv, F1.c_v, F1.c_uv, F1.c_1, F1.c_u, F1.c_uu
+    A, B0, B1, D0, D1, D2 = F2.c_vv, F2.c_v, F2.c_uv, F2.c_1, F2.c_u, F2.c_uu
+    p0, p1, p2 = a * D0 - A * d0, a * D1 - A * d1, a * D2 - A * d2
+    q0, q1 = a * B0 - A * b0, a * B1 - A * b1
+    r0 = b0 * D0 - B0 * d0
+    r1 = (b0 * D1 + b1 * D0) - (B0 * d1 + B1 * d0)
+    r2 = (b0 * D2 + b1 * D1) - (B0 * d2 + B1 * d1)
+    r3 = b1 * D2 - B1 * d2
+    return np.array([p0 * p0 - q0 * r0,
+                     2.0 * p0 * p1 - (q0 * r1 + q1 * r0),
+                     (p0 * p2 + p1 * p1 + p2 * p0) - (q0 * r2 + q1 * r1),
+                     2.0 * p1 * p2 - (q0 * r3 + q1 * r2),
+                     p2 * p2 - q1 * r3])
+
+
+def companion_roots(r) -> list:
+    """Complex roots of the polynomial with low-first coefficients r (nonzero
+    leading one): eigenvalues of the companion matrix numpy's polycompanion builds."""
+    n = len(r) - 1
+    if n < 2:
+        return [-r[0] / r[1]] if n == 1 else []
+    m = np.eye(n, k=-1)
+    m[:, -1] = [-c / r[n] for c in r[:n]]
+    return np.linalg.eigvals(m).tolist()
 
 
 def _quad_roots(a2: float, a1: float, a0: float, scale: float):
@@ -158,25 +178,18 @@ def _quad_roots(a2: float, a1: float, a0: float, scale: float):
     if disc < -band:
         return []
     disc = max(disc, 0.0)
-    sq = np.sqrt(disc)
-    q = -0.5 * (a1 + np.copysign(sq, a1)) if a1 != 0.0 else 0.5 * sq
+    sq = math.sqrt(disc)
+    q = -0.5 * (a1 + math.copysign(sq, a1)) if a1 != 0.0 else 0.5 * sq
     if q == 0.0:
         return [0.0, 0.0]
-    r1 = q / a2
-    r2 = a0 / q
-    return [r1, r2]
+    return [q / a2, a0 / q]
 
 
 def _v_candidates(F1: Conic, F2: Conic, u0: float) -> list[float]:
     """Common v roots of the two conics at fixed u."""
-    A1, B1, D1 = _v_poly(F1)
-    A2, B2, D2 = _v_poly(F2)
-    b1 = P.polyval(u0, B1)
-    d1 = P.polyval(u0, D1)
-    b2 = P.polyval(u0, B2)
-    d2 = P.polyval(u0, D2)
-    a1 = A1[0]
-    a2 = A2[0]
+    # each conic as a quadratic a v^2 + b v + d, its coefficients by Horner in u
+    a1, b1, d1 = F1.c_vv, F1.c_v + F1.c_uv * u0, F1.c_1 + (F1.c_u + F1.c_uu * u0) * u0
+    a2, b2, d2 = F2.c_vv, F2.c_v + F2.c_uv * u0, F2.c_1 + (F2.c_u + F2.c_uu * u0) * u0
     scale = 1.0 + abs(u0)
     # linear elimination of v^2 gives v directly when non-degenerate; near a
     # double u-root the denominator degenerates, so the per-conic quadratic
@@ -188,41 +201,43 @@ def _v_candidates(F1: Conic, F2: Conic, u0: float) -> list[float]:
         out.append(num / den)
     r1 = _quad_roots(a1, b1, d1, scale)
     r2 = _quad_roots(a2, b2, d2, scale)
-    if r1 is None and r2 is None:
-        return out
-    if r1 is None:
-        return out + list(r2)
-    if r2 is None:
-        return out + list(r1)
-    matched = []
-    for x in r1:
-        for y in r2:
-            if abs(x - y) <= 1e-4 * (1.0 + abs(x)):
-                matched.append(0.5 * (x + y))
-    if not matched:
-        matched = list(r1) + list(r2)
-    return out + matched
+    if r1 is None or r2 is None:  # an identically zero quadratic
+        return out + (r1 or r2 or [])
+    matched = [0.5 * (x + y) for x in r1 for y in r2
+               if abs(x - y) <= 1e-4 * (1.0 + abs(x))]
+    return out + (matched or r1 + r2)
 
 
-def _cluster_scalars(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
+def _cluster_scalars(values: list[float], tol: float) -> list[tuple[float, int]]:
     """Greedy 1D clustering on absolute gaps; (representative, count) pairs."""
     out: list[list[float]] = []
-    for x in np.sort(values):
+    for x in sorted(values):
         if out and abs(x - out[-1][0]) <= tol:
             out[-1].append(x)
         else:
             out.append([x])
-    return [(float(np.mean(c)), len(c)) for c in out]
+    return [(sum(c) / len(c), len(c)) for c in out]
 
 
 def _tangency_score(F1: Conic, F2: Conic, u: float, v: float) -> float:
     """Small when the two gradients are parallel (conics tangent)."""
-    g1 = F1.gradient(u, v)
-    g2 = F2.gradient(u, v)
-    n = np.linalg.norm(g1) * np.linalg.norm(g2)
+    g1u, g1v = F1.gradient(u, v).tolist()
+    g2u, g2v = F2.gradient(u, v).tolist()
+    n = math.hypot(g1u, g1v) * math.hypot(g2u, g2v)
     if n == 0.0:
         return 0.0
-    return abs(g1[0] * g2[1] - g1[1] * g2[0]) / n
+    return abs(g1u * g2v - g1v * g2u) / n
+
+
+def _pencil_sigma2(F1: Conic, F2: Conic) -> float:
+    """Second singular value of the 2x6 matrix of unit coefficient rows x, y:
+    sqrt(1 - |x.y|), as |x ^ y| / sqrt(1 + |x.y|) to stay accurate near 0."""
+    x, y = F1.terms, F2.terms
+    norms = math.hypot(*x) * math.hypot(*y)
+    dot = sum(p * q for p, q in zip(x, y)) / norms
+    wedge = math.sqrt(sum((x[i] * y[j] - x[j] * y[i]) ** 2
+                          for i, j in combinations(range(6), 2))) / norms
+    return wedge / math.sqrt(1.0 + abs(dot))
 
 
 def intersect_conics(pair: ConicPair, tol: float = INTERSECT_TOL,
@@ -234,54 +249,41 @@ def intersect_conics(pair: ConicPair, tol: float = INTERSECT_TOL,
     """
     F1 = pair.C1.scaled()
     F2 = pair.C2.scaled()
-    M = np.vstack([F1.coeffs, F2.coeffs])
-    M = M / np.linalg.norm(M, axis=1, keepdims=True)
-    if np.linalg.svd(M, compute_uv=False)[1] < PENCIL_RANK_TOL:
+    if _pencil_sigma2(F1, F2) < PENCIL_RANK_TOL:
         raise DegeneratePencilError("proportional conic pair")
 
-    r = resultant_in_u(F1, F2)
-    rmax = float(np.max(np.abs(r)))
+    r = resultant_in_u(F1, F2).tolist()
+    rmax = max(abs(c) for c in r)
     if rmax < 1e-14:
         raise DegeneratePencilError("identically zero resultant")
-    r = r / rmax
-    nz = np.nonzero(np.abs(r) > 1e-13)[0]
-    r = r[: nz[-1] + 1]
-    if len(r) < 2:
-        return IntersectionSet(points=(), all_real=0)
-    roots = P.Polynomial(r).roots()
+    r = [c / rmax for c in r]
+    while abs(r[-1]) <= 1e-13:
+        r.pop()
+    roots = companion_roots(r)
     # double roots perturb by the square root of the coefficient noise, so
     # near-real acceptance needs a floor; the residual gate after polishing
     # rejects genuinely complex roots that slip through
     imag_tol = max(cluster_tol, 1e-5)
-    real_u = [float(z.real) for z in roots
+    real_u = [z.real for z in roots
               if abs(z.imag) <= imag_tol * (1.0 + abs(z.real))]
 
     points: list[RatioPair] = []
-    for u0, mult in _cluster_scalars(np.array(real_u), cluster_tol):
-        cands = []
+    for u0, mult in _cluster_scalars(real_u, cluster_tol):
+        # polished v candidates that pass the residual gate, deduped
+        uniq: list[tuple[float, float]] = []
         for v0 in _v_candidates(F1, F2, u0):
             uu, vv, res = newton_polish(F1, F2, u0, v0)
-            if res <= tol * (1.0 + uu * uu + vv * vv):
-                cands.append((uu, vv))
-        # dedupe v candidates that polished to the same point
-        uniq: list[tuple[float, float]] = []
-        for uu, vv in cands:
-            if not any(abs(uu - a) <= cluster_tol * (1.0 + abs(a))
-                       and abs(vv - b) <= cluster_tol * (1.0 + abs(b))
-                       for a, b in uniq):
+            if res <= tol * (1.0 + uu * uu + vv * vv) and not any(
+                    abs(uu - a) <= cluster_tol * (1.0 + abs(a))
+                    and abs(vv - b) <= cluster_tol * (1.0 + abs(b))
+                    for a, b in uniq):
                 uniq.append((uu, vv))
-        if not uniq:
-            continue
         k = len(uniq)
-        if k >= mult:
-            ms = [1] * k
-        elif k == 1:
-            ms = [mult]
-        else:
-            # distribute the excess multiplicity to the most tangential point
-            ms = [1] * k
+        ms = [1] * k
+        if 0 < k < mult:
+            # the excess multiplicity goes to the most tangential point
             scores = [_tangency_score(F1, F2, uu, vv) for uu, vv in uniq]
-            ms[int(np.argmin(scores))] += mult - k
+            ms[scores.index(min(scores))] += mult - k
         for (uu, vv), m in zip(uniq, ms):
             points.append(RatioPair(u=uu, v=vv, multiplicity=m))
 
@@ -289,19 +291,14 @@ def intersect_conics(pair: ConicPair, tol: float = INTERSECT_TOL,
     # means an over-split root, so keep the larger multiplicity, not the sum
     merged: list[RatioPair] = []
     for p in sorted(points, key=lambda q: (q.u, q.v)):
-        hit = None
         for i, q in enumerate(merged):
             if (abs(p.u - q.u) <= cluster_tol * (1.0 + abs(q.u))
                     and abs(p.v - q.v) <= cluster_tol * (1.0 + abs(q.v))):
-                hit = i
+                merged[i] = RatioPair(u=q.u, v=q.v, multiplicity=max(
+                    q.multiplicity, p.multiplicity))
                 break
-        if hit is None:
-            merged.append(p)
         else:
-            q = merged[hit]
-            merged[hit] = RatioPair(u=q.u, v=q.v,
-                                    multiplicity=max(q.multiplicity,
-                                                     p.multiplicity))
+            merged.append(p)
 
     total = sum(p.multiplicity for p in merged)
     if total > 4:

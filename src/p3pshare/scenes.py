@@ -348,7 +348,7 @@ def _distinct_quartic_roots(scene: Scene, gap: float) -> int:
     pair = conics.build_conics(scene.triangle.sides, scene.angles)
     r = conics.resultant_in_u(pair.C1.scaled(), pair.C2.scaled())
     r = r / np.max(np.abs(r))
-    roots = list(np.polynomial.polynomial.Polynomial(r).roots())
+    roots = conics.companion_roots(np.trim_zeros(r, "b"))
     clusters: list[complex] = []
     for z in sorted(roots, key=lambda w: (w.real, w.imag)):
         if not any(abs(z - c) <= gap for c in clusters):

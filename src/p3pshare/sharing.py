@@ -9,7 +9,7 @@ ratio points re-expressed in the relabeled base distance.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import conics
 from .errors import NotOnConstraintLineError, RightAngleDegeneracyError
 from .geometry import (ControlTriangle, RatioPair, SolutionTriplet, ViewAngles,
                        interior_angles)
-from .solver import SolutionSet, constraint_residuals
+from .solver import SolutionSet
 
 
 class SharingLabel(enum.Enum):
@@ -241,33 +241,6 @@ def classify_solution_set(sol_set: SolutionSet, tri: ControlTriangle,
     return PairClassification(pairs=tuple(pairs), repeated_indices=repeated)
 
 
-@dataclass(frozen=True)
-class PointShareDiagnostics:
-    """Constants of the point-share sufficiency argument for a label family."""
-
-    M: float
-    N: float
-    lhs: tuple[float, ...]  # 1 + v_i^2 - 2 cos(beta) v_i per candidate
-
-    @property
-    def predicted_lhs(self) -> float:
-        return (self.M - self.N) / (1.0 - self.N)
-
-
-def point_share_diagnostics(vs, tri: ControlTriangle, angles: ViewAngles,
-                            label: SharingLabel = SharingLabel.POINT_A
-                            ) -> PointShareDiagnostics:
-    """Evaluate M, N and the per-candidate quadratic for relabeled v values."""
-    k = label.shift
-    a, b, c = cycle3(tri.sides, k)
-    _, cb, cg = cycle3(angles.cosines, k)
-    _, cosB, cosC = cycle3(interior_angles(tri), k)
-    N = (cosB * cg / (cosC * cb)) ** 2
-    M = (a * cg * cg / (c * c * cosC * cb * cb)) * (b - a / cosC) + b * b / (c * c)
-    lhs = tuple(1.0 + v * v - 2.0 * cb * v for v in vs)
-    return PointShareDiagnostics(M=M, N=N, lhs=lhs)
-
-
 def companion_identity_residual(tri: ControlTriangle, angles: ViewAngles,
                                 k: int = 0) -> float:
     """Normalized residual of the scene-level sharing identity for family k.
@@ -366,12 +339,9 @@ def companion_check(sol_set: SolutionSet, tri: ControlTriangle,
                 rest = tuple(sorted(all_idx - {i, j}))
                 if rest not in side:
                     ok = False
-        if side or point:
-            ident = abs(companion_identity_residual(tri, angles, k))
-            fact = factorization_residual(tri, angles, k)
-        else:
-            ident = abs(companion_identity_residual(tri, angles, k))
-            fact = float("nan")
+        ident = abs(companion_identity_residual(tri, angles, k))
+        fact = (factorization_residual(tri, angles, k) if side or point
+                else float("nan"))
         families.append(FamilyReport(shift=k, side_pairs=side, point_pairs=point,
                                      identity_residual=ident,
                                      factorization_residual=fact,

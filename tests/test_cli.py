@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from p3pshare.cli import (EXIT_CAMPAIGN_FAIL, EXIT_DEGENERATE, EXIT_IO,
-                          EXIT_OK, EXIT_PARSE, main)
+from p3pshare import solver
+from p3pshare.cli import (EXIT_CAMPAIGN_FAIL, EXIT_DEGENERATE,
+                          EXIT_INCONSISTENT, EXIT_IO, EXIT_OK, EXIT_PARSE, main)
+from p3pshare.errors import InconsistentInputError
 from p3pshare.sceneio import read_obj, serialize_scene
 
 
@@ -51,6 +53,14 @@ class TestSolve:
 
     def test_degenerate_scene(self, cocyclic_scene_path, capsys):
         assert main(["solve", cocyclic_scene_path]) == EXIT_DEGENERATE
+
+    def test_inconsistent_solution(self, eq1_scene_path, monkeypatch, capsys):
+        def leak(*args, **kwargs):
+            raise InconsistentInputError("ratio point violates the basic constraints")
+
+        monkeypatch.setattr(solver, "solve", leak)
+        assert main(["solve", eq1_scene_path]) == EXIT_INCONSISTENT
+        assert "inconsistent solution" in capsys.readouterr().err
 
 
 class TestAnalyze:
