@@ -32,19 +32,10 @@ def _g(x: float) -> str:
 
 def _load(path: str):
     """-> (tri, center, angles); derives angles when the center is given."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _IOFail(str(exc))
-    tri, center, angles, _ = sceneio.parse_scene(text)
+    tri, center, angles, _ = sceneio.load_scene(path)
     if center is not None:
         angles = view_angles_from_center(tri, center)
     return tri, center, angles
-
-
-class _IOFail(Exception):
-    pass
 
 
 def _solution_rows(sol, tri):
@@ -232,9 +223,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _IOFail as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except SceneParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,9 +1,12 @@
 """The two characteristic conics and their exact intersection.
 
-The solver eliminates v by a closed-form resultant in u, takes the real
-roots of that quartic as companion-matrix eigenvalues, back-substitutes v and
-polishes every candidate with damped Newton on the bivariate system. All but
-the eigenvalue call is float arithmetic: numpy's per-call cost dominates here.
+The intersection splits the pencil of the two conics. One real root of the
+cubic det(A + lam B) gives a degenerate member, a pair of lines through the
+common points. Each line meets the other conic in one quadratic, whose
+roots seed damped Newton on the bivariate system; a double root of that
+quadratic is a tangency, and its two seeds merge into one point of
+multiplicity 2. All but the one eigenvalue call is float arithmetic: numpy's
+per-call cost dominates here.
 """
 
 from __future__ import annotations
@@ -47,10 +50,6 @@ class Conic:
     def __call__(self, u, v):
         return (self.c_vv * v * v + self.c_uv * u * v + self.c_uu * u * u
                 + self.c_u * u + self.c_v * v + self.c_1)
-
-    def gradient(self, u: float, v: float) -> np.ndarray:
-        return np.array([self.c_uv * v + 2.0 * self.c_uu * u + self.c_u,
-                         2.0 * self.c_vv * v + self.c_uv * u + self.c_v])
 
     def scaled(self) -> "Conic":
         """Same zero set, coefficients normalized to unit max norm."""
@@ -136,8 +135,13 @@ def newton_polish(F1: Conic, F2: Conic, u: float, v: float,
 def resultant_in_u(F1: Conic, F2: Conic) -> np.ndarray:
     """Degree<=4 polynomial in u (low-first) eliminating v from the pair.
 
-    With each conic A v^2 + B(u) v + D(u): T1^2 - T2 T3 for T1 = A1 D2 - A2 D1,
-    T2 = A1 B2 - A2 B1, T3 = B1 D2 - B2 D1, summed in convolution order."""
+    intersect_conics does not use it: it is the independent eliminant whose
+    distinct roots the danger_repeat campaign counts
+    (scenes._distinct_quartic_roots).
+
+    With each conic A v^2 + B(u) v + D(u): T1^2 - T2 T3 for
+    T1 = A1 D2 - A2 D1, T2 = A1 B2 - A2 B1, T3 = B1 D2 - B2 D1, summed in
+    convolution order."""
     a, b0, b1, d0, d1, d2 = F1.c_vv, F1.c_v, F1.c_uv, F1.c_1, F1.c_u, F1.c_uu
     A, B0, B1, D0, D1, D2 = F2.c_vv, F2.c_v, F2.c_uv, F2.c_1, F2.c_u, F2.c_uu
     p0, p1, p2 = a * D0 - A * d0, a * D1 - A * d1, a * D2 - A * d2
@@ -164,71 +168,6 @@ def companion_roots(r) -> list:
     return np.linalg.eigvals(m).tolist()
 
 
-def _quad_roots(a2: float, a1: float, a0: float, scale: float):
-    """Real roots of a2 x^2 + a1 x + a0, degenerating gracefully."""
-    m = max(abs(a2), abs(a1), abs(a0))
-    if m == 0.0:
-        return None  # identically zero
-    if abs(a2) <= 1e-13 * m:
-        if abs(a1) <= 1e-13 * m:
-            return []
-        return [-a0 / a1]
-    disc = a1 * a1 - 4.0 * a2 * a0
-    band = 1e-12 * max(a1 * a1, abs(4.0 * a2 * a0), m * m * scale * scale)
-    if disc < -band:
-        return []
-    disc = max(disc, 0.0)
-    sq = math.sqrt(disc)
-    q = -0.5 * (a1 + math.copysign(sq, a1)) if a1 != 0.0 else 0.5 * sq
-    if q == 0.0:
-        return [0.0, 0.0]
-    return [q / a2, a0 / q]
-
-
-def _v_candidates(F1: Conic, F2: Conic, u0: float) -> list[float]:
-    """Common v roots of the two conics at fixed u."""
-    # each conic as a quadratic a v^2 + b v + d, its coefficients by Horner in u
-    a1, b1, d1 = F1.c_vv, F1.c_v + F1.c_uv * u0, F1.c_1 + (F1.c_u + F1.c_uu * u0) * u0
-    a2, b2, d2 = F2.c_vv, F2.c_v + F2.c_uv * u0, F2.c_1 + (F2.c_u + F2.c_uu * u0) * u0
-    scale = 1.0 + abs(u0)
-    # linear elimination of v^2 gives v directly when non-degenerate; near a
-    # double u-root the denominator degenerates, so the per-conic quadratic
-    # roots are always offered too and the residual gate arbitrates
-    out = []
-    den = a2 * b1 - a1 * b2
-    num = a1 * d2 - a2 * d1
-    if abs(den) > 1e-8 * scale * max(abs(a1), abs(a2), abs(b1), abs(b2), 1e-30):
-        out.append(num / den)
-    r1 = _quad_roots(a1, b1, d1, scale)
-    r2 = _quad_roots(a2, b2, d2, scale)
-    if r1 is None or r2 is None:  # an identically zero quadratic
-        return out + (r1 or r2 or [])
-    matched = [0.5 * (x + y) for x in r1 for y in r2
-               if abs(x - y) <= 1e-4 * (1.0 + abs(x))]
-    return out + (matched or r1 + r2)
-
-
-def _cluster_scalars(values: list[float], tol: float) -> list[tuple[float, int]]:
-    """Greedy 1D clustering on absolute gaps; (representative, count) pairs."""
-    out: list[list[float]] = []
-    for x in sorted(values):
-        if out and abs(x - out[-1][0]) <= tol:
-            out[-1].append(x)
-        else:
-            out.append([x])
-    return [(sum(c) / len(c), len(c)) for c in out]
-
-
-def _tangency_score(F1: Conic, F2: Conic, u: float, v: float) -> float:
-    """Small when the two gradients are parallel (conics tangent)."""
-    g1u, g1v = F1.gradient(u, v).tolist()
-    g2u, g2v = F2.gradient(u, v).tolist()
-    n = math.hypot(g1u, g1v) * math.hypot(g2u, g2v)
-    if n == 0.0:
-        return 0.0
-    return abs(g1u * g2v - g1v * g2u) / n
-
-
 def _pencil_sigma2(F1: Conic, F2: Conic) -> float:
     """Second singular value of the 2x6 matrix of unit coefficient rows x, y:
     sqrt(1 - |x.y|), as |x ^ y| / sqrt(1 + |x.y|) to stay accurate near 0."""
@@ -240,72 +179,141 @@ def _pencil_sigma2(F1: Conic, F2: Conic) -> float:
     return wedge / math.sqrt(1.0 + abs(dot))
 
 
+def _matrix(F: Conic):
+    """Rows of the symmetric M with F(u, v) = x^T M x for x = (u, v, 1)."""
+    h_uv, h_u, h_v = 0.5 * F.c_uv, 0.5 * F.c_u, 0.5 * F.c_v
+    return ((F.c_uu, h_uv, h_u), (h_uv, F.c_vv, h_v), (h_u, h_v, F.c_1))
+
+
+def _dot(x, y) -> float:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _cross(x, y):
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
+            x[0] * y[1] - x[1] * y[0])
+
+
+def _adj(M):
+    """Adjugate of a symmetric 3x3 matrix: cross products of its rows."""
+    return (_cross(M[1], M[2]), _cross(M[2], M[0]), _cross(M[0], M[1]))
+
+
+def _member(A, B, lam: float):
+    """A + lam B."""
+    return [[a + lam * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def _split_lines(D):
+    """The two real lines l . (u, v, 1) = 0 whose product is the degenerate
+    conic D: adj(D) = -p p^T for their common point p, and D plus the skew
+    matrix of p is the rank-1 l m^T (Richter-Gebert, Perspectives on
+    Projective Geometry, 11.3). None when the lines are complex conjugate."""
+    q = _adj(D)
+    i = max(range(3), key=lambda k: abs(q[k][k]))
+    if q[i][i] > 0.0:
+        return ()
+    beta = math.sqrt(-q[i][i])
+    p0, p1, p2 = (x / beta for x in q[i]) if beta else (0.0, 0.0, 0.0)
+    (a, b, c), (_, d, e), (_, _, f) = D
+    C = ((a, b + p2, c - p1), (b - p2, d, e + p0), (c + p1, e - p0, f))
+    flat = [abs(x) for row in C for x in row]
+    i, j = divmod(flat.index(max(flat)), 3)
+    return C[i], (C[0][j], C[1][j], C[2][j])
+
+
+def _line_seeds(G, line, tol: float) -> list[tuple[float, float]]:
+    """Seeds for the common points of a line and the conic of matrix G.
+
+    Along the line o + x d, G is a quadratic a2 x^2 + a1 x + a0. A complex
+    pair x0 +- i im gives the seeds x0 +- im when G there, 2 |a2| im^2,
+    passes the tol gate: a tangency that rounding pushed off the real axis."""
+    l0, l1, l2 = line
+    if abs(l1) >= abs(l0):
+        if l1 == 0.0:  # the line at infinity
+            return []
+        d, o = (1.0, -l0 / l1, 0.0), (0.0, -l2 / l1, 1.0)
+    else:
+        d, o = (-l1 / l0, 1.0, 0.0), (-l2 / l0, 0.0, 1.0)
+    Gd, Go = [_dot(row, d) for row in G], [_dot(row, o) for row in G]
+    a2, a1, a0 = _dot(d, Gd), 2.0 * _dot(o, Gd), _dot(o, Go)
+    disc = a1 * a1 - 4.0 * a2 * a0
+    if disc < 0.0:
+        x0 = -0.5 * a1 / a2
+        im = math.sqrt(-disc) / (2.0 * abs(a2))
+        u0, v0 = o[0] + x0 * d[0], o[1] + x0 * d[1]
+        if 2.0 * abs(a2) * im * im > tol * (1.0 + u0 * u0 + v0 * v0):
+            return []
+        xs = (x0 - im, x0 + im)
+    else:
+        # the stable pair q / a2, a0 / q; a2 = 0 leaves the one root a0 / q,
+        # and q = 0 means a1 = 0 and a2 a0 = 0
+        q = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
+        if q == 0.0:
+            xs = (0.0, 0.0) if a2 else ()
+        else:
+            xs = (q / a2, a0 / q) if a2 else (a0 / q,)
+    return [(o[0] + x * d[0], o[1] + x * d[1]) for x in xs]
+
+
 def intersect_conics(pair: ConicPair, tol: float = INTERSECT_TOL,
                      cluster_tol: float = CLUSTER_TOL) -> IntersectionSet:
-    """All real intersections of the pair, with root multiplicities.
+    """All real intersections of the pair, with root multiplicities: polished
+    seeds that pass the tol gate merge within cluster_tol.
 
-    Raises DegeneratePencilError for proportional conics or an identically
-    vanishing resultant (the cocyclic configuration).
+    Raises DegeneratePencilError when the conics are proportional or share a
+    component (every member of the pencil is degenerate).
     """
     F1 = pair.C1.scaled()
     F2 = pair.C2.scaled()
     if _pencil_sigma2(F1, F2) < PENCIL_RANK_TOL:
         raise DegeneratePencilError("proportional conic pair")
 
-    r = resultant_in_u(F1, F2).tolist()
-    rmax = max(abs(c) for c in r)
-    if rmax < 1e-14:
-        raise DegeneratePencilError("identically zero resultant")
-    r = [c / rmax for c in r]
-    while abs(r[-1]) <= 1e-13:
+    A, B = _matrix(F1), _matrix(F2)
+    adjA, adjB = _adj(A), _adj(B)
+    detA, detB = _dot(A[0], adjA[0]), _dot(B[0], adjB[0])
+    if abs(detB) < abs(detA):  # det B leads the cubic: finite roots
+        A, B, adjA, adjB, detA, detB = B, A, adjB, adjA, detB, detA
+    cubic = [detA, sum(map(_dot, adjA, B)), sum(map(_dot, A, adjB)), detB]
+    if max(abs(c) for c in cubic) < 1e-14:
+        raise DegeneratePencilError("conics share a component")
+    r = cubic[:]  # both conics can be line pairs: det A = det B = 0
+    while r[-1] == 0.0:
         r.pop()
     roots = companion_roots(r)
-    # double roots perturb by the square root of the coefficient noise, so
-    # near-real acceptance needs a floor; the residual gate after polishing
-    # rejects genuinely complex roots that slip through
-    imag_tol = max(cluster_tol, 1e-5)
-    real_u = [z.real for z in roots
-              if abs(z.imag) <= imag_tol * (1.0 + abs(z.real))]
+
+    # the real root farthest from the other two is simple even at a
+    # tangency, where the two members through the tangent point coincide
+    def isolation(k):
+        return min(abs(roots[k] - z) for j, z in enumerate(roots) if j != k)
+    real = [k for k, z in enumerate(roots) if z.imag == 0.0]
+    lam = roots[max(real, key=isolation) if len(real) > 1 else real[0]].real
+    if abs(lam) > 1.0:
+        # the same member as B + A / lam: swap the roles so that |lam| <= 1
+        A, B, lam = B, A, 1.0 / lam
+        cubic.reverse()
+    for _ in range(2):
+        D = _member(A, B, lam)
+        df = cubic[1] + (2.0 * cubic[2] + 3.0 * cubic[3] * lam) * lam
+        if df:
+            lam -= _dot(D[0], _cross(D[1], D[2])) / df
 
     points: list[RatioPair] = []
-    for u0, mult in _cluster_scalars(real_u, cluster_tol):
-        # polished v candidates that pass the residual gate, deduped
-        uniq: list[tuple[float, float]] = []
-        for v0 in _v_candidates(F1, F2, u0):
-            uu, vv, res = newton_polish(F1, F2, u0, v0)
-            if res <= tol * (1.0 + uu * uu + vv * vv) and not any(
-                    abs(uu - a) <= cluster_tol * (1.0 + abs(a))
-                    and abs(vv - b) <= cluster_tol * (1.0 + abs(b))
-                    for a, b in uniq):
-                uniq.append((uu, vv))
-        k = len(uniq)
-        ms = [1] * k
-        if 0 < k < mult:
-            # the excess multiplicity goes to the most tangential point
-            scores = [_tangency_score(F1, F2, uu, vv) for uu, vv in uniq]
-            ms[scores.index(min(scores))] += mult - k
-        for (uu, vv), m in zip(uniq, ms):
-            points.append(RatioPair(u=uu, v=vv, multiplicity=m))
-
-    # global dedupe across u clusters; a point re-found from two clusters
-    # means an over-split root, so keep the larger multiplicity, not the sum
-    merged: list[RatioPair] = []
-    for p in sorted(points, key=lambda q: (q.u, q.v)):
-        for i, q in enumerate(merged):
-            if (abs(p.u - q.u) <= cluster_tol * (1.0 + abs(q.u))
-                    and abs(p.v - q.v) <= cluster_tol * (1.0 + abs(q.v))):
-                merged[i] = RatioPair(u=q.u, v=q.v, multiplicity=max(
-                    q.multiplicity, p.multiplicity))
-                break
-        else:
-            merged.append(p)
-
-    total = sum(p.multiplicity for p in merged)
-    if total > 4:
-        # cannot exceed the Bezout bound; clamp conservatively
-        merged = [RatioPair(p.u, p.v, 1) for p in merged][:4]
-        total = len(merged)
-    return IntersectionSet(points=tuple(merged), all_real=total)
+    for line in _split_lines(_member(A, B, lam)):
+        for u0, v0 in _line_seeds(B, line, tol):
+            u, v, res = newton_polish(F1, F2, u0, v0, tol=1e-15)
+            if not res <= tol * (1.0 + u * u + v * v):
+                continue
+            for i, q in enumerate(points):
+                if (abs(u - q.u) <= cluster_tol * (1.0 + abs(q.u))
+                        and abs(v - q.v) <= cluster_tol * (1.0 + abs(q.v))):
+                    points[i] = RatioPair(q.u, q.v, q.multiplicity + 1)
+                    break
+            else:
+                points.append(RatioPair(u, v, 1))
+    points.sort(key=lambda p: (p.u, p.v))
+    return IntersectionSet(points=tuple(points),
+                           all_real=sum(p.multiplicity for p in points))
 
 
 def quadrant_one_filter(inter: IntersectionSet, eps: float = 1e-10) -> list[RatioPair]:

@@ -14,7 +14,8 @@ class DegenerateAngleError(P3PError):
 
 
 class DegeneratePencilError(P3PError):
-    """The two characteristic conics are proportional (cocyclic configuration)."""
+    """The two characteristic conics are proportional or share a component
+    (cocyclic configuration)."""
 
 
 class InfeasibleRatioError(P3PError):

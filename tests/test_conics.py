@@ -82,14 +82,6 @@ class TestBuildConics:
 
 
 class TestConic:
-    def test_gradient_matches_finite_differences(self):
-        c = Conic(1.0, -2.0, 3.0, 0.5, -0.25, 2.0)
-        h = 1e-7
-        u, v = 0.7, -1.3
-        gu = (c(u + h, v) - c(u - h, v)) / (2 * h)
-        gv = (c(u, v + h) - c(u, v - h)) / (2 * h)
-        np.testing.assert_allclose(c.gradient(u, v), [gu, gv], rtol=1e-6)
-
     def test_scaled_preserves_zero_set(self):
         c = Conic(2.0, -4.0, 6.0, 1.0, -0.5, 4.0)
         s = c.scaled()
@@ -233,6 +225,23 @@ class TestIntersectConics:
                          sides=pair.sides, angles=pair.angles)
         with pytest.raises(DegeneratePencilError):
             intersect_conics(bad)
+
+    @pytest.mark.parametrize("C2, want", [
+        # circles touching at (1, 0), and two apart
+        (Conic(1.0, 0.0, 1.0, -4.0, 0.0, 3.0), [(1.0, 0.0, 2)]),
+        (Conic(1.0, 0.0, 1.0, -6.0, 0.0, 8.0), []),
+        # the ellipse u^2 / 4 + v^2 = 1 touches the unit circle twice
+        (Conic(1.0, 0.0, 0.25, 0.0, 0.0, -1.0), [(0.0, -1.0, 2), (0.0, 1.0, 2)]),
+    ])
+    def test_tangencies_of_the_unit_circle(self, C2, want):
+        pair = eq1_pair()
+        circle = Conic(1.0, 0.0, 1.0, 0.0, 0.0, -1.0)
+        inter = intersect_conics(type(pair)(C1=circle, C2=C2, sides=pair.sides,
+                                            angles=pair.angles))
+        got = [(round(p.u, 9), round(p.v, 9), p.multiplicity)
+               for p in inter.points]
+        assert got == want
+        assert inter.all_real == sum(w[2] for w in want)
 
     def test_quadrant_filter(self):
         inter = intersect_conics(eq1_pair())

@@ -75,6 +75,16 @@ class TestVerifyTheorem:
         assert not rep.failures, rep.failures
         assert rep.wall_time >= 0.0
 
+    @pytest.mark.parametrize("theorem_id, trials, seed", [
+        # in trial 23 of each, two of the four solutions share u
+        ("side_nsc", 30, 4293933281),
+        ("point_nsc", 60, 1343275688),
+    ])
+    def test_pair_found_when_two_solutions_share_u(self, theorem_id, trials,
+                                                   seed):
+        rep = verify_theorem(theorem_id, trials, seed=seed, converse_trials=30)
+        assert not rep.failures, rep.failures
+
     def test_report_counts_are_consistent(self):
         rep = verify_theorem("construct_side", trials=5, seed=2)
         assert rep.passes + len(rep.failures) + rep.skipped >= rep.trials

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from p3pshare.errors import (InconsistentInputError, InfeasibleRatioError,
-                             InfeasibleTripletError)
-from p3pshare.geometry import RatioPair, SolutionTriplet, ViewAngles
+from p3pshare.errors import (DegenerateAngleError, DegenerateInputError,
+                             DegeneratePencilError, InconsistentInputError,
+                             InfeasibleRatioError, InfeasibleTripletError)
+from p3pshare.geometry import (ControlTriangle, RatioPair, SolutionTriplet,
+                               ViewAngles, view_angles_from_center)
 from p3pshare.scenes import random_scene
 from p3pshare.solver import (constraint_residuals, recover_centers, solve,
                              triplet_from_ratio)
@@ -86,6 +88,68 @@ class TestSolveRandom:
         best = min(max(abs(x - y) for x, y in zip(s.triplet.values, truth))
                    for s in sol.solutions)
         assert best < 1e-7 * sc.scale
+
+
+def truth_gap(sol, points, O) -> float:
+    """Distance from the true triplet to the nearest returned solution."""
+    truth = [float(np.linalg.norm(np.asarray(p) - O)) for p in points]
+    return min((max(abs(x - y) for x, y in zip(s.triplet.values, truth))
+                for s in sol.solutions), default=math.inf)
+
+
+class TestSolveUnfiltered:
+    """Scenes drawn without the SceneConfig clearances: skinny triangles,
+    tiny subtended angles and viewpoints near the base plane."""
+
+    @pytest.mark.parametrize("points, O", [
+        # side a is 0.02 long: the basic-constraint check, normalized by
+        # a^2, needs the conic residual polished far below the tol gate
+        ([(-0.1632089725600696, -0.3212107907449424, 0.0),
+          (0.8365917325026695, -0.4710944099014791, 0.0),
+          (0.8179366743371381, -0.48218254487031853, 0.0)],
+         (-1.2056256624527975, 0.1514545848679818, 1.4456977246728817)),
+        # the quartic eliminant in u vanishes to 1e-15 although the conics
+        # meet in two points: no cocyclic degeneracy
+        ([(0.6214271151623025, -0.7156652484959551, 0.0),
+          (-0.672895220914461, 0.9608685021928516, 0.0),
+          (-0.6766836927859947, 0.9684771206372196, 0.0)],
+         (-1.1585906741753722, 0.9663247414394398, 1.9231900601079408)),
+    ])
+    def test_skinny_triangle_finds_truth(self, points, O):
+        tri = ControlTriangle.from_points(*(np.array(p) for p in points))
+        O = np.array(O)
+        sol = solve(tri, view_angles_from_center(tri, O))
+        assert truth_gap(sol, points, O) < 1e-7 * tri.scale
+
+    # derandomized, so a run repeats: about one draw in 1e5 is a sliver
+    # triangle whose ratio conics pin the truth only to ~1e-6 of scale, as
+    # the xfail example shows
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 31), scale=st.sampled_from([1e-6, 1.0, 1e6]))
+    @example(seed=20531, scale=1.0).xfail(
+        raises=AssertionError,
+        reason="side a is 0.5% of the others: the truth and the returned point "
+               "both leave conic residuals of 1e-16, 2e-6 of scale apart")
+    def test_contract_at_every_scale(self, seed, scale):
+        # control points uniform in [-1, 1]^2, O uniform in [-2, 2]^3
+        rng = np.random.default_rng(seed)
+        xy = rng.uniform(-1.0, 1.0, (3, 2))
+        points = [np.array([x, y, 0.0]) * scale for x, y in xy]
+        O = rng.uniform(-2.0, 2.0, 3) * scale
+        try:
+            tri = ControlTriangle.from_points(*points)
+            angles = view_angles_from_center(tri, O)
+        except (DegenerateInputError, DegenerateAngleError):
+            return
+        try:
+            sol = solve(tri, angles)
+        except DegeneratePencilError:
+            return
+        assert 1 <= sol.count <= 4
+        for s in sol.solutions:
+            res = constraint_residuals(s.triplet, tri.sides, angles)
+            assert max(abs(r) for r in res) < 1e-8
+        assert truth_gap(sol, points, O) < 1e-6 * tri.scale
 
 
 class TestRecoverCenters:
