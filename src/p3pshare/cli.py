@@ -115,14 +115,10 @@ def cmd_analyze(args, out=None) -> int:
         print("\nlocus membership of the optical center:", file=out)
         print(f"  danger cylinder: {_g(loci.cylinder_membership(cyl, center))}",
               file=out)
-        for label in sharing.SIDE_LABELS:
-            pl = loci.vertical_plane(frame, label)
-            print(f"  plane {label.name}: {_g(loci.plane_membership(pl, center))}",
-                  file=out)
-        for label in sharing.POINT_LABELS:
-            surf = loci.skewed_danger_cylinder(tri, label)
-            print(f"  skew {label.name}: {_g(loci.skewed_membership(surf, center))}",
-                  file=out)
+        for label in (*sharing.SIDE_LABELS, *sharing.POINT_LABELS):
+            d = loci.membership(loci.sharing_locus(tri, label, frame), center)
+            name = "plane" if label.kind == "side" else "skew"
+            print(f"  {name} {label.name}: {_g(d)}", file=out)
         print(f"  cocyclic residual: {_g(cocyclic_degeneracy(tri, center))}",
               file=out)
     if args.out:
@@ -192,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = sub.add_parser("analyze", help="solve plus pair classification and loci")
     ap.add_argument("scene")
     ap.add_argument("--tol", type=float, default=conics.INTERSECT_TOL)
-    ap.add_argument("--tol-class", type=float, default=1e-7)
+    ap.add_argument("--tol-class", type=float, default=sharing.LINE_TOL)
     ap.add_argument("--out", default=None)
     ap.set_defaults(func=cmd_analyze)
 
@@ -201,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--trials", type=int, default=100)
     vp.add_argument("--converse-trials", type=int, default=None)
     vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--tol", type=float, default=1e-7)
+    vp.add_argument("--tol", type=float, default=sharing.LINE_TOL)
     vp.add_argument("--out", default=None)
     vp.set_defaults(func=cmd_verify)
 

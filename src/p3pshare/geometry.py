@@ -13,11 +13,6 @@ import numpy as np
 
 from .errors import DegenerateAngleError, DegenerateInputError
 
-#: relative tolerance for exact-construction consistency checks
-EXACT_TOL = 1e-12
-#: default relative tolerance for residual acceptance
-RESIDUAL_TOL = 1e-9
-
 
 def _as_point(p) -> np.ndarray:
     q = np.asarray(p, dtype=float)

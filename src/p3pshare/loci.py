@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SamplingFailureError
-from .geometry import CanonicalFrame, ControlTriangle, canonical_frame, circumcircle_2d
+from .geometry import CanonicalFrame, ControlTriangle, canonical_frame
 from .sharing import SharingLabel, relabel_triangle
 
 
@@ -118,6 +118,23 @@ def skewed_membership(surf: SkewedDangerCylinder, O) -> float:
     p = surf.frame.to_canonical(O)
     t1, t2 = _skew_terms(surf, p)
     return (t1 - t2) / max(1.0, abs(t1), abs(t2))
+
+
+def sharing_locus(tri: ControlTriangle, label: SharingLabel,
+                  frame: CanonicalFrame | None = None):
+    """Vertical plane (side label) or skewed danger cylinder (point label)."""
+    if label.kind == "point":
+        return skewed_danger_cylinder(tri, label)
+    return vertical_plane(frame or canonical_frame(tri), label)
+
+
+def membership(locus, O) -> float:
+    """Signed membership residual of O on a sharing locus; zero on it."""
+    if isinstance(locus, VerticalPlane):
+        return plane_membership(locus, O)
+    if isinstance(locus, SkewedDangerCylinder):
+        return skewed_membership(locus, O)
+    raise TypeError(f"not a locus: {type(locus)!r}")
 
 
 @dataclass(frozen=True)

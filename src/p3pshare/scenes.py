@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -50,11 +51,20 @@ def scene_from_center(tri: ControlTriangle, O, seed=None) -> Scene:
                  angles=view_angles_from_center(tri, O), seed=seed)
 
 
-def _angles_ok(angles: ViewAngles, cfg: SceneConfig) -> bool:
-    cs = angles.cosines
-    if any(abs(x) >= 1.0 - cfg.cos_margin for x in cs):
-        return False
-    return abs(cs[1]) > cfg.cos_bg_min and abs(cs[2]) > cfg.cos_bg_min
+def _scene_at(tri: ControlTriangle, O, cfg: SceneConfig,
+              seed: int | None = None) -> Scene | None:
+    """The scene seen from O; None inside a degeneracy clearance of cfg."""
+    if cocyclic_degeneracy(tri, O) < cfg.cocyclic_min:
+        return None
+    try:
+        scene = scene_from_center(tri, O, seed)
+    except (DegenerateInputError, DegenerateAngleError):
+        return None
+    cs = scene.angles.cosines
+    if any(abs(x) >= 1.0 - cfg.cos_margin for x in cs) \
+            or abs(cs[1]) <= cfg.cos_bg_min or abs(cs[2]) <= cfg.cos_bg_min:
+        return None
+    return scene
 
 
 def random_scene(rng: np.random.Generator,
@@ -84,17 +94,9 @@ def random_scene(rng: np.random.Generator,
             z = -z
         O = np.array([rng.uniform(-config.center_xy, config.center_xy),
                       rng.uniform(-config.center_xy, config.center_xy), z])
-        if abs(z) < 0.1:
-            continue
-        if cocyclic_degeneracy(tri, O) < config.cocyclic_min:
-            continue
-        try:
-            angles = view_angles_from_center(tri, O)
-        except (DegenerateInputError, DegenerateAngleError):
-            continue
-        if not _angles_ok(angles, config):
-            continue
-        return Scene(triangle=tri, center=O, angles=angles, seed=seed)
+        scene = None if abs(z) < 0.1 else _scene_at(tri, O, config, seed)
+        if scene is not None:
+            return scene
     raise GenerationFailureError("rejection budget exceeded")
 
 
@@ -160,10 +162,9 @@ def true_triplet(scene: Scene) -> SolutionTriplet:
 
 
 # ---------------------------------------------------------------------------
-# campaigns
-
-THEOREM_IDS = ("side_nsc", "point_nsc", "companion", "danger_repeat",
-               "construct_side", "construct_point")
+# campaigns: one forward loop (_trials) over scenes from one locus sampler
+# (_locus_scene) and one solve-or-skip (_solved), plus one converse scan
+# (_converse) and one mate check (_mate_check)
 
 
 @dataclass
@@ -204,229 +205,193 @@ def _trial_rngs(seed: int, n: int):
 
 
 _CYL_CLEARANCE = 1e-2  # relative band around the danger cylinder (Sun's lines)
+#: relative distance within which a center counts as on a sharing locus
+_LOCUS_TOL = 1e-6
 
 
-def _locus_scene(rng, label: SharingLabel, cfg: SceneConfig,
+def _locus_scene(rng, label: SharingLabel | None,
+                 cfg: SceneConfig = SceneConfig(),
                  require_condition: bool = True,
                  require_positive_mate: bool = False) -> Scene | None:
-    """Scene with the center sampled on the plane/skew locus of the label.
+    """Scene with the center sampled on the plane/skew locus of the label,
+    or on the danger cylinder when label is None.
 
-    Excludes the cocyclic band, small |z| and the danger-cylinder band, and
-    (optionally) requires the mate condition of the label and a strictly
-    positive reflected mate for the true solution. None when the rejection
-    budget runs out.
+    Excludes the cocyclic band and small |z|; on a sharing locus it also
+    excludes the danger-cylinder band and (optionally) requires the mate
+    condition of the label and a strictly positive mate of the true
+    solution. None when the rejection budget runs out.
     """
     for _ in range(200):
-        base = random_scene(rng, cfg)
-        tri = base.triangle
+        tri = random_scene(rng, cfg).triangle
         frame = canonical_frame(tri)
         cyl = loci.danger_cylinder(frame)
+        z_clear = 0.15 if label is None else 0.1
         region = loci.SampleRegion(xy_half_extent=1.5 * tri.scale,
                                    z_max=2.0 * tri.scale,
-                                   min_abs_z=max(0.1, 0.1 * tri.scale))
-        if label.kind == "side":
-            locus = loci.vertical_plane(frame, label)
-        else:
-            locus = loci.skewed_danger_cylinder(tri, label)
+                                   min_abs_z=max(0.1, z_clear * tri.scale))
+        locus = cyl if label is None else loci.sharing_locus(tri, label, frame)
         try:
             O = loci.sample_locus(locus, rng, region)
         except SamplingFailureError:
             continue
-        if abs(loci.cylinder_membership(cyl, O)) < _CYL_CLEARANCE * tri.scale:
+        if label is not None and abs(loci.cylinder_membership(cyl, O)) \
+                < _CYL_CLEARANCE * tri.scale:
             continue
-        if cocyclic_degeneracy(tri, O) < cfg.cocyclic_min:
+        scene = _scene_at(tri, O, cfg)
+        if scene is None or label is not None and (
+                (require_condition
+                 and not sharing.mate_condition(tri, scene.angles, label))
+                or (require_positive_mate and not _mate_positive(scene, label))):
             continue
-        try:
-            scene = scene_from_center(tri, O)
-        except (DegenerateInputError, DegenerateAngleError):
-            continue
-        if not _angles_ok(scene.angles, cfg):
-            continue
-        if require_condition:
-            if label.kind == "side" and not sharing.side_mate_condition(
-                    tri, scene.angles, label):
-                continue
-            if label.kind == "point" and not sharing.point_mate_condition(
-                    tri, scene.angles, label):
-                continue
-        if require_positive_mate:
-            # the angle-form condition does not guarantee positivity in
-            # obtuse configurations; gate on the reflected distances directly
-            s = true_triplet(scene)
-            sk = sharing.relabel_triplet(s, label.shift)
-            _, cb, cg = sharing.cycle3(scene.angles.cosines, label.shift)
-            if label.kind == "side":
-                if 2.0 * cg * sk.s2 - sk.s1 <= 0.0:
-                    continue
-            else:
-                if 2.0 * cg * sk.s1 - sk.s2 <= 0.0 \
-                        or 2.0 * cb * sk.s1 - sk.s3 <= 0.0:
-                    continue
         return scene
     return None
 
 
-def _solve_scene(scene: Scene, cluster_tol: float = conics.CLUSTER_TOL):
-    return solver.solve(scene.triangle, scene.angles, cluster_tol=cluster_tol)
+def _mate_positive(scene: Scene, label: SharingLabel) -> bool:
+    """Whether the true solution's mate has positive distances, which the
+    angle-form mate condition does not guarantee in obtuse configurations."""
+    s = sharing.relabel_triplet(true_triplet(scene), label.shift)
+    _, cb, cg = sharing.cycle3(scene.angles.cosines, label.shift)
+    if label.kind == "side":
+        return 2.0 * cg * s.s2 - s.s1 > 0.0
+    return 2.0 * cg * s.s1 - s.s2 > 0.0 and 2.0 * cb * s.s1 - s.s3 > 0.0
 
 
-def _campaign_sharing_nsc(kind: str, trials: int, tol: float, seed: int,
-                          converse_trials: int | None) -> CampaignReport:
-    labels = sharing.SIDE_LABELS if kind == "side" else sharing.POINT_LABELS
-    rep = CampaignReport(theorem_id=f"{kind}_nsc", trials=trials)
-    cfg = SceneConfig()
-    rngs = _trial_rngs(seed, trials)
-    for t, rng in enumerate(rngs):
-        label = labels[t % 3]
-        scene = _locus_scene(rng, label, cfg, require_positive_mate=True)
-        if scene is None:
+def _solved(scene: Scene, cluster_tol: float = conics.CLUSTER_TOL):
+    """The scene's solution set, or None when its conic pencil is degenerate."""
+    try:
+        return solver.solve(scene.triangle, scene.angles,
+                            cluster_tol=cluster_tol)
+    except DegeneratePencilError:
+        return None
+
+
+def _trials(rep: CampaignReport, seed: int, labels, sample, solve=True,
+            cluster_tol: float = conics.CLUSTER_TOL):
+    """The forward loop: (t, label, scene, solution set) per usable trial.
+
+    Trial t draws its scene by sample(rng, labels[t % len(labels)]). A
+    trial whose scene cannot be drawn or, with solve, cannot be solved
+    counts as skipped; without solve the solution set is None.
+    """
+    for t, rng in enumerate(_trial_rngs(seed, rep.trials)):
+        label = labels[t % len(labels)]
+        scene = sample(rng, label)
+        sol = _solved(scene, cluster_tol) \
+            if solve and scene is not None else None
+        if scene is None or solve and sol is None:
             rep.skipped += 1
-            continue
-        try:
-            sol = _solve_scene(scene)
-            cls = sharing.classify_solution_set(sol, scene.triangle,
-                                                scene.angles, tol=tol)
-        except DegeneratePencilError:
-            rep.skipped += 1
-            continue
+        else:
+            yield t, label, scene, sol
+
+
+def _converse(rep: CampaignReport, seed: int, n: int, offenders,
+              found: str = "pairs"):
+    """Random scan: every detected instance must satisfy the claim.
+
+    offenders(scene) gives one reason per detected instance, empty when it
+    holds, or None when the scene cannot be solved.
+    """
+    conv_found = conv_fail = 0
+    for t, rng in enumerate(_trial_rngs(seed + 1, n)):
+        for reason in offenders(random_scene(rng, seed=t)) or ():
+            conv_found += 1
+            if reason:
+                conv_fail += 1
+                rep.failures.append((("converse", t), reason))
+    rep.details.update({"converse_trials": n,
+                        f"converse_{found}_found": conv_found,
+                        "converse_failures": conv_fail})
+
+
+def _campaign_sharing_nsc(labels, rep: CampaignReport, tol: float, seed: int,
+                          nconv: int):
+    sample = partial(_locus_scene, require_positive_mate=True)
+    for t, label, scene, sol in _trials(rep, seed, labels, sample):
+        cls = sharing.classify_solution_set(sol, scene.triangle,
+                                            scene.angles, tol=tol)
         hit = [p for p in cls.pairs if p[2] == label]
         if not hit:
             rep.record(False, t, f"no {label.name} pair found")
             continue
-        resid = min(p[3] for p in hit)
+        i, j, _, resid = min(hit, key=lambda p: p[3])
         # both mirror centers of every pair member must sit on the locus
-        locus_ok = True
-        frame = canonical_frame(scene.triangle)
-        if kind == "side":
-            locus = loci.vertical_plane(frame, label)
-            member = lambda O: loci.plane_membership(locus, O)
-        else:
-            locus = loci.skewed_danger_cylinder(scene.triangle, label)
-            member = lambda O: loci.skewed_membership(locus, O)
-        i, j, _, _ = min(hit, key=lambda p: p[3])
-        for idx in (i, j):
-            for O in solver.recover_centers(sol.solutions[idx].triplet,
-                                            scene.triangle):
-                if abs(member(O)) > 1e-6 * scene.scale:
-                    locus_ok = False
-        rep.record(resid < tol and locus_ok, t,
-                   "" if locus_ok else "pair center off locus",
-                   residual=resid)
-    # converse: random scan; every detected pair implies locus membership
-    nconv = trials if converse_trials is None else converse_trials
-    conv_found = 0
-    conv_fail = 0
-    for t, rng in enumerate(_trial_rngs(seed + 1, nconv)):
-        scene = random_scene(rng, cfg, seed=t)
-        try:
-            sol = _solve_scene(scene)
-            cls = sharing.classify_solution_set(sol, scene.triangle,
-                                                scene.angles, tol=tol)
-        except DegeneratePencilError:
-            continue
-        frame = canonical_frame(scene.triangle)
-        for (i, j, label, resid) in cls.pairs:
-            if label.kind != kind:
-                continue
-            conv_found += 1
-            if kind == "side":
-                locus = loci.vertical_plane(frame, label)
-                d = abs(loci.plane_membership(locus, scene.center))
-            else:
-                locus = loci.skewed_danger_cylinder(scene.triangle, label)
-                d = abs(loci.skewed_membership(locus, scene.center))
-            if d > 1e-6 * scene.scale:
-                conv_fail += 1
-                rep.failures.append((("converse", t), f"center off locus ({d:g})"))
-    rep.details.update(converse_trials=nconv, converse_pairs_found=conv_found,
-                       converse_failures=conv_fail)
-    return rep
+        locus = loci.sharing_locus(scene.triangle, label)
+        off = any(abs(loci.membership(locus, O)) > _LOCUS_TOL * scene.scale
+                  for idx in (i, j)
+                  for O in solver.recover_centers(sol.solutions[idx].triplet,
+                                                  scene.triangle))
+        rep.record(resid < tol and not off, t,
+                   "pair center off locus" if off else "", residual=resid)
+
+    def offenders(scene):
+        sol = _solved(scene)
+        if sol is None:
+            return None
+        cls = sharing.classify_solution_set(sol, scene.triangle, scene.angles,
+                                            tol=tol)
+        gaps = [abs(loci.membership(loci.sharing_locus(scene.triangle, p[2]),
+                                    scene.center))
+                for p in cls.pairs if p[2].kind == labels[0].kind]
+        return [f"center off locus ({d:g})" if d > _LOCUS_TOL * scene.scale
+                else "" for d in gaps]
+
+    _converse(rep, seed, nconv, offenders)
 
 
 def _distinct_quartic_roots(scene: Scene, gap: float) -> int:
-    """Number of distinct complex roots of the eliminant, clustered at gap."""
+    """Number of distinct complex roots of the eliminant, clustered at gap.
+
+    Two distinct solutions can share u but not both u and v, so a count
+    below 3 in u is taken again on the eliminant in v.
+    """
     pair = conics.build_conics(scene.triangle.sides, scene.angles)
-    r = conics.resultant_in_u(pair.C1.scaled(), pair.C2.scaled())
-    r = r / np.max(np.abs(r))
-    roots = conics.companion_roots(np.trim_zeros(r, "b"))
-    clusters: list[complex] = []
-    for z in sorted(roots, key=lambda w: (w.real, w.imag)):
-        if not any(abs(z - c) <= gap for c in clusters):
-            clusters.append(z)
+    F1, F2 = pair.C1.scaled(), pair.C2.scaled()
+    for _ in range(2):
+        r = conics.resultant_in_u(F1, F2)
+        r = r / np.max(np.abs(r))
+        clusters: list[complex] = []
+        for z in sorted(conics.companion_roots(np.trim_zeros(r, "b")),
+                        key=lambda w: (w.real, w.imag)):
+            if not any(abs(z - c) <= gap for c in clusters):
+                clusters.append(z)
+        if len(clusters) >= 3:
+            break
+        F1, F2 = (conics.Conic(F.c_uu, F.c_uv, F.c_vv, F.c_v, F.c_u, F.c_1)
+                  for F in (F1, F2))  # u and v swapped
     return len(clusters)
 
 
-def _campaign_danger_repeat(trials: int, tol: float, seed: int,
-                            converse_trials: int | None) -> CampaignReport:
-    rep = CampaignReport(theorem_id="danger_repeat", trials=trials)
-    cfg = SceneConfig()
+def _campaign_danger_repeat(rep: CampaignReport, tol: float, seed: int,
+                            nconv: int):
     gap = 1e-4  # root-gap band deciding "repeated" near the cylinder
-    for t, rng in enumerate(_trial_rngs(seed, trials)):
-        scene = None
-        for _ in range(200):
-            base = random_scene(rng, cfg)
-            frame = canonical_frame(base.triangle)
-            cyl = loci.danger_cylinder(frame)
-            region = loci.SampleRegion(xy_half_extent=1.5 * base.scale,
-                                       z_max=2.0 * base.scale,
-                                       min_abs_z=max(0.1, 0.15 * base.scale))
-            O = loci.sample_locus(cyl, rng, region)
-            if cocyclic_degeneracy(base.triangle, O) < cfg.cocyclic_min:
-                continue
-            try:
-                cand = scene_from_center(base.triangle, O)
-            except (DegenerateInputError, DegenerateAngleError):
-                continue
-            if _angles_ok(cand.angles, cfg):
-                scene = cand
-                break
-        if scene is None:
-            rep.skipped += 1
-            continue
-        try:
-            sol = _solve_scene(scene, cluster_tol=gap)
-        except DegeneratePencilError:
-            rep.skipped += 1
-            continue
+    for t, _, scene, sol in _trials(rep, seed, (None,), _locus_scene,
+                                    cluster_tol=gap):
         has_double = any(s.repeated for s in sol.solutions)
         # one coincidence degenerates the quartic's 4 roots to 3 distinct
         # (over the complex numbers: the untouched pair may be conjugate)
         n_distinct = _distinct_quartic_roots(scene, gap)
         rep.record(has_double and n_distinct == 3, t,
                    f"distinct_roots={n_distinct} double={has_double}")
-    nconv = trials if converse_trials is None else converse_trials
-    conv_found = 0
-    conv_fail = 0
-    for t, rng in enumerate(_trial_rngs(seed + 1, nconv)):
-        scene = random_scene(rng, cfg)
-        try:
-            sol = _solve_scene(scene, cluster_tol=gap)
-        except DegeneratePencilError:
-            continue
-        if any(s.repeated for s in sol.solutions):
-            conv_found += 1
-            cyl = loci.danger_cylinder(canonical_frame(scene.triangle))
-            if abs(loci.cylinder_membership(cyl, scene.center)) > 1e-4:
-                conv_fail += 1
-                rep.failures.append((("converse", t), "repeated root off cylinder"))
-    rep.details.update(converse_trials=nconv, converse_repeated_found=conv_found,
-                       converse_failures=conv_fail)
-    return rep
+
+    def offenders(scene):
+        sol = _solved(scene, cluster_tol=gap)
+        if sol is None:
+            return None
+        if not any(s.repeated for s in sol.solutions):
+            return []
+        cyl = loci.danger_cylinder(canonical_frame(scene.triangle))
+        off = abs(loci.cylinder_membership(cyl, scene.center)) > 1e-4
+        return ["repeated root off cylinder" if off else ""]
+
+    _converse(rep, seed, nconv, offenders, found="repeated")
 
 
-def _campaign_companion(trials: int, tol: float, seed: int,
-                        converse_trials=None) -> CampaignReport:
-    rep = CampaignReport(theorem_id="companion", trials=trials)
-    cfg = SceneConfig()
-    four = 0
-    with_pairs = 0
-    for t, rng in enumerate(_trial_rngs(seed, trials)):
-        scene = random_scene(rng, cfg)
-        try:
-            sol = _solve_scene(scene)
-        except DegeneratePencilError:
-            rep.skipped += 1
-            continue
+def _campaign_companion(rep: CampaignReport, tol: float, seed: int,
+                        nconv: int):
+    four = with_pairs = 0
+    sample = lambda rng, _: random_scene(rng)
+    for t, _, scene, sol in _trials(rep, seed, (None,), sample):
         if sol.count != 4:
             rep.skipped += 1
             continue
@@ -438,82 +403,67 @@ def _campaign_companion(trials: int, tol: float, seed: int,
             rep.passes += 1
             continue
         with_pairs += 1
-        ok = report.companion_ok
-        worst = 0.0
-        for f in active:
-            worst = max(worst, f.identity_residual, f.factorization_residual)
-            if f.identity_residual > 1e-9 or f.factorization_residual > 1e-9:
-                ok = False
-        rep.record(ok, t, "companion structure violated", residual=worst)
+        worst = max(max(f.identity_residual, f.factorization_residual)
+                    for f in active)
+        rep.record(report.companion_ok and worst <= 1e-9, t,
+                   "companion structure violated", residual=worst)
     rep.details.update(four_solution_scenes=four, scenes_with_pairs=with_pairs)
-    return rep
 
 
-def _campaign_construct_side(trials: int, tol: float, seed: int,
-                             converse_trials=None) -> CampaignReport:
-    rep = CampaignReport(theorem_id="construct_side", trials=trials)
-    cfg = SceneConfig()
+def _mate_check(scene: Scene, s: SolutionTriplet, mate: SolutionTriplet,
+                label: SharingLabel, tol: float) -> tuple[float, str]:
+    """(constraint residual, failure reason or "") of the mate of s.
+
+    The mate must solve the scene (residual 1e-9), map back to s under the
+    same construction (1e-12 of scale) and lie on the label's line (tol).
+    """
+    tri, angles = scene.triangle, scene.angles
+    res = max(abs(r) for r in solver.constraint_residuals(mate, tri.sides,
+                                                          angles))
+    back = sharing.construct_mate(mate, tri, angles, label, line_tol=tol)
+    inv = max(abs(x - y) / scene.scale
+              for x, y in zip(back.values, s.values)) if back else math.inf
+    rp = RatioPair(u=mate.s2 / mate.s1, v=mate.s3 / mate.s1)
+    on_line = abs(sharing.sharing_residual(rp, tri, angles, label))
+    ok = res <= 1e-9 and inv <= 1e-12 and on_line <= tol
+    return res, "" if ok else f"res={res:g} inv={inv:g} line={on_line:g}"
+
+
+def _campaign_construct_side(rep: CampaignReport, tol: float, seed: int,
+                             nconv: int):
     angle_cond_no_mate = 0
-    for t, rng in enumerate(_trial_rngs(seed, trials)):
-        label = sharing.SIDE_LABELS[t % 3]
-        scene = _locus_scene(rng, label, cfg)
-        if scene is None:
-            rep.skipped += 1
-            continue
+    for t, label, scene, _ in _trials(rep, seed, sharing.SIDE_LABELS,
+                                      _locus_scene, solve=False):
         s = true_triplet(scene)
         # exact positivity of the reflected distance decides mate emission;
         # the angle-form condition can disagree in obtuse configurations,
         # which is tracked separately
-        k = label.shift
-        sk = sharing.relabel_triplet(s, k)
-        cg = sharing.cycle3(scene.angles.cosines, k)[2]
-        positive = 2.0 * cg * sk.s2 - sk.s1 > 0.0
-        mate = sharing.construct_side_mate(s, scene.angles, label, line_tol=tol)
-        if (mate is not None) != positive:
+        mate = sharing.construct_mate(s, scene.triangle, scene.angles, label,
+                                      line_tol=tol)
+        if (mate is not None) != _mate_positive(scene, label):
             rep.record(False, t, "mate emission disagrees with positivity")
-            continue
-        if mate is None:
+        elif mate is None:
             angle_cond_no_mate += 1
             rep.record(True, t)
-            continue
-        res = max(abs(r) for r in constraint_residuals_of(mate, scene))
-        back = sharing.construct_side_mate(mate, scene.angles, label, line_tol=tol)
-        inv = max(abs(x - y) / scene.scale
-                  for x, y in zip(back.values, s.values)) if back else math.inf
-        rp = RatioPair(u=mate.s2 / mate.s1, v=mate.s3 / mate.s1)
-        on_line = abs(sharing.side_share_residual(rp, scene.angles, label))
-        ok = res <= 1e-9 and inv <= 1e-12 and on_line <= tol
-        rep.record(ok, t, f"res={res:g} inv={inv:g} line={on_line:g}",
-                   residual=res)
+        else:
+            res, reason = _mate_check(scene, s, mate, label, tol)
+            rep.record(not reason, t, reason, residual=res)
     rep.details.update(angle_condition_without_mate=angle_cond_no_mate)
-    return rep
 
 
-def _campaign_construct_point(trials: int, tol: float, seed: int,
-                              converse_trials=None) -> CampaignReport:
-    rep = CampaignReport(theorem_id="construct_point", trials=trials)
-    cfg = SceneConfig()
-    equiv_checked = 0
-    componentwise_mismatch = 0
-    for t, rng in enumerate(_trial_rngs(seed, trials)):
-        label = sharing.POINT_LABELS[t % 3]
-        scene = _locus_scene(rng, label, cfg, require_condition=False)
-        if scene is None:
-            rep.skipped += 1
-            continue
+def _campaign_construct_point(rep: CampaignReport, tol: float, seed: int,
+                              nconv: int):
+    equiv_checked = componentwise_mismatch = 0
+    sample = partial(_locus_scene, require_condition=False)
+    for t, label, scene, sol in _trials(rep, seed, sharing.POINT_LABELS,
+                                        sample):
         tri = scene.triangle
-        try:
-            sol = _solve_scene(scene)
-        except DegeneratePencilError:
-            rep.skipped += 1
-            continue
-        ok = True
         reason = ""
         # the angle-form and distance-form mate conditions must agree jointly
         # on every on-line solution; the componentwise forms can disagree in
         # oblique configurations and are only tallied
         k = label.shift
-        a_k, b_k, c_k = sharing.cycle3(tri.sides, k)
+        _, b_k, c_k = sharing.cycle3(tri.sides, k)
         _, cb, cg = sharing.cycle3(scene.angles.cosines, k)
         _, cosB, cosC = sharing.cycle3((tri.cos_A, tri.cos_B, tri.cos_C), k)
         for s in sol.solutions:
@@ -525,65 +475,49 @@ def _campaign_construct_point(trials: int, tol: float, seed: int,
             if min(abs(s1 - b_k), abs(s1 - c_k)) < 1e-9 * scene.scale:
                 continue
             equiv_checked += 1
-            angle_cond = cb > cosB and cg > cosC
-            dist_cond = s1 > c_k and s1 > b_k
-            if angle_cond != dist_cond:
-                ok = False
+            if (cb > cosB and cg > cosC) != (s1 > c_k and s1 > b_k):
                 reason = "condition equivalence violated"
             if (cb > cosB) != (s1 > c_k) or (cg > cosC) != (s1 > b_k):
                 componentwise_mismatch += 1
         if sharing.point_mate_condition(tri, scene.angles, label):
             s = true_triplet(scene)
-            mate = sharing.construct_point_mate(s, scene.angles, label,
-                                                line_tol=tol, tri=tri)
+            mate = sharing.construct_mate(s, tri, scene.angles, label,
+                                          line_tol=tol)
             if mate is None:
-                ok = False
                 reason = "mate not emitted under the theorem hypothesis"
             else:
-                res = max(abs(r) for r in constraint_residuals_of(mate, scene))
-                back = sharing.construct_point_mate(mate, scene.angles, label,
-                                                    line_tol=tol, tri=tri)
-                inv = max(abs(x - y) / scene.scale
-                          for x, y in zip(back.values, s.values)) \
-                    if back else math.inf
-                rp = RatioPair(u=mate.s2 / mate.s1, v=mate.s3 / mate.s1)
-                on_line = abs(sharing.point_share_residual(
-                    rp, tri, scene.angles, label))
-                if res > 1e-9 or inv > 1e-12 or on_line > tol:
-                    ok = False
-                    reason = f"res={res:g} inv={inv:g} line={on_line:g}"
+                res, why = _mate_check(scene, s, mate, label, tol)
+                reason = why or reason
                 rep.residuals.append(res)
-        rep.record(ok, t, reason)
+        rep.record(not reason, t, reason)
     rep.details.update(equivalence_checks=equiv_checked,
                        componentwise_mismatches=componentwise_mismatch)
-    return rep
 
 
-def constraint_residuals_of(t: SolutionTriplet, scene: Scene):
-    return solver.constraint_residuals(t, scene.triangle.sides, scene.angles)
+#: theorem id -> campaign(report, tol, seed, converse trials)
+_CAMPAIGNS = {
+    "side_nsc": partial(_campaign_sharing_nsc, sharing.SIDE_LABELS),
+    "point_nsc": partial(_campaign_sharing_nsc, sharing.POINT_LABELS),
+    "companion": _campaign_companion,
+    "danger_repeat": _campaign_danger_repeat,
+    "construct_side": _campaign_construct_side,
+    "construct_point": _campaign_construct_point,
+}
+THEOREM_IDS = tuple(_CAMPAIGNS)
 
 
-def verify_theorem(theorem_id: str, trials: int, tol: float = 1e-7,
+def verify_theorem(theorem_id: str, trials: int, tol: float = sharing.LINE_TOL,
                    seed: int = 0, converse_trials: int | None = None
                    ) -> CampaignReport:
     """Run the per-theorem protocol and return its statistics."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    t0 = time.perf_counter()
-    if theorem_id == "side_nsc":
-        rep = _campaign_sharing_nsc("side", trials, tol, seed, converse_trials)
-    elif theorem_id == "point_nsc":
-        rep = _campaign_sharing_nsc("point", trials, tol, seed, converse_trials)
-    elif theorem_id == "companion":
-        rep = _campaign_companion(trials, tol, seed, converse_trials)
-    elif theorem_id == "danger_repeat":
-        rep = _campaign_danger_repeat(trials, tol, seed, converse_trials)
-    elif theorem_id == "construct_side":
-        rep = _campaign_construct_side(trials, tol, seed, converse_trials)
-    elif theorem_id == "construct_point":
-        rep = _campaign_construct_point(trials, tol, seed, converse_trials)
-    else:
+    if theorem_id not in _CAMPAIGNS:
         raise ValueError(f"unknown theorem id: {theorem_id!r}")
+    t0 = time.perf_counter()
+    rep = CampaignReport(theorem_id=theorem_id, trials=trials)
+    _CAMPAIGNS[theorem_id](rep, tol, seed, trials if converse_trials is None
+                           else converse_trials)
     rep.wall_time = time.perf_counter() - t0
     rep.failures.sort(key=lambda f: str(f[0]))
     return rep

@@ -42,6 +42,10 @@ class SharingLabel(enum.Enum):
 SIDE_LABELS = (SharingLabel.SIDE_BC, SharingLabel.SIDE_CA, SharingLabel.SIDE_AB)
 POINT_LABELS = (SharingLabel.POINT_A, SharingLabel.POINT_B, SharingLabel.POINT_C)
 
+#: default tolerance on a constraint-line residual, two orders above the
+#: solver's acceptance residual (conics.INTERSECT_TOL)
+LINE_TOL = 1e-7
+
 
 def cycle3(t, k: int):
     """(x1, x2, x3) shifted so the k-th element leads."""
@@ -127,23 +131,30 @@ def point_mate_condition(tri: ControlTriangle, angles: ViewAngles,
     return cb > cosB and cg > cosC
 
 
+def mate_condition(tri: ControlTriangle, angles: ViewAngles,
+                   label: SharingLabel) -> bool:
+    """The mate condition of a side or a point label."""
+    if label.kind == "side":
+        return side_mate_condition(tri, angles, label)
+    return point_mate_condition(tri, angles, label)
+
+
 def _ratio_of(t: SolutionTriplet) -> RatioPair:
     return RatioPair(u=t.s2 / t.s1, v=t.s3 / t.s1)
 
 
 def construct_side_mate(t: SolutionTriplet, angles: ViewAngles,
                         label: SharingLabel = SharingLabel.SIDE_BC,
-                        line_tol: float = 1e-7):
+                        line_tol: float = LINE_TOL):
     """The mate sharing the labeled side, or None when it is not positive.
 
     The solution must lie on the side-share line (within line_tol).
     """
+    if abs(side_share_residual(_ratio_of(t), angles, label)) > line_tol:
+        raise NotOnConstraintLineError("solution off the side-share line")
     k = label.shift
     _, _, cg = cycle3(angles.cosines, k)
     tk = relabel_triplet(t, k)
-    if abs(side_share_residual(_ratio_of(tk), relabel_angles(angles, k),
-                               SharingLabel.SIDE_BC)) > line_tol:
-        raise NotOnConstraintLineError("solution off the side-share line")
     s1_new = 2.0 * cg * tk.s2 - tk.s1
     if s1_new <= 0.0:
         return None
@@ -153,20 +164,19 @@ def construct_side_mate(t: SolutionTriplet, angles: ViewAngles,
 
 def construct_point_mate(t: SolutionTriplet, angles: ViewAngles,
                          label: SharingLabel = SharingLabel.POINT_A,
-                         line_tol: float = 1e-7,
+                         line_tol: float = LINE_TOL,
                          tri: ControlTriangle | None = None):
     """The mate sharing the labeled point, or None when it is not positive.
 
     tri is needed to evaluate the line precondition; pass None to skip it.
     """
+    if tri is not None \
+            and abs(point_share_residual(_ratio_of(t), tri, angles,
+                                         label)) > line_tol:
+        raise NotOnConstraintLineError("solution off the point-share line")
     k = label.shift
     _, cb, cg = cycle3(angles.cosines, k)
     tk = relabel_triplet(t, k)
-    if tri is not None:
-        r = point_share_residual(_ratio_of(tk), relabel_triangle(tri, k),
-                                 relabel_angles(angles, k), SharingLabel.POINT_A)
-        if abs(r) > line_tol:
-            raise NotOnConstraintLineError("solution off the point-share line")
     s2_new = 2.0 * cg * tk.s1 - tk.s2
     s3_new = 2.0 * cb * tk.s1 - tk.s3
     if s2_new <= 0.0 or s3_new <= 0.0:
@@ -175,17 +185,19 @@ def construct_point_mate(t: SolutionTriplet, angles: ViewAngles,
     return relabel_triplet(mate_k, (3 - k) % 3)
 
 
+def construct_mate(t: SolutionTriplet, tri: ControlTriangle,
+                   angles: ViewAngles, label: SharingLabel,
+                   line_tol: float = LINE_TOL):
+    """The mate of t sharing the labeled side or point (None if not positive)."""
+    if label.kind == "side":
+        return construct_side_mate(t, angles, label, line_tol)
+    return construct_point_mate(t, angles, label, line_tol, tri)
+
+
 @dataclass(frozen=True)
 class PairClassification:
     pairs: tuple[tuple[int, int, SharingLabel, float], ...]
     repeated_indices: tuple[int, ...]
-
-    def labels_for(self, i: int, j: int) -> list[SharingLabel]:
-        lo, hi = min(i, j), max(i, j)
-        return [p[2] for p in self.pairs if (p[0], p[1]) == (lo, hi)]
-
-    def has_kind(self, kind: str) -> bool:
-        return any(p[2].kind == kind for p in self.pairs)
 
 
 def _distance_signature_ok(ti: SolutionTriplet, tj: SolutionTriplet,
@@ -211,7 +223,7 @@ def _distance_signature_ok(ti: SolutionTriplet, tj: SolutionTriplet,
 
 
 def classify_solution_set(sol_set: SolutionSet, tri: ControlTriangle,
-                          angles: ViewAngles, tol: float = 1e-7,
+                          angles: ViewAngles, tol: float = LINE_TOL,
                           dist_tol: float = 1e-6) -> PairClassification:
     """All sharing labels that every unordered solution pair satisfies.
 
@@ -279,9 +291,7 @@ def factorization_residual(tri: ControlTriangle, angles: ViewAngles,
     Measured as the normalized cross product of the coefficient vectors,
     i.e. zero when they are proportional.
     """
-    trik = relabel_triangle(tri, k)
-    angk = relabel_angles(angles, k)
-    pair = conics.build_conics(trik.sides, angk)
+    pair = conics.build_conics(cycle3(tri.sides, k), relabel_angles(angles, k))
     d = conics.difference_conic(pair).coeffs
     p = _line_product_conic(tri, angles, k).coeffs
     d = d / np.linalg.norm(d)
@@ -311,7 +321,7 @@ class CompanionReport:
 
 
 def companion_check(sol_set: SolutionSet, tri: ControlTriangle,
-                    angles: ViewAngles, tol: float = 1e-7) -> CompanionReport:
+                    angles: ViewAngles, tol: float = LINE_TOL) -> CompanionReport:
     """Verify the companion-pair structure of a solved scene.
 
     For every label family with a detected pair in a 4-solution scene, the

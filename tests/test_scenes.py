@@ -1,5 +1,8 @@
 """Random scene generation, the grid oracle, and verification campaigns."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,30 @@ from p3pshare.scenes import (GridConfig, SceneConfig, brute_force_solutions,
 from p3pshare.solver import constraint_residuals, solve
 
 from conftest import EQ1_RATIOS
+
+GOLDEN = Path(__file__).parent / "data" / "campaign_reports.json"
+
+#: (trials, converse_trials) per theorem id of the golden campaign reports
+GOLDEN_PLANS = {
+    "side_nsc": (30, 20),
+    "point_nsc": (30, 20),
+    "companion": (200, None),
+    "danger_repeat": (12, 12),
+    "construct_side": (30, None),
+    "construct_point": (60, None),
+}
+GOLDEN_SEEDS = (1, 2, 3)
+
+
+def campaign_record(theorem_id: str, seed: int) -> dict:
+    """Every deterministic field of a golden campaign, residuals as float.hex."""
+    trials, converse = GOLDEN_PLANS[theorem_id]
+    rep = verify_theorem(theorem_id, trials, seed=seed,
+                         converse_trials=converse)
+    rec = dict(passes=rep.passes, skipped=rep.skipped, failures=rep.failures,
+               details=rep.details,
+               residuals=[float(r).hex() for r in rep.residuals])
+    return json.loads(json.dumps(rec))  # tuples compare as the stored lists
 
 
 class TestRandomScene:
@@ -84,6 +111,20 @@ class TestVerifyTheorem:
                                                    seed):
         rep = verify_theorem(theorem_id, trials, seed=seed, converse_trials=30)
         assert not rep.failures, rep.failures
+
+    def test_danger_repeat_root_sharing_u_with_another(self):
+        # in trial 6 a simple root lies 1.2e-5 from the double root in u:
+        # the eliminant in u shows 2 distinct roots, the one in v shows 3
+        rep = verify_theorem("danger_repeat", 12, seed=2157071197,
+                             converse_trials=12)
+        assert not rep.failures, rep.failures
+
+    @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+    @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+    def test_golden_campaign_report(self, theorem_id, seed):
+        """Reports equal, field for field and bit for bit, the stored ones."""
+        want = json.loads(GOLDEN.read_text())[theorem_id][str(seed)]
+        assert campaign_record(theorem_id, seed) == want
 
     def test_report_counts_are_consistent(self):
         rep = verify_theorem("construct_side", trials=5, seed=2)
