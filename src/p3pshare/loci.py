@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,7 +93,7 @@ class SkewedDangerCylinder:
     label: SharingLabel
     frame: CanonicalFrame
 
-    @property
+    @cached_property
     def cylinder(self) -> DangerCylinder:
         return danger_cylinder(self.frame)
 
@@ -222,28 +223,29 @@ def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96,
         pad = 1.6 * r
         bounds = (cx - pad, cx + pad, cy - pad, cy + pad)
     x0, x1, y0, y1 = bounds
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
-    scale2 = max(1.0, a * a)
+    xs = np.linspace(x0, x1, n).tolist()
+    ys = np.linspace(y0, y1, n).tolist()
+    den_min = den_tol * max(1.0, a * a)
 
     def rhs_parts(x, y):
         Q = (x - cx) ** 2 + (y - cy) ** 2 - cyl.radius_squared
         den = e * e - f * y - a * e
         return f * y * Q, den
 
-    adm = np.zeros((n, n), dtype=bool)
-    zs = np.zeros((n, n))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            num, den = rhs_parts(x, y)
-            if abs(den) < den_tol * scale2:
-                continue
-            z2 = num / den
-            if z2 > 0.0:
-                adm[i, j] = True
-                zs[i, j] = math.sqrt(z2)
+    # rhs_parts at every node at once; the squares are taken one coordinate
+    # at a time with the scalar power of rhs_parts, whose last bit can
+    # differ from numpy's array square
+    y = np.array(ys)
+    Q = np.array([(x - cx) ** 2 for x in xs])[:, None] \
+        + np.array([(yj - cy) ** 2 for yj in ys]) - cyl.radius_squared
+    den = e * e - f * y - a * e
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z2 = f * y * Q / den
+    adm_grid = (abs(den) >= den_min) & (z2 > 0.0)
+    adm = adm_grid.tolist()
+    zs = np.sqrt(np.where(adm_grid, z2, 0.0)).tolist()
 
-    vertices: list[np.ndarray] = []
+    vertices: list[tuple[float, float, float]] = []
     top = {}
     bot = {}
 
@@ -251,7 +253,7 @@ def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96,
         key = (i, j)
         table = top if sheet > 0 else bot
         if key not in table:
-            vertices.append(np.array([xs[i], ys[j], sheet * zs[i, j]]))
+            vertices.append((xs[i], ys[j], sheet * zs[i][j]))
             table[key] = len(vertices)
         return table[key]
 
@@ -262,28 +264,28 @@ def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96,
         key = (min(n0, n1), max(n0, n1))
         if key in cross_cache:
             return cross_cache[key]
-        p0 = np.array([xs[n0[0]], ys[n0[1]]])
-        p1 = np.array([xs[n1[0]], ys[n1[1]]])
-        g0, d0 = rhs_parts(*p0)
-        g1, d1 = rhs_parts(*p1)
+        lx, ly = xs[n0[0]], ys[n0[1]]
+        hx, hy = xs[n1[0]], ys[n1[1]]
+        g0, d0 = rhs_parts(lx, ly)
+        g1, d1 = rhs_parts(hx, hy)
         idx = None
-        if d0 * d1 > 0.0 and min(abs(d0), abs(d1)) > den_tol * scale2 \
+        if d0 * d1 > 0.0 and min(abs(d0), abs(d1)) > den_min \
                 and g0 * g1 < 0.0:
-            lo, hi = p0, p1
             glo = g0
             for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                gm, _ = rhs_parts(*mid)
+                mx, my = 0.5 * (lx + hx), 0.5 * (ly + hy)
+                if (mx, my) == (lx, ly) or (mx, my) == (hx, hy):
+                    break  # a fixed point: no further step moves lo or hi
+                gm, _ = rhs_parts(mx, my)
                 if gm == 0.0:
-                    lo = hi = mid
+                    lx, ly = hx, hy = mx, my
                     break
                 if (gm > 0.0) == (glo > 0.0):
-                    lo = mid
+                    lx, ly = mx, my
                     glo = gm
                 else:
-                    hi = mid
-            mid = 0.5 * (lo + hi)
-            vertices.append(np.array([mid[0], mid[1], 0.0]))
+                    hx, hy = mx, my
+            vertices.append((0.5 * (lx + hx), 0.5 * (ly + hy), 0.0))
             idx = len(vertices)
         cross_cache[key] = idx
         return idx
@@ -294,23 +296,22 @@ def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96,
         for t in range(1, len(poly) - 1):
             faces.append((poly[0], poly[t], poly[t + 1]))
 
-    for i in range(n - 1):
-        for j in range(n - 1):
-            cyc = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-            flags = [adm[p] for p in cyc]
-            if not any(flags):
-                continue
-            for sheet in (1, -1):
-                poly = []
-                for t in range(4):
-                    p, q = cyc[t], cyc[(t + 1) % 4]
-                    if flags[t]:
-                        poly.append(node_vertex(*p, sheet))
-                    if flags[t] != flags[(t + 1) % 4]:
-                        idx = edge_crossing(p, q)
-                        if idx is not None:
-                            poly.append(idx)
-                if len(poly) >= 3:
-                    fan(poly)
+    touched = adm_grid[:-1, :-1] | adm_grid[1:, :-1] | adm_grid[:-1, 1:] \
+        | adm_grid[1:, 1:]
+    for i, j in np.argwhere(touched).tolist():
+        cyc = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+        flags = [adm[p][q] for p, q in cyc]
+        for sheet in (1, -1):
+            poly = []
+            for t in range(4):
+                p, q = cyc[t], cyc[(t + 1) % 4]
+                if flags[t]:
+                    poly.append(node_vertex(*p, sheet))
+                if flags[t] != flags[(t + 1) % 4]:
+                    idx = edge_crossing(p, q)
+                    if idx is not None:
+                        poly.append(idx)
+            if len(poly) >= 3:
+                fan(poly)
 
     return np.array(vertices), faces

@@ -110,28 +110,90 @@ class GridConfig:
     cluster_tol: float = 1e-5
 
 
+#: box sides, in grid cells, of the oracle's coarse-to-fine exclusion
+_BOX_CELLS = (128, 32, 8)
+
+
+def _one_signed(F: conics.Conic, ulo, uhi, vlo, vhi) -> np.ndarray:
+    """Mask of the boxes [ulo, uhi] x [vlo, vhi] (u, v > 0) on whose grid
+    nodes the float value F(u, v) keeps one strict sign.
+
+    For u, v > 0 each monomial of F is monotone in both, so its range over a
+    box lies between its values at the (lo, lo) and (hi, hi) corners, and the
+    sums of the per-term ends bound F. Conic.__call__ forms each term with at
+    most two products and sums the six with five additions, so at a node it
+    errs by at most 7 units of roundoff (eps / 2) times S, the sum of the
+    absolute terms; the bounds below err by as much again. A margin of
+    8 eps S therefore covers both with room for the rounding of S itself.
+    Under gradual underflow each of the 16 products may instead err by half
+    of smallest_subnormal (sums of subnormals are exact), hence its term.
+    """
+    def terms(u, v):
+        return np.stack([F.c_vv * v * v, F.c_uv * u * v, F.c_uu * u * u,
+                         F.c_u * u, F.c_v * v, np.full_like(u, F.c_1)])
+
+    lo, hi = terms(ulo, vlo), terms(uhi, vhi)
+    fi = np.finfo(float)
+    margin = 8.0 * (fi.eps * np.maximum(abs(lo), abs(hi)).sum(axis=0)
+                    + fi.smallest_subnormal)
+    return (np.minimum(lo, hi).sum(axis=0) > margin) \
+        | (np.maximum(lo, hi).sum(axis=0) < -margin)
+
+
+def _candidate_cells(F1: conics.Conic, F2: conics.Conic,
+                     t: np.ndarray) -> np.ndarray:
+    """Cells (i, j), spanning nodes t[i], t[i + 1] in u and t[j], t[j + 1]
+    in v, where both conics change sign among the four corners; row-major.
+
+    The cells are split into boxes of _BOX_CELLS[0] cells on a side; a box
+    is dropped when either conic keeps one strict sign on all its nodes
+    (_one_signed), and survivors split into boxes of the next size. The last
+    survivors are scanned node by node, so the cells are exactly those of
+    the sign scan of the full grid.
+    """
+    m = len(t) - 1
+    boxes, side = np.zeros((1, 2), dtype=np.intp), m
+    for nxt in _BOX_CELLS:
+        off = np.arange(0, side, nxt)
+        sub = np.stack(np.meshgrid(off, off, indexing="ij"), -1).reshape(-1, 2)
+        boxes = (boxes[:, None] + sub).reshape(-1, 2)
+        boxes = boxes[(boxes < m).all(axis=1)]
+        side = nxt
+        ulo, vlo = t[boxes].T
+        uhi, vhi = t[np.minimum(boxes + side, m)].T
+        boxes = boxes[~(_one_signed(F1, ulo, uhi, vlo, vhi)
+                        | _one_signed(F2, ulo, uhi, vlo, vhi))]
+    r = np.arange(side + 1)
+    u = t[np.minimum(boxes[:, 0, None, None] + r[:, None], m)]  # (k, s+1, 1)
+    v = t[np.minimum(boxes[:, 1, None, None] + r, m)]           # (k, 1, s+1)
+
+    def mixed(F):
+        S = F(u, v) > 0.0
+        return ~((S[:, :-1, :-1] == S[:, 1:, :-1])
+                 & (S[:, :-1, :-1] == S[:, :-1, 1:])
+                 & (S[:, :-1, :-1] == S[:, 1:, 1:]))
+
+    k, di, dj = np.nonzero(mixed(F1) & mixed(F2))
+    cells = boxes[k] + np.stack([di, dj], axis=1)
+    cells = cells[(cells < m).all(axis=1)]
+    return cells[np.lexsort((cells[:, 1], cells[:, 0]))]
+
+
 def brute_force_solutions(sides, angles: ViewAngles,
                           grid: GridConfig = GridConfig()) -> list[RatioPair]:
     """Independent conic-intersection oracle by sign-change grid scan.
 
-    Deliberately avoids the resultant path: candidate cells are those where
-    both conics change sign among the four corners; each is refined by
-    Newton iteration and gated on residual.
+    Independent of the pencil method of intersect_conics: candidate cells
+    of the n x n grid are those where both conics change sign among the four
+    corners, found by coarse-to-fine exclusion of boxes on which a conic
+    provably keeps one sign (_candidate_cells); each is refined by Newton
+    iteration and gated on residual.
     """
     pair = conics.build_conics(sides, angles)
     F1 = pair.C1.scaled()
     F2 = pair.C2.scaled()
     t = np.linspace(grid.u_max / grid.n, grid.u_max, grid.n)
-    U, V = np.meshgrid(t, t, indexing="ij")
-    S1 = F1(U, V) > 0.0
-    S2 = F2(U, V) > 0.0
-
-    def mixed(S):
-        same = (S[:-1, :-1] == S[1:, :-1]) & (S[:-1, :-1] == S[:-1, 1:]) \
-            & (S[:-1, :-1] == S[1:, 1:])
-        return ~same
-
-    cells = np.argwhere(mixed(S1) & mixed(S2))
+    cells = _candidate_cells(F1, F2, t)
     found: list[tuple[float, float]] = []
     for i, j in cells:
         u0 = 0.5 * (t[i] + t[i + 1])

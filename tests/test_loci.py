@@ -1,6 +1,9 @@
 """Danger cylinder, vertical planes, skew surfaces, sampling, meshing."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,28 @@ from p3pshare.sharing import (POINT_LABELS, SIDE_LABELS, SharingLabel,
                               point_share_residual, side_share_residual)
 from p3pshare.geometry import RatioPair
 from p3pshare.solver import solve
+
+MESH_GOLDEN = Path(__file__).parent / "data" / "skew_meshes.json"
+
+
+def mesh_cases(tri):
+    """(name, surface, bounds, n) of every golden skew mesh of tri."""
+    cases = [(f"{lab.name}_n{n}", skewed_danger_cylinder(tri, lab), None, n)
+             for lab in POINT_LABELS for n in (96, 48)]
+    cases.append(("POINT_A_bounds",
+                  skewed_danger_cylinder(tri, SharingLabel.POINT_A),
+                  (-1.0, 4.0, -2.5, 3.0), 40))
+    return cases
+
+
+def mesh_record(surf, bounds, n) -> dict:
+    """Sizes and sha256 digests of a mesh's vertex bytes and face list."""
+    verts, faces = skew_mesh(surf, bounds=bounds, n=n)
+    return {"vertices": len(verts), "faces": len(faces),
+            "vertex_sha256": hashlib.sha256(
+                np.ascontiguousarray(verts, dtype=float).tobytes()).hexdigest(),
+            "face_sha256": hashlib.sha256(
+                json.dumps([list(f) for f in faces]).encode()).hexdigest()}
 
 
 class TestDangerCylinder:
@@ -140,6 +165,13 @@ class TestSampling:
 
 
 class TestSkewMesh:
+    def test_golden_meshes(self, sc1_triangle):
+        """Vertices and faces equal, bit for bit, the stored digests."""
+        want = json.loads(MESH_GOLDEN.read_text())
+        got = {name: mesh_record(surf, bounds, n)
+               for name, surf, bounds, n in mesh_cases(sc1_triangle)}
+        assert got == want
+
     def test_vertices_satisfy_surface(self, sc1_triangle):
         surf = skewed_danger_cylinder(sc1_triangle, SharingLabel.POINT_A)
         verts, faces = skew_mesh(surf, n=48)

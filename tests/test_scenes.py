@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from p3pshare.conics import Conic, build_conics
 from p3pshare.geometry import ViewAngles
-from p3pshare.scenes import (GridConfig, SceneConfig, brute_force_solutions,
+from p3pshare.scenes import (GridConfig, SceneConfig, _candidate_cells,
+                             _locus_scene, _trial_rngs, brute_force_solutions,
                              random_scene, scene_from_center, true_triplet,
                              verify_theorem, THEOREM_IDS)
 from p3pshare.solver import constraint_residuals, solve
@@ -26,6 +28,35 @@ GOLDEN_PLANS = {
     "construct_point": (60, None),
 }
 GOLDEN_SEEDS = (1, 2, 3)
+ORACLE_GOLDEN = Path(__file__).parent / "data" / "oracle_points.json"
+
+
+def oracle_cases():
+    """(name, sides, angles, grid) of every golden grid-oracle scene."""
+    cases = []
+    for k, rng in enumerate(_trial_rngs(202, 40)):  # criterion 3's first 40
+        sc = random_scene(rng)
+        cases.append((f"random{k}", sc.triangle.sides, sc.angles, GridConfig()))
+    for k, rng in enumerate(_trial_rngs(505, 10)):  # on the danger cylinder
+        sc = _locus_scene(rng, None)
+        if sc is not None:
+            cases.append((f"cylinder{k}", sc.triangle.sides, sc.angles,
+                          GridConfig()))
+    cases.append(("equilateral", (1.0, 1.0, 1.0),
+                  ViewAngles(0.625, 0.625, 0.625), GridConfig()))
+    for k, rng in enumerate(_trial_rngs(606, 4)):
+        sc = random_scene(rng)
+        cases.append((f"n200_{k}", sc.triangle.sides, sc.angles,
+                      GridConfig(n=200)))
+        cases.append((f"umax5_{k}", sc.triangle.sides, sc.angles,
+                      GridConfig(u_max=5.0)))
+    return cases
+
+
+def oracle_record(sides, angles, grid) -> list:
+    """The oracle's points as [u, v] pairs of float.hex strings."""
+    return [[p.u.hex(), p.v.hex()]
+            for p in brute_force_solutions(sides, angles, grid)]
 
 
 def campaign_record(theorem_id: str, seed: int) -> dict:
@@ -71,7 +102,14 @@ class TestGridOracle:
         got = sorted((round(p.u, 6), round(p.v, 6)) for p in pts)
         assert got == sorted(EQ1_RATIOS)
 
-    def test_agrees_with_quartic_path(self):
+    def test_golden_points(self):
+        """Points equal, bit for bit, those of the full-grid sign scan."""
+        want = json.loads(ORACLE_GOLDEN.read_text())
+        got = {name: oracle_record(sides, angles, grid)
+               for name, sides, angles, grid in oracle_cases()}
+        assert got == want
+
+    def test_agrees_with_pencil_path(self):
         rng = np.random.default_rng(21)
         grid = GridConfig()
         for _ in range(5):
@@ -84,6 +122,80 @@ class TestGridOracle:
             for u, v in fast:
                 best = min(abs(u - p.u) + abs(v - p.v) for p in oracle)
                 assert best < 1e-6
+
+
+def full_grid_cells(F1, F2, t):
+    """Reference sign scan of every node: cells where both conics change
+    sign among the four corners, row-major."""
+    U, V = np.meshgrid(t, t, indexing="ij")
+
+    def mixed(S):
+        same = (S[:-1, :-1] == S[1:, :-1]) & (S[:-1, :-1] == S[:-1, 1:]) \
+            & (S[:-1, :-1] == S[1:, 1:])
+        return ~same
+
+    return np.argwhere(mixed(F1(U, V) > 0.0) & mixed(F2(U, V) > 0.0))
+
+
+def _scene_conics(scenes, grid):
+    t = np.linspace(grid.u_max / grid.n, grid.u_max, grid.n)
+    for sc in scenes:
+        pair = build_conics(sc.triangle.sides, sc.angles)
+        yield pair.C1.scaled(), pair.C2.scaled(), t
+
+
+def _circle(cu, cv, r):
+    return Conic(c_vv=1.0, c_uv=0.0, c_uu=1.0, c_u=-2.0 * cu, c_v=-2.0 * cv,
+                 c_1=cu * cu + cv * cv - r * r)
+
+
+def certificate_cases(kind):
+    """(F1, F2, t) triples on which the box exclusion is checked."""
+    if kind == "random":
+        return _scene_conics((random_scene(r) for r in _trial_rngs(707, 4)),
+                             GridConfig())
+    if kind == "cylinder":
+        return _scene_conics((_locus_scene(r, None)
+                              for r in _trial_rngs(808, 3)), GridConfig())
+    if kind == "n200":
+        return _scene_conics((random_scene(r) for r in _trial_rngs(909, 6)),
+                             GridConfig(n=200))
+    t = np.linspace(0.01, 20.0, 2000)
+    if kind == "near_tangent":
+        # radii 0.4 cells apart, centres 0.6 cells apart: the circles cross
+        # twice and run within a cell of each other all the way round
+        return [(_circle(10.0, 10.0, 6.0), _circle(10.006, 10.0, 6.004), t)]
+    # lines u = c, v = d on the edges of boxes at every level (node indices
+    # are multiples of 128): exactly zero on the first node row or column of
+    # a box, or crossing the last cell of a box; lines crossing the last and
+    # the first cell of the grid; two parallel lines inside one row of cells,
+    # which makes the whole row candidates; then a hyperbola and the diagonal
+    # through grid nodes
+    u_line = lambda c: Conic(0.0, 0.0, 0.0, 1.0, 0.0, -c)
+    v_line = lambda d: Conic(0.0, 0.0, 0.0, 0.0, 1.0, -d)
+    mid = lambda k: 0.5 * (t[k - 1] + t[k])
+    return [(u_line(t[768]), v_line(t[896]), t),
+            (u_line(mid(768)), v_line(mid(896)), t),
+            (u_line(mid(1999)), v_line(mid(1)), t),
+            (v_line(mid(1000)), v_line(0.25 * t[999] + 0.75 * t[1000]), t),
+            (Conic(0.0, 1.0, 0.0, 0.0, 0.0, -t[99] * t[199]),
+             Conic(0.0, 0.0, 0.0, 1.0, -1.0, 0.0), t)]
+
+
+class TestCandidateCells:
+    @pytest.mark.parametrize("kind", ["random", "cylinder", "n200",
+                                      "near_tangent", "node_lines"])
+    def test_box_exclusion_keeps_every_cell(self, kind):
+        """The coarse-to-fine scan finds exactly the full scan's cells."""
+        for F1, F2, t in certificate_cases(kind):
+            want = full_grid_cells(F1, F2, t)
+            assert len(want) > 0
+            np.testing.assert_array_equal(_candidate_cells(F1, F2, t), want)
+
+    def test_empty_grid(self):
+        F = _circle(1.0, 1.0, 0.5)
+        for t in (np.array([]), np.array([1.0])):
+            assert _candidate_cells(F, F, t).shape == (0, 2)
 
 
 class TestVerifyTheorem:
