@@ -110,13 +110,12 @@ def cmd_analyze(args, out=None) -> int:
                       f"factorization={_g(f.factorization_residual)}", file=out)
 
     if center is not None:
-        frame = canonical_frame(tri)
-        cyl = loci.danger_cylinder(frame)
+        cyl = loci.danger_cylinder(canonical_frame(tri))
         print("\nlocus membership of the optical center:", file=out)
         print(f"  danger cylinder: {_g(loci.cylinder_membership(cyl, center))}",
               file=out)
         for label in (*sharing.SIDE_LABELS, *sharing.POINT_LABELS):
-            d = loci.membership(loci.sharing_locus(tri, label, frame), center)
+            d = loci.membership(loci.sharing_locus(tri, label), center)
             name = "plane" if label.kind == "side" else "skew"
             print(f"  {name} {label.name}: {_g(d)}", file=out)
         print(f"  cocyclic residual: {_g(cocyclic_degeneracy(tri, center))}",

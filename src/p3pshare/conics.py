@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegeneratePencilError
-from .geometry import RatioPair, ViewAngles
+from .geometry import RatioPair, ViewAngles, _cross
 
 #: default acceptance residual for polished intersection points
 INTERSECT_TOL = 1e-9
@@ -187,11 +187,6 @@ def _matrix(F: Conic):
 
 def _dot(x, y) -> float:
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-
-
-def _cross(x, y):
-    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
-            x[0] * y[1] - x[1] * y[0])
 
 
 def _adj(M):

@@ -7,7 +7,8 @@ primitives throughout; angles in radians/degrees appear only in reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,11 +22,20 @@ def _as_point(p) -> np.ndarray:
     return q
 
 
+def _cross(p, q) -> tuple[float, float, float]:
+    """p x q on float 3-sequences: the products and differences of np.cross,
+    so bit-identical to it. Norms and dots stay numpy (see README)."""
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+            p[0] * q[1] - p[1] * q[0])
+
+
 @dataclass(frozen=True, eq=False)
 class ControlTriangle:
     """The three control points with side lengths and interior-angle cosines.
 
     Sides follow the opposite-vertex convention: a = |BC|, b = |AC|, c = |AB|.
+    The canonical frame is built on first use and cached (``frame``); that
+    is safe because the class is frozen.
     """
 
     A: np.ndarray
@@ -37,17 +47,21 @@ class ControlTriangle:
     cos_A: float  # cos(angle BAC)
     cos_B: float  # cos(angle ABC)
     cos_C: float  # cos(angle ACB)
+    area2: float  # twice the area, |(C - B) x (A - B)|
 
     @classmethod
     def from_points(cls, A, B, C) -> "ControlTriangle":
         A, B, C = _as_point(A), _as_point(B), _as_point(C)
-        a = float(np.linalg.norm(C - B))
-        b = float(np.linalg.norm(C - A))
-        c = float(np.linalg.norm(B - A))
+        cb, ab = C - B, A - B
+        a, b, c = (math.sqrt(d.dot(d)) for d in (cb, C - A, ab))
+        # a non-finite coordinate reaches two of the three sides
+        if not math.isfinite(a + b + c):
+            raise DegenerateInputError("non-finite control point coordinates")
         scale = max(a, b, c)
         if scale <= 0.0 or min(a, b, c) <= 0.0:
             raise DegenerateInputError("coincident control points")
-        area2 = float(np.linalg.norm(np.cross(C - B, A - B)))
+        n = np.array(_cross(cb.tolist(), ab.tolist()))
+        area2 = math.sqrt(n.dot(n))
         if area2 <= 1e-12 * scale * scale:
             raise DegenerateInputError("collinear control points")
         if a + b <= c or b + c <= a or c + a <= b:
@@ -56,7 +70,21 @@ class ControlTriangle:
         cos_B = (a * a + c * c - b * b) / (2.0 * a * c)
         cos_C = (a * a + b * b - c * c) / (2.0 * a * b)
         return cls(A=A, B=B, C=C, a=a, b=b, c=c,
-                   cos_A=cos_A, cos_B=cos_B, cos_C=cos_C)
+                   cos_A=cos_A, cos_B=cos_B, cos_C=cos_C, area2=area2)
+
+    @cached_property
+    def frame(self) -> "CanonicalFrame":
+        """The canonical frame (see canonical_frame)."""
+        if self.area2 <= 1e-12 * self.scale ** 2:
+            raise DegenerateInputError("collinear control points")
+        B = self.B
+        cb, d = (self.C - B).tolist(), self.A - B
+        ex = [x / self.a for x in cb]
+        ez = [x / self.area2 for x in _cross(cb, d.tolist())]
+        rotation = np.array([ex, _cross(ez, ex), ez])
+        return CanonicalFrame(a=self.a, e=float(d.dot(rotation[0])),
+                              f=float(d.dot(rotation[1])), rotation=rotation,
+                              translation=(-rotation).dot(B))
 
     @property
     def sides(self) -> tuple[float, float, float]:
@@ -90,31 +118,18 @@ class CanonicalFrame:
     translation: np.ndarray
 
     def to_canonical(self, p) -> np.ndarray:
-        return self.rotation @ _as_point(p) + self.translation
+        return self.rotation.dot(_as_point(p)) + self.translation
 
     def to_world(self, p) -> np.ndarray:
-        return self.rotation.T @ (_as_point(p) - self.translation)
+        return self.rotation.T.dot(_as_point(p) - self.translation)
 
 
 def canonical_frame(tri: ControlTriangle) -> CanonicalFrame:
-    """Canonical frame of a triangle; raises on degenerate input.
+    """Canonical frame of a triangle, cached on it; raises on degenerate input.
 
     e = (a^2 + c^2 - b^2) / (2a) and f = +sqrt(c^2 - e^2) by construction.
     """
-    ex = (tri.C - tri.B) / tri.a
-    n = np.cross(tri.C - tri.B, tri.A - tri.B)
-    nn = float(np.linalg.norm(n))
-    if nn <= 1e-12 * tri.scale ** 2:
-        raise DegenerateInputError("collinear control points")
-    ez = n / nn
-    ey = np.cross(ez, ex)
-    rotation = np.vstack([ex, ey, ez])
-    translation = -rotation @ tri.B
-    d = tri.A - tri.B
-    e = float(d @ ex)
-    f = float(d @ ey)
-    return CanonicalFrame(a=tri.a, e=e, f=f,
-                          rotation=rotation, translation=translation)
+    return tri.frame
 
 
 def circumcircle_2d(frame: CanonicalFrame) -> tuple[float, float, float]:
@@ -156,13 +171,13 @@ def view_angles_from_center(tri: ControlTriangle, O) -> ViewAngles:
     """Subtended-angle cosines seen from the optical center O."""
     O = _as_point(O)
     rays = [tri.A - O, tri.B - O, tri.C - O]
-    norms = [float(np.linalg.norm(r)) for r in rays]
+    norms = [math.sqrt(r.dot(r)) for r in rays]
     if min(norms) <= 1e-15 * tri.scale:
         raise DegenerateInputError("optical center coincides with a control point")
     rA, rB, rC = (r / n for r, n in zip(rays, norms))
 
     def cosang(x, y):
-        c = float(x @ y)
+        c = float(x.dot(y))
         if abs(c) >= 1.0 - 1e-12:
             raise DegenerateAngleError("subtended angle at 0 or pi")
         return c

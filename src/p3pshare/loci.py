@@ -69,14 +69,14 @@ def vertical_plane(frame: CanonicalFrame, label: SharingLabel) -> VerticalPlane:
     else:           # altitude from C, perpendicular to AB
         point = np.array([a, 0.0, 0.0])
         n = np.array([e, f, 0.0])
-    n = n / np.linalg.norm(n)
+    n = n / math.sqrt(n.dot(n))
     return VerticalPlane(label=label, frame=frame, point=point, normal=n)
 
 
 def plane_membership(plane: VerticalPlane, O) -> float:
     """Signed distance of O from the vertical plane."""
     p = plane.frame.to_canonical(O)
-    return float((p - plane.point) @ plane.normal)
+    return float((p - plane.point).dot(plane.normal))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,12 +121,11 @@ def skewed_membership(surf: SkewedDangerCylinder, O) -> float:
     return (t1 - t2) / max(1.0, abs(t1), abs(t2))
 
 
-def sharing_locus(tri: ControlTriangle, label: SharingLabel,
-                  frame: CanonicalFrame | None = None):
+def sharing_locus(tri: ControlTriangle, label: SharingLabel):
     """Vertical plane (side label) or skewed danger cylinder (point label)."""
     if label.kind == "point":
         return skewed_danger_cylinder(tri, label)
-    return vertical_plane(frame or canonical_frame(tri), label)
+    return vertical_plane(canonical_frame(tri), label)
 
 
 def membership(locus, O) -> float:

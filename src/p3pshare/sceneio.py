@@ -16,6 +16,17 @@ from .errors import SceneParseError
 from .geometry import ControlTriangle, ViewAngles
 
 
+def _finite_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """value as a float array of the given shape with finite entries."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SceneParseError(f"{what} must be numeric: {exc}") from exc
+    if arr.shape != shape or not np.isfinite(arr).all():
+        raise SceneParseError(f"{what} must be finite numbers of shape {shape}")
+    return arr
+
+
 def parse_scene(text: str):
     """-> (triangle, center-or-None, angles-or-None, label).
 
@@ -32,9 +43,7 @@ def parse_scene(text: str):
         pts = doc["controlPoints"]
     except KeyError:
         raise SceneParseError("missing controlPoints")
-    pts = np.asarray(pts, dtype=float)
-    if pts.shape != (3, 3):
-        raise SceneParseError("controlPoints must be a 3x3 array")
+    pts = _finite_array(pts, (3, 3), "controlPoints")
     has_center = "opticalCenter" in doc
     has_cos = "subtendedAngleCosines" in doc
     if has_center == has_cos:
@@ -44,14 +53,11 @@ def parse_scene(text: str):
     center = None
     angles = None
     if has_center:
-        center = np.asarray(doc["opticalCenter"], dtype=float)
-        if center.shape != (3,):
-            raise SceneParseError("opticalCenter must be a 3-vector")
+        center = _finite_array(doc["opticalCenter"], (3,), "opticalCenter")
     else:
-        cs = doc["subtendedAngleCosines"]
-        if not (isinstance(cs, list) and len(cs) == 3):
-            raise SceneParseError("subtendedAngleCosines must be a 3-list")
-        angles = ViewAngles(*(float(x) for x in cs))
+        cs = _finite_array(doc["subtendedAngleCosines"], (3,),
+                           "subtendedAngleCosines")
+        angles = ViewAngles(*cs.tolist())
     return tri, center, angles, doc.get("label")
 
 

@@ -76,18 +76,13 @@ def random_scene(rng: np.random.Generator,
         raise GenerationFailureError("empty feasible region")
     h = config.vertex_half_extent
     for _ in range(config.max_rejects):
-        pts = rng.uniform(-h, h, size=(3, 2))
+        pts = rng.uniform(-h, h, size=(3, 2)).tolist()
         try:
-            tri = ControlTriangle.from_points(
-                np.append(pts[0], 0.0), np.append(pts[1], 0.0),
-                np.append(pts[2], 0.0))
+            tri = ControlTriangle.from_points(*((x, y, 0.0) for x, y in pts))
         except DegenerateInputError:
             continue
-        if min(tri.sides) < config.min_side:
-            continue
-        area = 0.5 * float(np.linalg.norm(
-            np.cross(tri.C - tri.B, tri.A - tri.B)))
-        if area < config.min_area:
+        if min(tri.sides) < config.min_side \
+                or 0.5 * tri.area2 < config.min_area:
             continue
         z = rng.uniform(*config.z_range)
         if rng.uniform() < 0.5:
@@ -216,11 +211,8 @@ def brute_force_solutions(sides, angles: ViewAngles,
 
 def true_triplet(scene: Scene) -> SolutionTriplet:
     """Distances from the scene center: the ground-truth solution."""
-    O = scene.center
-    tri = scene.triangle
-    return SolutionTriplet(s1=float(np.linalg.norm(tri.A - O)),
-                           s2=float(np.linalg.norm(tri.B - O)),
-                           s3=float(np.linalg.norm(tri.C - O)))
+    rays = [p - scene.center for p in scene.triangle.points]
+    return SolutionTriplet(*(math.sqrt(r.dot(r)) for r in rays))
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +277,12 @@ def _locus_scene(rng, label: SharingLabel | None,
     """
     for _ in range(200):
         tri = random_scene(rng, cfg).triangle
-        frame = canonical_frame(tri)
-        cyl = loci.danger_cylinder(frame)
+        cyl = loci.danger_cylinder(canonical_frame(tri))
         z_clear = 0.15 if label is None else 0.1
         region = loci.SampleRegion(xy_half_extent=1.5 * tri.scale,
                                    z_max=2.0 * tri.scale,
                                    min_abs_z=max(0.1, z_clear * tri.scale))
-        locus = cyl if label is None else loci.sharing_locus(tri, label, frame)
+        locus = cyl if label is None else loci.sharing_locus(tri, label)
         try:
             O = loci.sample_locus(locus, rng, region)
         except SamplingFailureError:

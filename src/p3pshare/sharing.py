@@ -9,9 +9,9 @@ ratio points re-expressed in the relabeled base distance.
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import conics
 from .errors import NotOnConstraintLineError, RightAngleDegeneracyError
@@ -200,26 +200,22 @@ class PairClassification:
     repeated_indices: tuple[int, ...]
 
 
-def _distance_signature_ok(ti: SolutionTriplet, tj: SolutionTriplet,
-                           label: SharingLabel, dist_tol: float) -> bool:
-    """Side pair: the two unshared distances equal; point pair: only the shared one."""
-    si = np.array(ti.values)
-    sj = np.array(tj.values)
-    scale = max(si.max(), sj.max())
-    same = np.abs(si - sj) <= dist_tol * scale
-    k = label.shift
-    if label.kind == "side":
-        want = [True, True, True]
-        want[k] = False
-    else:
-        want = [False, False, False]
-        want[k] = True
-    for idx in range(3):
-        if want[idx] and not same[idx]:
-            return False
-        if not want[idx] and same[idx]:
-            return False
-    return True
+#: every label, in the order classify_solution_set reports them
+_LABELS = (*SIDE_LABELS, *POINT_LABELS)
+#: which of (s1, s2, s3) a label's pairs share: two for a side, one for a point
+_SHARED_DISTANCES = {label: tuple((i != label.shift) == (label.kind == "side")
+                                  for i in range(3)) for label in _LABELS}
+
+
+def _line_residuals(rp: RatioPair, tri: ControlTriangle, angles: ViewAngles):
+    """|sharing_residual| of rp per label; None where a line is undefined."""
+    out = []
+    for label in _LABELS:
+        try:
+            out.append(abs(sharing_residual(rp, tri, angles, label)))
+        except RightAngleDegeneracyError:
+            out.append(None)
+    return out
 
 
 def classify_solution_set(sol_set: SolutionSet, tri: ControlTriangle,
@@ -232,24 +228,20 @@ def classify_solution_set(sol_set: SolutionSet, tri: ControlTriangle,
     """
     sols = sol_set.solutions
     repeated = tuple(i for i, s in enumerate(sols) if s.repeated)
+    table = {i: _line_residuals(s.ratio, tri, angles)  # once per solution
+             for i, s in enumerate(sols) if not s.repeated}
     pairs = []
-    for i in range(len(sols)):
-        for j in range(i + 1, len(sols)):
-            if i in repeated or j in repeated:
+    for i, j in itertools.combinations(table, 2):
+        si, sj = sols[i].triplet.values, sols[j].triplet.values
+        same_tol = dist_tol * max(*si, *sj)
+        same = tuple(abs(x - y) <= same_tol for x, y in zip(si, sj))
+        for label, ri, rj in zip(_LABELS, table[i], table[j]):
+            if ri is None:
                 continue
-            for label in (*SIDE_LABELS, *POINT_LABELS):
-                try:
-                    ri = sharing_residual(sols[i].ratio, tri, angles, label)
-                    rj = sharing_residual(sols[j].ratio, tri, angles, label)
-                except RightAngleDegeneracyError:
-                    continue
-                resid = max(abs(ri), abs(rj))
-                if resid > tol:
-                    continue
-                if not _distance_signature_ok(sols[i].triplet, sols[j].triplet,
-                                              label, dist_tol):
-                    continue
-                pairs.append((i, j, label, resid))
+            resid = max(ri, rj)
+            if resid > tol or _SHARED_DISTANCES[label] != same:
+                continue
+            pairs.append((i, j, label, resid))
     return PairClassification(pairs=tuple(pairs), repeated_indices=repeated)
 
 
@@ -294,9 +286,10 @@ def factorization_residual(tri: ControlTriangle, angles: ViewAngles,
     pair = conics.build_conics(cycle3(tri.sides, k), relabel_angles(angles, k))
     d = conics.difference_conic(pair).coeffs
     p = _line_product_conic(tri, angles, k).coeffs
-    d = d / np.linalg.norm(d)
-    p = p / np.linalg.norm(p)
-    return float(np.linalg.norm(d - (d @ p) * p))
+    d = d / math.sqrt(d.dot(d))
+    p = p / math.sqrt(p.dot(p))
+    r = d - d.dot(p) * p
+    return math.sqrt(r.dot(r))
 
 
 @dataclass(frozen=True)

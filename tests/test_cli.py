@@ -11,6 +11,8 @@ from p3pshare.cli import (EXIT_CAMPAIGN_FAIL, EXIT_DEGENERATE,
 from p3pshare.errors import InconsistentInputError
 from p3pshare.sceneio import read_obj, serialize_scene
 
+from test_sceneio import MALFORMED_SCENES
+
 
 @pytest.fixture
 def eq1_scene_path(tmp_path, eq1_triangle, eq1_center):
@@ -50,6 +52,14 @@ class TestSolve:
         p = tmp_path / "bad.json"
         p.write_text("{")
         assert main(["solve", str(p)]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("doc", list(MALFORMED_SCENES.values()),
+                             ids=list(MALFORMED_SCENES))
+    def test_malformed_scene_exits_parse(self, doc, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(doc)
+        assert main(["solve", str(p)]) == EXIT_PARSE
+        assert main(["analyze", str(p)]) == EXIT_PARSE
 
     def test_degenerate_scene(self, cocyclic_scene_path, capsys):
         assert main(["solve", cocyclic_scene_path]) == EXIT_DEGENERATE

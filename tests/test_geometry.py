@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from p3pshare.errors import DegenerateAngleError, DegenerateInputError
 from p3pshare.geometry import (CanonicalFrame, ControlTriangle, SolutionTriplet,
-                               ViewAngles, canonical_frame, circumcircle_2d,
-                               cocyclic_degeneracy, interior_angles,
-                               view_angles_from_center)
+                               ViewAngles, _cross, canonical_frame,
+                               circumcircle_2d, cocyclic_degeneracy,
+                               interior_angles, view_angles_from_center)
 
 
 def random_triangle(rng: np.random.Generator) -> ControlTriangle:
@@ -54,6 +54,35 @@ class TestControlTriangle:
     def test_scale_is_longest_side(self, sc1_triangle):
         assert sc1_triangle.scale == max(sc1_triangle.sides)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("vertex", range(3))
+    def test_non_finite_coordinate_rejected(self, bad, vertex):
+        pts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        pts[vertex][2] = bad
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            ControlTriangle.from_points(*pts)
+
+    def test_area2_is_twice_the_area(self, sc1_triangle):
+        assert sc1_triangle.area2 == 6.0
+
+
+#: floats spanning signed zeros, subnormals and magnitudes near overflow
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e300, -1e300, 1.0, -1.0]))
+_VEC3 = st.tuples(_EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS)
+
+
+class TestCross:
+    @settings(max_examples=500, deadline=None)
+    @given(p=_VEC3, q=_VEC3)
+    def test_bit_identical_to_numpy(self, p, q):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.cross(np.array(p), np.array(q)).tolist()
+        got = _cross(p, q)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
 
 class TestCanonicalFrame:
     def test_maps_vertices_to_canonical_positions(self, sc1_triangle):
@@ -84,6 +113,10 @@ class TestCanonicalFrame:
         p = np.random.default_rng(seed + 1).uniform(-3, 3, size=3)
         np.testing.assert_allclose(frame.to_world(frame.to_canonical(p)), p,
                                    atol=1e-12)
+
+    def test_frame_is_cached(self, sc1_triangle):
+        assert canonical_frame(sc1_triangle) is canonical_frame(sc1_triangle)
+        assert canonical_frame(sc1_triangle) is sc1_triangle.frame
 
     def test_rotation_is_orthonormal(self, sc1_triangle):
         R = canonical_frame(sc1_triangle).rotation

@@ -27,6 +27,26 @@ VALID_ANGLE_SCENE = """
 }
 """
 
+_PTS = '"controlPoints": [[0,0,0],[1,0,0],[0,1,0]]'
+#: entries that are not numbers, ragged, or not finite (JSON NaN/Infinity)
+MALFORMED_SCENES = {
+    "ragged_points":
+        '{"controlPoints": [[1,2],[3,4,5],[6,7,8]], "opticalCenter": [0,0,1]}',
+    "string_point": '{"controlPoints": [[0,0,"a"],[1,0,0],[0,1,0]],'
+                    ' "opticalCenter": [0,0,1]}',
+    "nan_point": '{"controlPoints": [[0,0,NaN],[1,0,0],[0,1,0]],'
+                 ' "opticalCenter": [0,0,1]}',
+    "inf_point": '{"controlPoints": [[0,0,0],[1,0,Infinity],[0,1,0]],'
+                 ' "opticalCenter": [0,0,1]}',
+    "string_center": '{' + _PTS + ', "opticalCenter": "abc"}',
+    "object_in_center": '{' + _PTS + ', "opticalCenter": [0, {}, 1]}',
+    "null_in_center": '{' + _PTS + ', "opticalCenter": [0, null, 1]}',
+    "inf_center": '{' + _PTS + ', "opticalCenter": [0, 0, -Infinity]}',
+    "string_cosine": '{' + _PTS + ', "subtendedAngleCosines": ["x", 0.5, 0.5]}',
+    "nan_cosine": '{' + _PTS + ', "subtendedAngleCosines": [NaN, 0.5, 0.5]}',
+    "string_cosines": '{' + _PTS + ', "subtendedAngleCosines": "abc"}',
+}
+
 
 class TestParseScene:
     def test_center_form(self):
@@ -63,6 +83,12 @@ class TestParseScene:
         with pytest.raises(SceneParseError):
             parse_scene('{"controlPoints": [[0,0],[1,0],[0,1]],'
                         ' "opticalCenter": [0,0,1]}')
+
+    @pytest.mark.parametrize("doc", list(MALFORMED_SCENES.values()),
+                             ids=list(MALFORMED_SCENES))
+    def test_non_numeric_or_non_finite_rejected(self, doc):
+        with pytest.raises(SceneParseError):
+            parse_scene(doc)
 
 
 class TestSerializeScene:

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p3pshare.errors import NotOnConstraintLineError
+from p3pshare.errors import (NotOnConstraintLineError,
+                             RightAngleDegeneracyError)
 from p3pshare.geometry import RatioPair, SolutionTriplet, ViewAngles
-from p3pshare.scenes import random_scene
+from p3pshare.scenes import _locus_scene, _solved, _trial_rngs, random_scene
 from p3pshare.sharing import (POINT_LABELS, SIDE_LABELS, SharingLabel,
                               classify_solution_set, companion_check,
                               companion_identity_residual, construct_point_mate,
@@ -17,7 +18,8 @@ from p3pshare.sharing import (POINT_LABELS, SIDE_LABELS, SharingLabel,
                               factorization_residual, point_mate_condition,
                               point_share_residual, relabel_angles,
                               relabel_ratio, relabel_triangle, relabel_triplet,
-                              side_mate_condition, side_share_residual)
+                              sharing_residual, side_mate_condition,
+                              side_share_residual)
 from p3pshare.solver import constraint_residuals, solve
 
 from conftest import EQ1_S_LONG, EQ1_S_SHORT
@@ -175,6 +177,59 @@ class TestClassification:
                 assert cls.pairs == ()
                 return
         pytest.skip("no single-solution scene drawn")
+
+
+def reference_pairs(sol_set, tri, angles, tol=1e-7, dist_tol=1e-6):
+    """The pair loop as first written: both residuals per pair and label."""
+    def signature_ok(ti, tj, label):
+        si, sj = np.array(ti.values), np.array(tj.values)
+        same = np.abs(si - sj) <= dist_tol * max(si.max(), sj.max())
+        if label.kind == "side":
+            want = [True, True, True]
+            want[label.shift] = False
+        else:
+            want = [False, False, False]
+            want[label.shift] = True
+        return list(same) == want
+
+    sols = sol_set.solutions
+    repeated = tuple(i for i, s in enumerate(sols) if s.repeated)
+    pairs = []
+    for i in range(len(sols)):
+        for j in range(i + 1, len(sols)):
+            if i in repeated or j in repeated:
+                continue
+            for label in (*SIDE_LABELS, *POINT_LABELS):
+                try:
+                    ri = sharing_residual(sols[i].ratio, tri, angles, label)
+                    rj = sharing_residual(sols[j].ratio, tri, angles, label)
+                except RightAngleDegeneracyError:
+                    continue
+                resid = max(abs(ri), abs(rj))
+                if resid > tol or not signature_ok(sols[i].triplet,
+                                                   sols[j].triplet, label):
+                    continue
+                pairs.append((i, j, label, resid))
+    return tuple(pairs)
+
+
+class TestClassificationTable:
+    def test_matches_reference_loop_on_locus_scenes(self):
+        labels = (*SIDE_LABELS, *POINT_LABELS, None)
+        checked = found = 0
+        for t, rng in enumerate(_trial_rngs(77, 200)):
+            scene = _locus_scene(rng, labels[t % len(labels)])
+            sol = _solved(scene) if scene is not None else None
+            if sol is None:
+                continue
+            tri, angles = scene.triangle, scene.angles
+            got = classify_solution_set(sol, tri, angles).pairs
+            want = reference_pairs(sol, tri, angles)
+            assert [(i, j, lab, r.hex()) for i, j, lab, r in got] \
+                == [(i, j, lab, r.hex()) for i, j, lab, r in want]
+            checked += 1
+            found += len(got)
+        assert checked >= 190 and found >= 200
 
 
 class TestCompanion:
