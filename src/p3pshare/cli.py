@@ -8,6 +8,7 @@ recovered solution failed the basic-constraint check inside the solver).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -56,120 +57,129 @@ _SOLVE_HEADER = ["s1", "s2", "s3", "u", "v", "multiplicity", "repeated",
                  "max_residual", "Ox+", "Oy+", "Oz+", "Ox-", "Oy-", "Oz-"]
 
 
-def _print_table(header, rows, out):
+def _print_table(header, rows):
     widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows
               else len(str(h)) for i, h in enumerate(header)]
-    print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)), file=out)
+    print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
     for r in rows:
-        print("  ".join(str(x).ljust(w) for x, w in zip(r, widths)), file=out)
+        print("  ".join(str(x).ljust(w) for x, w in zip(r, widths)))
 
 
-def cmd_solve(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_solve(args) -> int:
     tri, _, angles = _load(args.scene)
     try:
         sol = solver.solve(tri, angles, tol=args.tol,
                            cluster_tol=args.cluster_tol)
     except DegeneratePencilError:
-        print("degenerate scene: cocyclic configuration", file=out)
+        print("degenerate scene: cocyclic configuration")
         return EXIT_DEGENERATE
     rows = _solution_rows(sol, tri)
-    print(f"solutions: {sol.count}", file=out)
-    _print_table(_SOLVE_HEADER, rows, out)
+    print(f"solutions: {sol.count}")
+    _print_table(_SOLVE_HEADER, rows)
     if args.out:
         sceneio.write_csv(args.out, _SOLVE_HEADER, rows)
     return EXIT_OK
 
 
-def cmd_analyze(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_analyze(args) -> int:
     tri, center, angles = _load(args.scene)
     try:
         sol = solver.solve(tri, angles, tol=args.tol)
     except DegeneratePencilError:
-        print("degenerate scene: cocyclic configuration", file=out)
+        print("degenerate scene: cocyclic configuration")
         return EXIT_DEGENERATE
-    print(f"solutions: {sol.count}", file=out)
-    _print_table(_SOLVE_HEADER, _solution_rows(sol, tri), out)
+    print(f"solutions: {sol.count}")
+    _print_table(_SOLVE_HEADER, _solution_rows(sol, tri))
 
     cls = sharing.classify_solution_set(sol, tri, angles, tol=args.tol_class)
     pair_rows = [[i, j, label.name, _g(res)] for i, j, label, res in cls.pairs]
-    print("\nsharing pairs:", file=out)
-    _print_table(["i", "j", "label", "residual"], pair_rows, out)
+    print("\nsharing pairs:")
+    _print_table(["i", "j", "label", "residual"], pair_rows)
     if cls.repeated_indices:
-        print(f"repeated solutions: {list(cls.repeated_indices)}", file=out)
+        print(f"repeated solutions: {list(cls.repeated_indices)}")
 
     comp = sharing.companion_check(sol, tri, angles, tol=args.tol_class)
     if not comp.applicable:
-        print("\ncompanion: no companion claim applicable", file=out)
+        print("\ncompanion: no companion claim applicable")
     else:
-        print(f"\ncompanion structure ok: {comp.companion_ok}", file=out)
+        print(f"\ncompanion structure ok: {comp.companion_ok}")
         for f in comp.families:
             if f.side_pairs or f.point_pairs:
                 print(f"  family {f.shift}: identity={_g(f.identity_residual)} "
-                      f"factorization={_g(f.factorization_residual)}", file=out)
+                      f"factorization={_g(f.factorization_residual)}")
 
     if center is not None:
         cyl = loci.danger_cylinder(canonical_frame(tri))
-        print("\nlocus membership of the optical center:", file=out)
-        print(f"  danger cylinder: {_g(loci.cylinder_membership(cyl, center))}",
-              file=out)
+        print("\nlocus membership of the optical center:")
+        print(f"  danger cylinder: {_g(loci.cylinder_membership(cyl, center))}")
         for label in (*sharing.SIDE_LABELS, *sharing.POINT_LABELS):
             d = loci.membership(loci.sharing_locus(tri, label), center)
             name = "plane" if label.kind == "side" else "skew"
-            print(f"  {name} {label.name}: {_g(d)}", file=out)
-        print(f"  cocyclic residual: {_g(cocyclic_degeneracy(tri, center))}",
-              file=out)
+            print(f"  {name} {label.name}: {_g(d)}")
+        print(f"  cocyclic residual: {_g(cocyclic_degeneracy(tri, center))}")
     if args.out:
         sceneio.write_csv(args.out, ["i", "j", "label", "residual"], pair_rows)
     return EXIT_OK
 
 
-def cmd_verify(args, out=None) -> int:
-    out = out or sys.stdout
-    try:
-        rep = scenes.verify_theorem(args.theorem, trials=args.trials,
-                                    tol=args.tol, seed=args.seed,
+def cmd_verify(args) -> int:
+    ids = scenes.THEOREM_IDS if args.theorem == "all" else (args.theorem,)
+    rows = []
+    for tid in ids:
+        rep = scenes.verify_theorem(tid, trials=args.trials, tol=args.tol,
+                                    seed=args.seed,
                                     converse_trials=args.converse_trials)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    print(f"theorem {rep.theorem_id}: trials={rep.trials} "
-          f"passes={rep.passes} failures={len(rep.failures)} "
-          f"skipped={rep.skipped}", file=out)
-    print(f"pass rate: {rep.pass_rate:.4f}", file=out)
-    print(f"residuals: max={_g(rep.residual_max)} "
-          f"median={_g(rep.residual_median)}", file=out)
-    for k, v in rep.details.items():
-        print(f"  {k}: {v}", file=out)
-    print(f"wall time: {rep.wall_time:.2f} s", file=out)
-    for seed, reason in rep.failures[:20]:
-        print(f"  FAIL trial {seed}: {reason}", file=out)
+        print(f"theorem {rep.theorem_id}: trials={rep.trials} "
+              f"passes={rep.passes} failures={len(rep.failures)} "
+              f"skipped={rep.skipped}")
+        print(f"pass rate: {rep.pass_rate:.4f}")
+        print(f"residuals: max={_g(rep.residual_max)} "
+              f"median={_g(rep.residual_median)}")
+        for k, v in rep.details.items():
+            print(f"  {k}: {v}")
+        print(f"wall time: {rep.wall_time:.2f} s")
+        for seed, reason in rep.failures[:20]:
+            print(f"  FAIL trial {seed}: {reason}")
+        rows.append([rep.theorem_id, rep.trials, rep.passes,
+                     len(rep.failures), rep.skipped, _g(rep.residual_max),
+                     _g(rep.residual_median), f"{rep.wall_time:.3f}"])
     if args.out:
-        rows = [[rep.theorem_id, rep.trials, rep.passes, len(rep.failures),
-                 rep.skipped, _g(rep.residual_max), _g(rep.residual_median),
-                 f"{rep.wall_time:.3f}"]]
         sceneio.write_csv(args.out, ["theorem", "trials", "passes", "failures",
                                      "skipped", "residual_max",
                                      "residual_median", "wall_time"], rows)
-    return EXIT_CAMPAIGN_FAIL if rep.failures else EXIT_OK
+    return EXIT_CAMPAIGN_FAIL if any(r[3] for r in rows) else EXIT_OK
 
 
-def cmd_export_skew_mesh(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_export_skew_mesh(args) -> int:
     tri, _, _ = _load(args.scene)
-    label = sharing.SharingLabel[args.label]
-    surf = loci.skewed_danger_cylinder(tri, label)
+    if args.label == "all":
+        root, ext = os.path.splitext(args.out)
+        jobs = [(label, f"{root}_{label.name.lower()}{ext}")
+                for label in sharing.POINT_LABELS]
+    else:
+        jobs = [(sharing.SharingLabel[args.label], args.out)]
     bounds = tuple(args.bounds) if args.bounds else None
-    verts, faces = loci.skew_mesh(surf, bounds=bounds, n=args.grid)
-    if len(verts) == 0:
-        print("empty admissible region in bounds", file=sys.stderr)
-        return EXIT_DEGENERATE
-    world = np.array([surf.frame.to_world(v) for v in verts])
-    sceneio.write_obj(args.out, world, faces)
-    print(f"wrote {len(verts)} vertices, {len(faces)} faces to {args.out}",
-          file=out)
+    for label, path in jobs:
+        surf = loci.skewed_danger_cylinder(tri, label)
+        verts, faces = loci.skew_mesh(surf, bounds=bounds, n=args.grid)
+        if len(verts) == 0:
+            print(f"empty admissible region of {label.name} in bounds",
+                  file=sys.stderr)
+            return EXIT_DEGENERATE
+        world = np.array([surf.frame.to_world(v) for v in verts])
+        sceneio.write_obj(path, world, faces)
+        print(f"wrote {len(verts)} vertices, {len(faces)} faces to {path}")
     return EXIT_OK
+
+
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+    def parse(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"{text} is below {minimum}")
+        return int(text)
+    parse.__name__ = "int"  # argparse: "invalid int value" for non-integers
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,10 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default=None)
     ap.set_defaults(func=cmd_analyze)
 
-    vp = sub.add_parser("verify", help="run a theorem-verification campaign")
-    vp.add_argument("theorem", choices=scenes.THEOREM_IDS)
-    vp.add_argument("--trials", type=int, default=100)
-    vp.add_argument("--converse-trials", type=int, default=None)
+    vp = sub.add_parser("verify", help="run theorem-verification campaigns")
+    vp.add_argument("theorem", choices=(*scenes.THEOREM_IDS, "all"))
+    vp.add_argument("--trials", type=_at_least(1), default=None)
+    vp.add_argument("--converse-trials", type=_at_least(0), default=None)
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--tol", type=float, default=sharing.LINE_TOL)
     vp.add_argument("--out", default=None)
@@ -204,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="triangulated mesh of a skewed danger cylinder")
     mp.add_argument("scene")
     mp.add_argument("--label", default="POINT_A",
-                    choices=[l.name for l in sharing.POINT_LABELS])
-    mp.add_argument("--grid", type=int, default=96)
+                    choices=[*(l.name for l in sharing.POINT_LABELS), "all"])
+    mp.add_argument("--grid", type=_at_least(2), default=96)
     mp.add_argument("--bounds", type=float, nargs=4, default=None,
                     metavar=("X0", "X1", "Y0", "Y1"))
     mp.add_argument("--out", required=True)

@@ -26,6 +26,8 @@ INTERSECT_TOL = 1e-9
 CLUSTER_TOL = 1e-7
 #: second-singular-value threshold for the degenerate-pencil test
 PENCIL_RANK_TOL = 1e-10
+#: u and v of a solution exceed this: positive depths, not zero up to rounding
+_MIN_RATIO = 1e-10
 
 
 @dataclass(frozen=True)
@@ -92,11 +94,11 @@ def difference_conic(pair: ConicPair) -> Conic:
 
 
 def newton_polish(F1: Conic, F2: Conic, u: float, v: float,
-                  tol: float = 1e-13, max_iter: int = 50):
-    """Damped Newton on (F1, F2) = 0; returns (u, v, residual)."""
+                  tol: float = 1e-13):
+    """Damped Newton on (F1, F2) = 0, 50 steps at most -> (u, v, residual)."""
     u, v = float(u), float(v)
     best_r = max(abs(F1(u, v)), abs(F2(u, v)))
-    for _ in range(max_iter):
+    for _ in range(50):
         if best_r < tol:
             break
         f1, f2 = F1(u, v), F2(u, v)
@@ -311,9 +313,9 @@ def intersect_conics(pair: ConicPair, tol: float = INTERSECT_TOL,
                            all_real=sum(p.multiplicity for p in points))
 
 
-def quadrant_one_filter(inter: IntersectionSet, eps: float = 1e-10) -> list[RatioPair]:
-    """Points with u > eps and v > eps."""
-    return [p for p in inter.points if p.u > eps and p.v > eps]
+def quadrant_one_filter(inter: IntersectionSet) -> list[RatioPair]:
+    """Points with u and v above _MIN_RATIO."""
+    return [p for p in inter.points if p.u > _MIN_RATIO and p.v > _MIN_RATIO]
 
 
 def tangency_flags(inter: IntersectionSet) -> list[bool]:

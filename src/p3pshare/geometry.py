@@ -34,8 +34,9 @@ class ControlTriangle:
     """The three control points with side lengths and interior-angle cosines.
 
     Sides follow the opposite-vertex convention: a = |BC|, b = |AC|, c = |AB|.
-    The canonical frame is built on first use and cached (``frame``); that
-    is safe because the class is frozen.
+    Build it with ``from_points``, which rejects degenerate triangles. The
+    canonical frame is built on first use and cached (``frame``); that is
+    safe because the class is frozen.
     """
 
     A: np.ndarray
@@ -75,8 +76,6 @@ class ControlTriangle:
     @cached_property
     def frame(self) -> "CanonicalFrame":
         """The canonical frame (see canonical_frame)."""
-        if self.area2 <= 1e-12 * self.scale ** 2:
-            raise DegenerateInputError("collinear control points")
         B = self.B
         cb, d = (self.C - B).tolist(), self.A - B
         ex = [x / self.a for x in cb]
@@ -125,7 +124,7 @@ class CanonicalFrame:
 
 
 def canonical_frame(tri: ControlTriangle) -> CanonicalFrame:
-    """Canonical frame of a triangle, cached on it; raises on degenerate input.
+    """Canonical frame of a triangle, cached on it.
 
     e = (a^2 + c^2 - b^2) / (2a) and f = +sqrt(c^2 - e^2) by construction.
     """

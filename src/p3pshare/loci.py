@@ -181,18 +181,23 @@ def _sample_cylinder(cyl: DangerCylinder, rng, region) -> np.ndarray:
     return cyl.frame.to_world(p)
 
 
+#: the skew surface z^2 = f*y*Q / (e^2 - f y - a e) has no point where the
+#: denominator, next to its pole, is below _DEN_TOL * max(1, a^2)
+_DEN_TOL = 1e-8
+
+
 def _sample_skew(surf: SkewedDangerCylinder, rng, region) -> np.ndarray:
     a, e, f = surf.frame.a, surf.frame.e, surf.frame.f
     cyl = surf.cylinder
     cx, cy = cyl.center
     h = region.xy_half_extent
-    scale2 = max(1.0, a * a)
+    den_min = _DEN_TOL * max(1.0, a * a)
     for _ in range(region.max_rejects):
         x = rng.uniform(cx - h, cx + h)
         y = rng.uniform(cy - h, cy + h)
         Q = (x - cx) ** 2 + (y - cy) ** 2 - cyl.radius_squared
         den = e * e - f * y - a * e
-        if abs(den) < 1e-8 * scale2:
+        if abs(den) < den_min:
             continue
         z2 = f * y * Q / den
         if z2 <= 0.0:
@@ -206,8 +211,7 @@ def _sample_skew(surf: SkewedDangerCylinder, rng, region) -> np.ndarray:
     raise SamplingFailureError("skew-surface sampling region exhausted")
 
 
-def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96,
-              den_tol: float = 1e-8):
+def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96):
     """Triangulated mesh of the skew surface over an (x, y) grid.
 
     Returns (vertices, faces) in canonical coordinates; faces are 1-based
@@ -224,7 +228,7 @@ def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96,
     x0, x1, y0, y1 = bounds
     xs = np.linspace(x0, x1, n).tolist()
     ys = np.linspace(y0, y1, n).tolist()
-    den_min = den_tol * max(1.0, a * a)
+    den_min = _DEN_TOL * max(1.0, a * a)
 
     def rhs_parts(x, y):
         Q = (x - cx) ** 2 + (y - cy) ** 2 - cyl.radius_squared

@@ -101,9 +101,12 @@ class GridConfig:
 
     u_max: float = 20.0
     n: int = 2000
-    refine_tol: float = 1e-10
-    cluster_tol: float = 1e-5
 
+
+#: the oracle's Newton residual gate, relative to 1 + u^2 + v^2
+_REFINE_TOL = 1e-10
+#: relative distance within which two oracle points merge: far below a cell
+_MERGE_TOL = 1e-5
 
 #: box sides, in grid cells, of the oracle's coarse-to-fine exclusion
 _BOX_CELLS = (128, 32, 8)
@@ -194,15 +197,15 @@ def brute_force_solutions(sides, angles: ViewAngles,
         u0 = 0.5 * (t[i] + t[i + 1])
         v0 = 0.5 * (t[j] + t[j + 1])
         uu, vv, res = conics.newton_polish(F1, F2, u0, v0)
-        if res > grid.refine_tol * (1.0 + uu * uu + vv * vv):
+        if res > _REFINE_TOL * (1.0 + uu * uu + vv * vv):
             continue
         if uu <= 0.0 or vv <= 0.0:
             continue
         found.append((uu, vv))
     out: list[RatioPair] = []
     for uu, vv in sorted(found):
-        if any(abs(uu - p.u) <= grid.cluster_tol * (1.0 + abs(p.u))
-               and abs(vv - p.v) <= grid.cluster_tol * (1.0 + abs(p.v))
+        if any(abs(uu - p.u) <= _MERGE_TOL * (1.0 + abs(p.u))
+               and abs(vv - p.v) <= _MERGE_TOL * (1.0 + abs(p.v))
                for p in out):
             continue
         out.append(RatioPair(u=uu, v=vv))
@@ -547,30 +550,41 @@ def _campaign_construct_point(rep: CampaignReport, tol: float, seed: int,
                        componentwise_mismatches=componentwise_mismatch)
 
 
-#: theorem id -> campaign(report, tol, seed, converse trials)
+#: theorem id -> (campaign(report, tol, seed, converse trials), and its
+#: acceptance-scale plan: trials, converse trials, 0 without a converse scan)
 _CAMPAIGNS = {
-    "side_nsc": partial(_campaign_sharing_nsc, sharing.SIDE_LABELS),
-    "point_nsc": partial(_campaign_sharing_nsc, sharing.POINT_LABELS),
-    "companion": _campaign_companion,
-    "danger_repeat": _campaign_danger_repeat,
-    "construct_side": _campaign_construct_side,
-    "construct_point": _campaign_construct_point,
+    "side_nsc": (partial(_campaign_sharing_nsc, sharing.SIDE_LABELS),
+                 1500, 2000),
+    "point_nsc": (partial(_campaign_sharing_nsc, sharing.POINT_LABELS),
+                  1500, 2000),
+    "companion": (_campaign_companion, 10000, 0),
+    "danger_repeat": (_campaign_danger_repeat, 200, 200),
+    "construct_side": (_campaign_construct_side, 300, 0),
+    "construct_point": (_campaign_construct_point, 300, 0),
 }
 THEOREM_IDS = tuple(_CAMPAIGNS)
 
 
-def verify_theorem(theorem_id: str, trials: int, tol: float = sharing.LINE_TOL,
-                   seed: int = 0, converse_trials: int | None = None
-                   ) -> CampaignReport:
-    """Run the per-theorem protocol and return its statistics."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+def verify_theorem(theorem_id: str, trials: int | None = None,
+                   tol: float = sharing.LINE_TOL, seed: int = 0,
+                   converse_trials: int | None = None) -> CampaignReport:
+    """Run the per-theorem protocol and return its statistics.
+
+    trials None runs the campaign's plan; converse_trials None runs the
+    plan's converse count with it, and as many as trials otherwise.
+    """
     if theorem_id not in _CAMPAIGNS:
         raise ValueError(f"unknown theorem id: {theorem_id!r}")
+    campaign, *plan = _CAMPAIGNS[theorem_id]
+    trials, nconv = plan if trials is None else (trials, trials)
+    nconv = nconv if converse_trials is None else converse_trials
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if nconv < 0:
+        raise ValueError("converse_trials must be >= 0")
     t0 = time.perf_counter()
     rep = CampaignReport(theorem_id=theorem_id, trials=trials)
-    _CAMPAIGNS[theorem_id](rep, tol, seed, trials if converse_trials is None
-                           else converse_trials)
+    campaign(rep, tol, seed, nconv)
     rep.wall_time = time.perf_counter() - t0
     rep.failures.sort(key=lambda f: str(f[0]))
     return rep

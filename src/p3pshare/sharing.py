@@ -205,6 +205,8 @@ _LABELS = (*SIDE_LABELS, *POINT_LABELS)
 #: which of (s1, s2, s3) a label's pairs share: two for a side, one for a point
 _SHARED_DISTANCES = {label: tuple((i != label.shift) == (label.kind == "side")
                                   for i in range(3)) for label in _LABELS}
+#: relative gap within which two solutions count as sharing a distance
+_SAME_DISTANCE_TOL = 1e-6
 
 
 def _line_residuals(rp: RatioPair, tri: ControlTriangle, angles: ViewAngles):
@@ -219,8 +221,8 @@ def _line_residuals(rp: RatioPair, tri: ControlTriangle, angles: ViewAngles):
 
 
 def classify_solution_set(sol_set: SolutionSet, tri: ControlTriangle,
-                          angles: ViewAngles, tol: float = LINE_TOL,
-                          dist_tol: float = 1e-6) -> PairClassification:
+                          angles: ViewAngles, tol: float = LINE_TOL
+                          ) -> PairClassification:
     """All sharing labels that every unordered solution pair satisfies.
 
     A label is reported only when both members lie on the constraint line
@@ -233,7 +235,7 @@ def classify_solution_set(sol_set: SolutionSet, tri: ControlTriangle,
     pairs = []
     for i, j in itertools.combinations(table, 2):
         si, sj = sols[i].triplet.values, sols[j].triplet.values
-        same_tol = dist_tol * max(*si, *sj)
+        same_tol = _SAME_DISTANCE_TOL * max(*si, *sj)
         same = tuple(abs(x - y) <= same_tol for x, y in zip(si, sj))
         for label, ri, rj in zip(_LABELS, table[i], table[j]):
             if ri is None:

@@ -1,17 +1,22 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from p3pshare import solver
+from p3pshare import scenes, solver
 from p3pshare.cli import (EXIT_CAMPAIGN_FAIL, EXIT_DEGENERATE,
                           EXIT_INCONSISTENT, EXIT_IO, EXIT_OK, EXIT_PARSE, main)
 from p3pshare.errors import InconsistentInputError
 from p3pshare.sceneio import read_obj, serialize_scene
 
 from test_sceneio import MALFORMED_SCENES
+
+EQUILATERAL = str(Path(__file__).resolve().parent.parent
+                  / "scenes" / "equilateral.json")
 
 
 @pytest.fixture
@@ -105,6 +110,65 @@ class TestVerify:
         lines = open(out_csv).read().splitlines()
         assert lines[0].startswith("theorem,trials,passes")
 
+    def test_all_writes_one_row_per_id(self, tmp_path, capsys):
+        out_csv = tmp_path / "r.csv"
+        assert main(["verify", "all", "--trials", "12",
+                     "--out", str(out_csv)]) == EXIT_OK
+        with open(out_csv, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["theorem", "trials", "passes", "failures",
+                          "skipped", "residual_max", "residual_median",
+                          "wall_time"]
+        assert [r[0] for r in rows] == list(scenes.THEOREM_IDS)
+        assert all(r[1] == "12" for r in rows)
+        out = capsys.readouterr().out
+        assert out.count("theorem ") == len(scenes.THEOREM_IDS)
+
+    @pytest.fixture
+    def counts_seen(self, monkeypatch):
+        """Replace every campaign by one that only records its counts."""
+        seen = {}
+        for tid, (_, *plan) in list(scenes._CAMPAIGNS.items()):
+            def fake(rep, tol, seed, nconv, tid=tid):
+                seen[tid] = (rep.trials, nconv)
+                rep.passes = rep.trials
+            monkeypatch.setitem(scenes._CAMPAIGNS, tid, (fake, *plan))
+        return seen
+
+    def test_counts_default_to_the_plan(self, counts_seen, capsys):
+        assert main(["verify", "all"]) == EXIT_OK
+        assert counts_seen == {
+            "side_nsc": (1500, 2000), "point_nsc": (1500, 2000),
+            "companion": (10000, 0), "danger_repeat": (200, 200),
+            "construct_side": (300, 0), "construct_point": (300, 0)}
+        counts_seen.clear()
+        assert main(["verify", "danger_repeat", "--converse-trials", "3"]) \
+            == EXIT_OK
+        assert counts_seen == {"danger_repeat": (200, 3)}
+
+    def test_explicit_trials_replace_the_plan(self, counts_seen, capsys):
+        assert main(["verify", "all", "--trials", "7"]) == EXIT_OK
+        assert counts_seen == dict.fromkeys(scenes.THEOREM_IDS, (7, 7))
+
+    def test_all_fails_when_one_id_fails(self, monkeypatch, capsys):
+        def fail(rep, tol, seed, nconv):
+            rep.record(False, 0, "injected")
+
+        _, *plan = scenes._CAMPAIGNS["companion"]
+        monkeypatch.setitem(scenes._CAMPAIGNS, "companion", (fail, *plan))
+        assert main(["verify", "all", "--trials", "2"]) == EXIT_CAMPAIGN_FAIL
+        assert "FAIL trial 0: injected" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--trials", "0"), ("--trials", "-3"), ("--trials", "two"),
+        ("--converse-trials", "-1"),
+    ])
+    def test_bad_count_exits_parse(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "side_nsc", "--trials", "2", flag, value])
+        assert exc.value.code == EXIT_PARSE
+        assert f"argument {flag}:" in capsys.readouterr().err
+
 
 class TestExportSkewMesh:
     def test_writes_valid_mesh(self, eq1_scene_path, tmp_path, capsys):
@@ -121,3 +185,29 @@ class TestExportSkewMesh:
         code = main(["export-skew-mesh", eq1_scene_path, "--label", "POINT_B",
                      "--grid", "24", "--out", out_obj])
         assert code == EXIT_OK
+
+    def test_label_all_writes_three_meshes(self, tmp_path, capsys):
+        assert main(["export-skew-mesh", EQUILATERAL, "--label", "all",
+                     "--grid", "24", "--out", str(tmp_path / "surf.obj")]) \
+            == EXIT_OK
+        paths = sorted(tmp_path.glob("*.obj"))
+        assert [p.name for p in paths] == [
+            "surf_point_a.obj", "surf_point_b.obj", "surf_point_c.obj"]
+        for path in paths:
+            verts, faces = read_obj(str(path))
+            assert len(verts) > 0 and len(faces) > 0
+            one = tmp_path / "one" / path.name
+            one.parent.mkdir(exist_ok=True)
+            label = path.stem.removeprefix("surf_").upper()
+            assert main(["export-skew-mesh", EQUILATERAL, "--label", label,
+                         "--grid", "24", "--out", str(one)]) == EXIT_OK
+            assert one.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("grid", ["-1", "0", "1"])
+    def test_bad_grid_exits_parse(self, eq1_scene_path, tmp_path, grid,
+                                  capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["export-skew-mesh", eq1_scene_path, "--grid", grid,
+                  "--out", str(tmp_path / "x.obj")])
+        assert exc.value.code == EXIT_PARSE
+        assert not (tmp_path / "x.obj").exists()

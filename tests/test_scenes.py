@@ -207,6 +207,10 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError):
             verify_theorem("side_nsc", trials=0)
 
+    def test_negative_converse_trials_rejected(self):
+        with pytest.raises(ValueError, match="converse_trials"):
+            verify_theorem("side_nsc", trials=2, converse_trials=-1)
+
     @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
     def test_small_campaign_passes(self, theorem_id):
         rep = verify_theorem(theorem_id, trials=6, seed=1)
