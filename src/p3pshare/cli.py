@@ -67,12 +67,7 @@ def _print_table(header, rows):
 
 def cmd_solve(args) -> int:
     tri, _, angles = _load(args.scene)
-    try:
-        sol = solver.solve(tri, angles, tol=args.tol,
-                           cluster_tol=args.cluster_tol)
-    except DegeneratePencilError:
-        print("degenerate scene: cocyclic configuration")
-        return EXIT_DEGENERATE
+    sol = solver.solve(tri, angles, tol=args.tol, cluster_tol=args.cluster_tol)
     rows = _solution_rows(sol, tri)
     print(f"solutions: {sol.count}")
     _print_table(_SOLVE_HEADER, rows)
@@ -83,11 +78,7 @@ def cmd_solve(args) -> int:
 
 def cmd_analyze(args) -> int:
     tri, center, angles = _load(args.scene)
-    try:
-        sol = solver.solve(tri, angles, tol=args.tol)
-    except DegeneratePencilError:
-        print("degenerate scene: cocyclic configuration")
-        return EXIT_DEGENERATE
+    sol = solver.solve(tri, angles, tol=args.tol)
     print(f"solutions: {sol.count}")
     _print_table(_SOLVE_HEADER, _solution_rows(sol, tri))
 
@@ -248,3 +239,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

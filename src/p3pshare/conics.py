@@ -75,16 +75,19 @@ class IntersectionSet:
     all_real: int
 
 
+def conic_terms(sides, cosines) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The `Conic.terms` rows of the two characteristic conics."""
+    a, b, c = sides
+    ca, cb, cg = cosines
+    a2, b2, c2 = a * a, b * b, c * c
+    return ((a2 - b2, 2.0 * b2 * ca, -b2, 0.0, -2.0 * a2 * cb, a2),
+            (-c2, 2.0 * c2 * ca, a2 - c2, -2.0 * a2 * cg, 0.0, a2))
+
+
 def build_conics(sides: tuple[float, float, float], angles: ViewAngles) -> ConicPair:
     """The two characteristic conics of the scene (u = s2/s1, v = s3/s1)."""
-    a, b, c = sides
-    ca, cb, cg = angles.cosines
-    a2, b2, c2 = a * a, b * b, c * c
-    C1 = Conic(c_vv=a2 - b2, c_uv=2.0 * b2 * ca, c_uu=-b2,
-               c_u=0.0, c_v=-2.0 * a2 * cb, c_1=a2)
-    C2 = Conic(c_vv=-c2, c_uv=2.0 * c2 * ca, c_uu=a2 - c2,
-               c_u=-2.0 * a2 * cg, c_v=0.0, c_1=a2)
-    return ConicPair(C1=C1, C2=C2, sides=(a, b, c), angles=angles)
+    t1, t2 = conic_terms(sides, angles.cosines)
+    return ConicPair(Conic(*t1), Conic(*t2), tuple(sides), angles)
 
 
 def difference_conic(pair: ConicPair) -> Conic:

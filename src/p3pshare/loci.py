@@ -159,21 +159,26 @@ def sample_locus(locus, rng: np.random.Generator,
     raise TypeError(f"not a locus: {type(locus)!r}")
 
 
+def uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """The draw of scalar rng.uniform(lo, hi) at a third of its cost."""
+    return lo + (hi - lo) * rng.random()
+
+
 def _sample_z(rng, region) -> float:
-    z = rng.uniform(region.min_abs_z, region.z_max)
-    return z if rng.uniform() < 0.5 else -z
+    z = uniform(rng, region.min_abs_z, region.z_max)
+    return z if rng.random() < 0.5 else -z
 
 
 def _sample_plane(plane: VerticalPlane, rng, region) -> np.ndarray:
     d = np.array([-plane.normal[1], plane.normal[0], 0.0])
-    s = rng.uniform(-region.xy_half_extent, region.xy_half_extent)
+    s = uniform(rng, -region.xy_half_extent, region.xy_half_extent)
     p = plane.point + s * d
     p[2] = _sample_z(rng, region)
     return plane.frame.to_world(p)
 
 
 def _sample_cylinder(cyl: DangerCylinder, rng, region) -> np.ndarray:
-    th = rng.uniform(0.0, 2.0 * math.pi)
+    th = uniform(rng, 0.0, 2.0 * math.pi)
     cx, cy = cyl.center
     r = cyl.radius
     p = np.array([cx + r * math.cos(th), cy + r * math.sin(th),
@@ -193,8 +198,8 @@ def _sample_skew(surf: SkewedDangerCylinder, rng, region) -> np.ndarray:
     h = region.xy_half_extent
     den_min = _DEN_TOL * max(1.0, a * a)
     for _ in range(region.max_rejects):
-        x = rng.uniform(cx - h, cx + h)
-        y = rng.uniform(cy - h, cy + h)
+        x = uniform(rng, cx - h, cx + h)
+        y = uniform(rng, cy - h, cy + h)
         Q = (x - cx) ** 2 + (y - cy) ** 2 - cyl.radius_squared
         den = e * e - f * y - a * e
         if abs(den) < den_min:
@@ -205,7 +210,7 @@ def _sample_skew(surf: SkewedDangerCylinder, rng, region) -> np.ndarray:
         z = math.sqrt(z2)
         if not (region.min_abs_z <= z <= region.z_max):
             continue
-        if rng.uniform() < 0.5:
+        if rng.random() < 0.5:
             z = -z
         return surf.frame.to_world(np.array([x, y, z]))
     raise SamplingFailureError("skew-surface sampling region exhausted")

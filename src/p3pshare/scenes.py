@@ -84,11 +84,11 @@ def random_scene(rng: np.random.Generator,
         if min(tri.sides) < config.min_side \
                 or 0.5 * tri.area2 < config.min_area:
             continue
-        z = rng.uniform(*config.z_range)
-        if rng.uniform() < 0.5:
+        z = loci.uniform(rng, *config.z_range)
+        if rng.random() < 0.5:
             z = -z
-        O = np.array([rng.uniform(-config.center_xy, config.center_xy),
-                      rng.uniform(-config.center_xy, config.center_xy), z])
+        O = np.array([loci.uniform(rng, -config.center_xy, config.center_xy),
+                      loci.uniform(rng, -config.center_xy, config.center_xy), z])
         scene = None if abs(z) < 0.1 else _scene_at(tri, O, config, seed)
         if scene is not None:
             return scene

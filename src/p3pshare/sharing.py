@@ -13,6 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import conics
 from .errors import NotOnConstraintLineError, RightAngleDegeneracyError
 from .geometry import (ControlTriangle, RatioPair, SolutionTriplet, ViewAngles,
@@ -66,11 +68,6 @@ def relabel_ratio(u: float, v: float, k: int) -> tuple[float, float]:
 def relabel_triplet(t: SolutionTriplet, k: int) -> SolutionTriplet:
     s = cycle3(t.values, k)
     return SolutionTriplet(*s)
-
-
-def relabel_angles(angles: ViewAngles, k: int) -> ViewAngles:
-    ca, cb, cg = cycle3(angles.cosines, k)
-    return ViewAngles(cos_alpha=ca, cos_beta=cb, cos_gamma=cg)
 
 
 def relabel_triangle(tri: ControlTriangle, k: int) -> ControlTriangle:
@@ -200,24 +197,13 @@ class PairClassification:
     repeated_indices: tuple[int, ...]
 
 
-#: every label, in the order classify_solution_set reports them
-_LABELS = (*SIDE_LABELS, *POINT_LABELS)
-#: which of (s1, s2, s3) a label's pairs share: two for a side, one for a point
-_SHARED_DISTANCES = {label: tuple((i != label.shift) == (label.kind == "side")
-                                  for i in range(3)) for label in _LABELS}
+#: the label whose pairs agree in exactly these of (s1, s2, s3): a side label
+#: in the two off its shift, a point label in the one at it
+_LABEL_OF_SIGNATURE = {tuple((i != label.shift) == (label.kind == "side")
+                             for i in range(3)): label
+                       for label in SharingLabel}
 #: relative gap within which two solutions count as sharing a distance
 _SAME_DISTANCE_TOL = 1e-6
-
-
-def _line_residuals(rp: RatioPair, tri: ControlTriangle, angles: ViewAngles):
-    """|sharing_residual| of rp per label; None where a line is undefined."""
-    out = []
-    for label in _LABELS:
-        try:
-            out.append(abs(sharing_residual(rp, tri, angles, label)))
-        except RightAngleDegeneracyError:
-            out.append(None)
-    return out
 
 
 def classify_solution_set(sol_set: SolutionSet, tri: ControlTriangle,
@@ -225,25 +211,29 @@ def classify_solution_set(sol_set: SolutionSet, tri: ControlTriangle,
                           ) -> PairClassification:
     """All sharing labels that every unordered solution pair satisfies.
 
-    A label is reported only when both members lie on the constraint line
-    (within tol) AND the distance-level signature agrees.
+    A label is reported only when the distance-level signature agrees AND
+    both members lie on the constraint line (within tol). A signature names
+    at most one label, so only that label's line is evaluated.
     """
     sols = sol_set.solutions
     repeated = tuple(i for i, s in enumerate(sols) if s.repeated)
-    table = {i: _line_residuals(s.ratio, tri, angles)  # once per solution
-             for i, s in enumerate(sols) if not s.repeated}
+    kept = [i for i, s in enumerate(sols) if not s.repeated]
     pairs = []
-    for i, j in itertools.combinations(table, 2):
+    for i, j in itertools.combinations(kept, 2):
         si, sj = sols[i].triplet.values, sols[j].triplet.values
         same_tol = _SAME_DISTANCE_TOL * max(*si, *sj)
-        same = tuple(abs(x - y) <= same_tol for x, y in zip(si, sj))
-        for label, ri, rj in zip(_LABELS, table[i], table[j]):
-            if ri is None:
-                continue
-            resid = max(ri, rj)
-            if resid > tol or _SHARED_DISTANCES[label] != same:
-                continue
-            pairs.append((i, j, label, resid))
+        label = _LABEL_OF_SIGNATURE.get(
+            tuple(abs(x - y) <= same_tol for x, y in zip(si, sj)))
+        if label is None:
+            continue
+        try:
+            resid = max(abs(sharing_residual(sols[i].ratio, tri, angles, label)),
+                        abs(sharing_residual(sols[j].ratio, tri, angles, label)))
+        except RightAngleDegeneracyError:
+            continue
+        if resid > tol:
+            continue
+        pairs.append((i, j, label, resid))
     return PairClassification(pairs=tuple(pairs), repeated_indices=repeated)
 
 
@@ -264,9 +254,9 @@ def companion_identity_residual(tri: ControlTriangle, angles: ViewAngles,
     return (t1 + t2 + t3) / norm
 
 
-def _line_product_conic(tri: ControlTriangle, angles: ViewAngles,
-                        k: int) -> conics.Conic:
-    """Conic = (side line) * (point line) for the family-k relabeled basis."""
+def _line_product_terms(tri: ControlTriangle, angles: ViewAngles,
+                        k: int) -> tuple[float, ...]:
+    """Conic terms of (side line) * (point line) in the family-k basis."""
     a, b, c = cycle3(tri.sides, k)
     _, cb, cg = cycle3(angles.cosines, k)
     _, cosB, cosC = cycle3(interior_angles(tri), k)
@@ -274,8 +264,7 @@ def _line_product_conic(tri: ControlTriangle, angles: ViewAngles,
     Pu = (cosC / cg) * b
     Pv = (cosB / cb) * c
     Pc = -a
-    return conics.Conic(c_vv=-cb * Pv, c_uv=cg * Pv - cb * Pu, c_uu=cg * Pu,
-                        c_u=cg * Pc, c_v=-cb * Pc, c_1=0.0)
+    return (-cb * Pv, cg * Pv - cb * Pu, cg * Pu, cg * Pc, -cb * Pc, 0.0)
 
 
 def factorization_residual(tri: ControlTriangle, angles: ViewAngles,
@@ -283,11 +272,12 @@ def factorization_residual(tri: ControlTriangle, angles: ViewAngles,
     """Deviation of the conic difference from the product of the two lines.
 
     Measured as the normalized cross product of the coefficient vectors,
-    i.e. zero when they are proportional.
+    i.e. zero when they are proportional. The three dot products stay
+    numpy calls: their BLAS rounding is what the golden reports hold.
     """
-    pair = conics.build_conics(cycle3(tri.sides, k), relabel_angles(angles, k))
-    d = conics.difference_conic(pair).coeffs
-    p = _line_product_conic(tri, angles, k).coeffs
+    t1, t2 = conics.conic_terms(cycle3(tri.sides, k), cycle3(angles.cosines, k))
+    d = np.array([y - x for x, y in zip(t1, t2)])  # C2 - C1, difference_conic
+    p = np.array(_line_product_terms(tri, angles, k))
     d = d / math.sqrt(d.dot(d))
     p = p / math.sqrt(p.dot(p))
     r = d - d.dot(p) * p
@@ -328,10 +318,10 @@ def companion_check(sol_set: SolutionSet, tri: ControlTriangle,
     applicable = sol_set.count >= 3
     families = []
     for k in range(3):
-        side = tuple((p[0], p[1]) for p in cls.pairs
-                     if p[2].kind == "side" and p[2].shift == k)
-        point = tuple((p[0], p[1]) for p in cls.pairs
-                      if p[2].kind == "point" and p[2].shift == k)
+        side = tuple((i, j) for i, j, label, _ in cls.pairs
+                     if label is SIDE_LABELS[k])
+        point = tuple((i, j) for i, j, label, _ in cls.pairs
+                      if label is POINT_LABELS[k])
         ok: bool | None = None
         if sol_set.count == 4 and (side or point):
             ok = True

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +13,13 @@ import pytest
 from p3pshare import scenes, solver
 from p3pshare.cli import (EXIT_CAMPAIGN_FAIL, EXIT_DEGENERATE,
                           EXIT_INCONSISTENT, EXIT_IO, EXIT_OK, EXIT_PARSE, main)
-from p3pshare.errors import InconsistentInputError
+from p3pshare.errors import DegeneratePencilError, InconsistentInputError
 from p3pshare.sceneio import read_obj, serialize_scene
 
 from test_sceneio import MALFORMED_SCENES
 
-EQUILATERAL = str(Path(__file__).resolve().parent.parent
-                  / "scenes" / "equilateral.json")
+ROOT = Path(__file__).resolve().parent.parent
+EQUILATERAL = str(ROOT / "scenes" / "equilateral.json")
 
 
 @pytest.fixture
@@ -35,6 +38,23 @@ def cocyclic_scene_path(tmp_path, eq1_triangle):
            "opticalCenter": [0.5 - 1.0 / 3 ** 0.5, 0.28867513459481287, 0.0]}
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def assert_degenerate(command, cocyclic_path, scene_path, monkeypatch,
+                      capsys):
+    """Exit 3 with one stderr message and no stdout, both for the cocyclic
+    scene and for a degenerate pencil raised inside solve."""
+    def pencil(*args, **kwargs):
+        raise DegeneratePencilError("conics share a component")
+
+    assert main([command, cocyclic_path]) == EXIT_DEGENERATE
+    monkeypatch.setattr(solver, "solve", pencil)
+    assert main([command, scene_path]) == EXIT_DEGENERATE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first, second = captured.err.splitlines()
+    assert first.startswith("degenerate scene:")
+    assert second == "degenerate scene: conics share a component"
 
 
 class TestSolve:
@@ -66,8 +86,10 @@ class TestSolve:
         assert main(["solve", str(p)]) == EXIT_PARSE
         assert main(["analyze", str(p)]) == EXIT_PARSE
 
-    def test_degenerate_scene(self, cocyclic_scene_path, capsys):
-        assert main(["solve", cocyclic_scene_path]) == EXIT_DEGENERATE
+    def test_degenerate_scene(self, cocyclic_scene_path, eq1_scene_path,
+                              monkeypatch, capsys):
+        assert_degenerate("solve", cocyclic_scene_path, eq1_scene_path,
+                          monkeypatch, capsys)
 
     def test_inconsistent_solution(self, eq1_scene_path, monkeypatch, capsys):
         def leak(*args, **kwargs):
@@ -89,6 +111,11 @@ class TestAnalyze:
             assert name in out
         assert "companion structure ok: True" in out
         assert "danger cylinder:" in out
+
+    def test_degenerate_scene(self, cocyclic_scene_path, eq1_scene_path,
+                              monkeypatch, capsys):
+        assert_degenerate("analyze", cocyclic_scene_path, eq1_scene_path,
+                          monkeypatch, capsys)
 
 
 class TestVerify:
@@ -211,3 +238,16 @@ class TestExportSkewMesh:
                   "--out", str(tmp_path / "x.obj")])
         assert exc.value.code == EXIT_PARSE
         assert not (tmp_path / "x.obj").exists()
+
+
+class TestModuleEntry:
+    def test_python_m_runs_a_command(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "p3pshare", "verify", "construct_side",
+             "--trials", "3"], env=env, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "theorem construct_side: trials=3" in done.stdout
+        assert "pass rate:" in done.stdout

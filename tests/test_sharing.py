@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p3pshare.conics import Conic, build_conics, difference_conic
 from p3pshare.errors import (NotOnConstraintLineError,
                              RightAngleDegeneracyError)
-from p3pshare.geometry import RatioPair, SolutionTriplet, ViewAngles
+from p3pshare.geometry import (RatioPair, SolutionTriplet, ViewAngles,
+                               interior_angles)
 from p3pshare.scenes import _locus_scene, _solved, _trial_rngs, random_scene
 from p3pshare.sharing import (POINT_LABELS, SIDE_LABELS, SharingLabel,
                               classify_solution_set, companion_check,
                               companion_identity_residual, construct_point_mate,
                               construct_side_mate, cycle3,
                               factorization_residual, point_mate_condition,
-                              point_share_residual, relabel_angles,
+                              point_share_residual,
                               relabel_ratio, relabel_triangle, relabel_triplet,
                               sharing_residual, side_mate_condition,
                               side_share_residual)
@@ -178,6 +180,22 @@ class TestClassification:
                 return
         pytest.skip("no single-solution scene drawn")
 
+    def test_residual_gate_keeps_a_pair_at_the_bound(self):
+        # a pair whose residual equals tol is reported (resid > tol rejects)
+        checked = 0
+        for t, rng in enumerate(_trial_rngs(78, 60)):
+            scene = _locus_scene(rng, SIDE_LABELS[t % 3])
+            sol = _solved(scene) if scene is not None else None
+            if sol is None:
+                continue
+            tri, angles = scene.triangle, scene.angles
+            for i, j, label, resid in classify_solution_set(
+                    sol, tri, angles).pairs:
+                at_bound = classify_solution_set(sol, tri, angles, tol=resid)
+                assert (i, j, label, resid) in at_bound.pairs
+                checked += 1
+        assert checked >= 20
+
 
 def reference_pairs(sol_set, tri, angles, tol=1e-7, dist_tol=1e-6):
     """The pair loop as first written: both residuals per pair and label."""
@@ -230,6 +248,102 @@ class TestClassificationTable:
             checked += 1
             found += len(got)
         assert checked >= 190 and found >= 200
+
+
+def reference_factorization(tri, angles, k):
+    """factorization_residual as first written: conics, difference, arrays."""
+    sides = cycle3(tri.sides, k)
+    pair = build_conics(sides, ViewAngles(*cycle3(angles.cosines, k)))
+    d = difference_conic(pair).coeffs
+    a, b, c = sides
+    _, cb, cg = cycle3(angles.cosines, k)
+    _, cosB, cosC = cycle3(interior_angles(tri), k)
+    Pu, Pv, Pc = (cosC / cg) * b, (cosB / cb) * c, -a
+    p = Conic(c_vv=-cb * Pv, c_uv=cg * Pv - cb * Pu, c_uu=cg * Pu,
+              c_u=cg * Pc, c_v=-cb * Pc, c_1=0.0).coeffs
+    d = d / math.sqrt(d.dot(d))
+    p = p / math.sqrt(p.dot(p))
+    r = d - d.dot(p) * p
+    return math.sqrt(r.dot(r))
+
+
+def reference_companion(sol_set, tri, angles, tol):
+    """companion_check's fields as first written, on reference_pairs."""
+    pairs = reference_pairs(sol_set, tri, angles, tol=tol)
+    families = []
+    for k in range(3):
+        side = tuple((p[0], p[1]) for p in pairs
+                     if p[2].kind == "side" and p[2].shift == k)
+        point = tuple((p[0], p[1]) for p in pairs
+                      if p[2].kind == "point" and p[2].shift == k)
+        ok = None
+        if sol_set.count == 4 and (side or point):
+            rest = {(i, j): tuple(sorted({0, 1, 2, 3} - {i, j}))
+                    for i, j in side + point}
+            ok = all(rest[q] in point for q in side) \
+                and all(rest[q] in side for q in point)
+        fact = (reference_factorization(tri, angles, k) if side or point
+                else float("nan"))
+        families.append((k, side, point,
+                         abs(companion_identity_residual(tri, angles, k)),
+                         fact, ok))
+    return sol_set.count >= 3, families
+
+
+def _hex(x):
+    return "nan" if math.isnan(x) else x.hex()
+
+
+def companion_fields(rep):
+    return (rep.applicable, rep.companion_ok,
+            [(f.shift, f.side_pairs, f.point_pairs, _hex(f.identity_residual),
+              _hex(f.factorization_residual), f.companion_ok)
+             for f in rep.families])
+
+
+class TestCompanionReference:
+    """companion_check field for field against the reference path."""
+
+    def assert_matches(self, sol, tri, angles):
+        active = 0
+        for tol in (1e-7, 1e-9):
+            applicable, families = reference_companion(sol, tri, angles, tol)
+            checks = [f[5] for f in families if f[5] is not None]
+            want = (applicable, all(checks),
+                    [(k, side, point, _hex(ident), _hex(fact), ok)
+                     for k, side, point, ident, fact, ok in families])
+            assert companion_fields(
+                companion_check(sol, tri, angles, tol=tol)) == want
+            active += sum(not math.isnan(f[4]) for f in families)
+        return active
+
+    def test_locus_scenes(self):
+        labels = (*SIDE_LABELS, *POINT_LABELS, None)
+        checked = active = 0
+        for t, rng in enumerate(_trial_rngs(77, 200)):
+            scene = _locus_scene(rng, labels[t % len(labels)])
+            sol = _solved(scene) if scene is not None else None
+            if sol is None:
+                continue
+            active += self.assert_matches(sol, scene.triangle, scene.angles)
+            checked += 1
+        assert checked >= 190 and active >= 300
+
+    def test_four_solution_random_scenes(self):
+        # generic scenes carry no pairs, so the residual is compared directly
+        rng = np.random.default_rng(79)
+        checked = 0
+        while checked < 120:
+            sc = random_scene(rng)
+            sol = solve(sc.triangle, sc.angles)
+            if sol.count == 4:
+                self.assert_matches(sol, sc.triangle, sc.angles)
+                for k in range(3):
+                    assert factorization_residual(sc.triangle, sc.angles,
+                                                  k).hex() \
+                        == reference_factorization(sc.triangle, sc.angles,
+                                                   k).hex()
+                checked += 1
 
 
 class TestCompanion:
