@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 parse error, 3 degenerate scene,
-4 campaign failures present, 5 I/O error, 6 inconsistent solution (a
-recovered solution failed the basic-constraint check inside the solver).
+Exit codes: 0 success, 2 parse error, 3 degenerate scene, 4 campaign failures
+present, 5 I/O error, 6 inconsistent solution (a recovered solution failed the
+solver's basic-constraint check), 141 stdout closed by its reader (`| head`).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ EXIT_DEGENERATE = 3
 EXIT_CAMPAIGN_FAIL = 4
 EXIT_IO = 5
 EXIT_INCONSISTENT = 6
+EXIT_PIPE = 141  # as for a process killed by SIGPIPE: 128 + 13
 
 
 def _g(x: float) -> str:
@@ -218,7 +219,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here rather than at exit
+        return code
+    except BrokenPipeError:  # quietly; stdout to devnull for the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except SceneParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -5,17 +5,20 @@ cubic det(A + lam B) gives a degenerate member, a pair of lines through the
 common points. Each line meets the other conic in one quadratic, whose
 roots seed damped Newton on the bivariate system; a double root of that
 quadratic is a tangency, and its two seeds merge into one point of
-multiplicity 2. All but the one eigenvalue call is float arithmetic: numpy's
-per-call cost dominates here.
+multiplicity 2. All but one eigenvalue call is float arithmetic on tuples, as
+numpy's per-call cost dominates; sums fold left to right (see README).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import add, mul
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DegeneratePencilError
 from .geometry import RatioPair, ViewAngles, _cross
@@ -55,10 +58,14 @@ class Conic:
 
     def scaled(self) -> "Conic":
         """Same zero set, coefficients normalized to unit max norm."""
-        m = max(abs(c) for c in self.terms)
-        if m == 0.0:
-            raise DegeneratePencilError("zero conic")
-        return Conic(*(c / m for c in self.terms))
+        return Conic(*_unit(self.terms))
+
+
+def _unit(t) -> tuple[float, ...]:
+    m = max(map(abs, t))
+    if m == 0.0:
+        raise DegeneratePencilError("zero conic")
+    return tuple([c / m for c in t])
 
 
 @dataclass(frozen=True)
@@ -99,19 +106,24 @@ def difference_conic(pair: ConicPair) -> Conic:
 def newton_polish(F1: Conic, F2: Conic, u: float, v: float,
                   tol: float = 1e-13):
     """Damped Newton on (F1, F2) = 0, 50 steps at most -> (u, v, residual)."""
-    u, v = float(u), float(v)
-    best_r = max(abs(F1(u, v)), abs(F2(u, v)))
+    return _polish(F1.terms, F2.terms, float(u), float(v), tol)
+
+
+def _polish(t1, t2, u: float, v: float, tol: float):
+    (p_vv, p_uv, p_uu, p_u, p_v, p_1), (q_vv, q_uv, q_uu, q_u, q_v, q_1) = t1, t2
+    f1 = p_vv * v * v + p_uv * u * v + p_uu * u * u + p_u * u + p_v * v + p_1
+    f2 = q_vv * v * v + q_uv * u * v + q_uu * u * u + q_u * u + q_v * v + q_1
+    best_r = max(abs(f1), abs(f2))
     for _ in range(50):
         if best_r < tol:
             break
-        f1, f2 = F1(u, v), F2(u, v)
         # Jacobian [[a, b], [c, d]] from the two gradients, solved by LU with
         # row pivoting; an exactly zero pivot (singular) falls back to lstsq
-        a = F1.c_uv * v + 2.0 * F1.c_uu * u + F1.c_u
-        b = 2.0 * F1.c_vv * v + F1.c_uv * u + F1.c_v
-        c = F2.c_uv * v + 2.0 * F2.c_uu * u + F2.c_u
-        d = 2.0 * F2.c_vv * v + F2.c_uv * u + F2.c_v
-        if abs(c) > abs(a):
+        a = p_uv * v + 2.0 * p_uu * u + p_u
+        b = 2.0 * p_vv * v + p_uv * u + p_v
+        c = q_uv * v + 2.0 * q_uu * u + q_u
+        d = 2.0 * q_vv * v + q_uv * u + q_v
+        if abs(c) > abs(a):  # a step resets f1, f2: swapping them is safe
             a, b, c, d, f1, f2 = c, d, a, b, f2, f1
         l = c / a if a else 0.0
         u22 = d - l * b
@@ -126,10 +138,12 @@ def newton_polish(F1: Conic, F2: Conic, u: float, v: float,
         # backtracking keeps the iteration from overshooting near tangency
         lam = 1.0
         for _ in range(8):
-            qu, qv = u + lam * du, v + lam * dv
-            r = max(abs(F1(qu, qv)), abs(F2(qu, qv)))
+            x, y = u + lam * du, v + lam * dv
+            g1 = p_vv * y * y + p_uv * x * y + p_uu * x * x + p_u * x + p_v * y + p_1
+            g2 = q_vv * y * y + q_uv * x * y + q_uu * x * x + q_u * x + q_v * y + q_1
+            r = max(abs(g1), abs(g2))
             if r < best_r:
-                u, v, best_r = qu, qv, r
+                u, v, best_r, f1, f2 = x, y, r, g1, g2
                 break
             lam *= 0.5
         else:
@@ -164,30 +178,38 @@ def resultant_in_u(F1: Conic, F2: Conic) -> np.ndarray:
 
 def companion_roots(r) -> list:
     """Complex roots of the polynomial with low-first coefficients r (nonzero
-    leading one): eigenvalues of the companion matrix numpy's polycompanion builds."""
+    leading one): np.linalg.eigvals of numpy's polycompanion, unwrapped."""
     n = len(r) - 1
     if n < 2:
         return [-r[0] / r[1]] if n == 1 else []
-    m = np.eye(n, k=-1)
-    m[:, -1] = [-c / r[n] for c in r[:n]]
-    return np.linalg.eigvals(m).tolist()
+    m = [[0.0] * (n - 1) + [-c / r[n]] for c in r[:n]]
+    if not all(math.isfinite(row[-1]) for row in m):
+        raise LinAlgError("Array must not contain infs or NaNs")
+    for i in range(1, n):
+        m[i][i - 1] = 1.0
+    def no_convergence(err, flag):
+        raise LinAlgError("Eigenvalues did not converge")
+    with np.errstate(call=no_convergence, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        z = _umath_linalg.eigvals(m, signature="d->D").tolist()
+    return [w.real for w in z] if all(w.imag == 0.0 for w in z) else z
 
 
-def _pencil_sigma2(F1: Conic, F2: Conic) -> float:
+def _pencil_sigma2(x, y) -> float:
     """Second singular value of the 2x6 matrix of unit coefficient rows x, y:
     sqrt(1 - |x.y|), as |x ^ y| / sqrt(1 + |x.y|) to stay accurate near 0."""
-    x, y = F1.terms, F2.terms
     norms = math.hypot(*x) * math.hypot(*y)
-    dot = sum(p * q for p, q in zip(x, y)) / norms
-    wedge = math.sqrt(sum((x[i] * y[j] - x[j] * y[i]) ** 2
-                          for i, j in combinations(range(6), 2))) / norms
-    return wedge / math.sqrt(1.0 + abs(dot))
+    dot = reduce(add, map(mul, x, y), 0.0) / norms
+    w = 0.0
+    for i, j in combinations(range(6), 2):
+        w += (x[i] * y[j] - x[j] * y[i]) ** 2
+    return math.sqrt(w) / norms / math.sqrt(1.0 + abs(dot))
 
 
-def _matrix(F: Conic):
-    """Rows of the symmetric M with F(u, v) = x^T M x for x = (u, v, 1)."""
-    h_uv, h_u, h_v = 0.5 * F.c_uv, 0.5 * F.c_u, 0.5 * F.c_v
-    return ((F.c_uu, h_uv, h_u), (h_uv, F.c_vv, h_v), (h_u, h_v, F.c_1))
+def _matrix(t):
+    """Symmetric M with F(u, v) = x^T M x for x = (u, v, 1), from F's terms t."""
+    h_uv, h_u, h_v = 0.5 * t[1], 0.5 * t[3], 0.5 * t[4]
+    return ((t[2], h_uv, h_u), (h_uv, t[0], h_v), (h_u, h_v, t[5]))
 
 
 def _dot(x, y) -> float:
@@ -201,7 +223,8 @@ def _adj(M):
 
 def _member(A, B, lam: float):
     """A + lam B."""
-    return [[a + lam * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [(ra[0] + lam * rb[0], ra[1] + lam * rb[1], ra[2] + lam * rb[2])
+            for ra, rb in zip(A, B)]
 
 
 def _split_lines(D):
@@ -264,18 +287,18 @@ def intersect_conics(pair: ConicPair, tol: float = INTERSECT_TOL,
     Raises DegeneratePencilError when the conics are proportional or share a
     component (every member of the pencil is degenerate).
     """
-    F1 = pair.C1.scaled()
-    F2 = pair.C2.scaled()
-    if _pencil_sigma2(F1, F2) < PENCIL_RANK_TOL:
+    t1, t2 = _unit(pair.C1.terms), _unit(pair.C2.terms)
+    if _pencil_sigma2(t1, t2) < PENCIL_RANK_TOL:
         raise DegeneratePencilError("proportional conic pair")
 
-    A, B = _matrix(F1), _matrix(F2)
+    A, B = _matrix(t1), _matrix(t2)
     adjA, adjB = _adj(A), _adj(B)
     detA, detB = _dot(A[0], adjA[0]), _dot(B[0], adjB[0])
     if abs(detB) < abs(detA):  # det B leads the cubic: finite roots
         A, B, adjA, adjB, detA, detB = B, A, adjB, adjA, detB, detA
-    cubic = [detA, sum(map(_dot, adjA, B)), sum(map(_dot, A, adjB)), detB]
-    if max(abs(c) for c in cubic) < 1e-14:
+    cubic = [detA, reduce(add, map(_dot, adjA, B), 0.0),
+             reduce(add, map(_dot, A, adjB), 0.0), detB]
+    if max(map(abs, cubic)) < 1e-14:
         raise DegeneratePencilError("conics share a component")
     r = cubic[:]  # both conics can be line pairs: det A = det B = 0
     while r[-1] == 0.0:
@@ -298,22 +321,22 @@ def intersect_conics(pair: ConicPair, tol: float = INTERSECT_TOL,
         if df:
             lam -= _dot(D[0], _cross(D[1], D[2])) / df
 
-    points: list[RatioPair] = []
+    points: list[list] = []  # [u, v, multiplicity]
     for line in _split_lines(_member(A, B, lam)):
         for u0, v0 in _line_seeds(B, line, tol):
-            u, v, res = newton_polish(F1, F2, u0, v0, tol=1e-15)
+            u, v, res = _polish(t1, t2, u0, v0, 1e-15)
             if not res <= tol * (1.0 + u * u + v * v):
                 continue
-            for i, q in enumerate(points):
-                if (abs(u - q.u) <= cluster_tol * (1.0 + abs(q.u))
-                        and abs(v - q.v) <= cluster_tol * (1.0 + abs(q.v))):
-                    points[i] = RatioPair(q.u, q.v, q.multiplicity + 1)
+            for q in points:
+                if (abs(u - q[0]) <= cluster_tol * (1.0 + abs(q[0]))
+                        and abs(v - q[1]) <= cluster_tol * (1.0 + abs(q[1]))):
+                    q[2] += 1
                     break
             else:
-                points.append(RatioPair(u, v, 1))
-    points.sort(key=lambda p: (p.u, p.v))
-    return IntersectionSet(points=tuple(points),
-                           all_real=sum(p.multiplicity for p in points))
+                points.append([u, v, 1])
+    points.sort(key=lambda q: (q[0], q[1]))
+    return IntersectionSet(points=tuple([RatioPair(*q) for q in points]),
+                           all_real=sum(q[2] for q in points))
 
 
 def quadrant_one_filter(inter: IntersectionSet) -> list[RatioPair]:

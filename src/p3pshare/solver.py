@@ -50,17 +50,18 @@ def constraint_residuals(t: SolutionTriplet, sides, angles: ViewAngles):
 def triplet_from_ratio(rp: RatioPair, sides, angles: ViewAngles,
                        tol: float = 1e-9) -> SolutionTriplet:
     """Recover (s1, s2, s3) from a quadrant-I ratio point."""
-    a, _, _ = sides
-    ca = angles.cos_alpha
-    u, v = rp.u, rp.v
+    return _triplet(rp.u, rp.v, sides, angles, tol)
+
+
+def _triplet(u: float, v: float, sides, angles: ViewAngles, tol: float):
     if not (u > 0.0 and v > 0.0):
         raise InfeasibleRatioError("ratio point outside quadrant I")
-    rad = u * u + v * v - 2.0 * ca * u * v
+    rad = u * u + v * v - 2.0 * angles.cos_alpha * u * v
     if rad <= 0.0:
         raise InfeasibleRatioError("non-positive base-distance radicand")
-    s1 = a / math.sqrt(rad)
+    s1 = sides[0] / math.sqrt(rad)
     t = SolutionTriplet(s1=s1, s2=u * s1, s3=v * s1)
-    if max(abs(r) for r in constraint_residuals(t, sides, angles)) > tol:
+    if max(map(abs, constraint_residuals(t, sides, angles))) > tol:
         raise InconsistentInputError("ratio point violates the basic constraints")
     return t
 
@@ -77,7 +78,7 @@ def solve(tri: ControlTriangle, angles: ViewAngles,
     sols = []
     for rp in conics.quadrant_one_filter(inter):
         try:
-            t = triplet_from_ratio(rp, tri.sides, angles, tol=max(tol, 1e-9))
+            t = _triplet(rp.u, rp.v, tri.sides, angles, max(tol, 1e-9))
         except InfeasibleRatioError:
             continue
         sols.append(Solution(triplet=t, ratio=rp,

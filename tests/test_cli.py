@@ -12,7 +12,8 @@ import pytest
 
 from p3pshare import scenes, solver
 from p3pshare.cli import (EXIT_CAMPAIGN_FAIL, EXIT_DEGENERATE,
-                          EXIT_INCONSISTENT, EXIT_IO, EXIT_OK, EXIT_PARSE, main)
+                          EXIT_INCONSISTENT, EXIT_IO, EXIT_OK, EXIT_PARSE,
+                          EXIT_PIPE, main)
 from p3pshare.errors import DegeneratePencilError, InconsistentInputError
 from p3pshare.sceneio import read_obj, serialize_scene
 
@@ -31,7 +32,8 @@ def eq1_scene_path(tmp_path, eq1_triangle, eq1_center):
 
 @pytest.fixture
 def cocyclic_scene_path(tmp_path, eq1_triangle):
-    # viewpoint on the circumcircle in the base plane: degenerate pencil
+    # viewpoint on the circumcircle in the base plane: ViewAngles rejects it
+    # (DegenerateAngleError, spherical triangle inequality) before any pencil
     path = tmp_path / "bad.json"
     doc = {"controlPoints": [[float(x) for x in p]
                              for p in eq1_triangle.points],
@@ -240,14 +242,43 @@ class TestExportSkewMesh:
         assert not (tmp_path / "x.obj").exists()
 
 
+VERIFY_3 = [sys.executable, "-m", "p3pshare", "verify", "construct_side",
+            "--trials", "3"]
+
+
+def source_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 class TestModuleEntry:
     def test_python_m_runs_a_command(self):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-m", "p3pshare", "verify", "construct_side",
-             "--trials", "3"], env=env, capture_output=True, text=True,
-            timeout=120)
+        done = subprocess.run(VERIFY_3, env=source_env(), capture_output=True,
+                              text=True, timeout=120)
         assert done.returncode == EXIT_OK, done.stderr
         assert "theorem construct_side: trials=3" in done.stdout
         assert "pass rate:" in done.stdout
+
+
+class TestBrokenPipe:
+    """A reader that leaves early, as `p3pshare verify ... | head -1` does,
+    ends the command with EXIT_PIPE and nothing on stderr."""
+
+    # unbuffered, the first print fails inside the command; block-buffered,
+    # the flush after it does
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_exits_quietly(self, unbuffered):
+        env = source_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first write
+        try:
+            done = subprocess.run(VERIFY_3, env=env, stdout=write,
+                                  stderr=subprocess.PIPE, text=True,
+                                  timeout=120)
+        finally:
+            os.close(write)
+        assert done.returncode == EXIT_PIPE
+        assert done.stderr == ""

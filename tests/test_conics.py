@@ -143,6 +143,47 @@ class TestCompanionRoots:
         assert companion_roots([3.0]) == []
         assert companion_roots([3.0, -2.0]) == [1.5]
 
+    @pytest.mark.parametrize("coef", [
+        [3.0, -2.0],
+        [2.0, -3.0, 1.0],                     # (x - 1)(x - 2)
+        [1.0, 0.0, 1.0],                      # x^2 + 1
+        [-6.0, 11.0, -6.0, 1.0],              # (x - 1)(x - 2)(x - 3)
+        [-1.0, 0.0, 0.0, 1.0],                # x^3 - 1: one real root
+        [24.0, -50.0, 35.0, -10.0, 1.0],      # roots 1, 2, 3, 4
+        [-1.0, 0.0, 0.0, 0.0, 1.0],           # x^4 - 1
+        [5.0, 0.0, 6.0, 0.0, 1.0],            # (x^2 + 1)(x^2 + 5)
+    ])
+    def test_bitwise_equals_numpy_eigvals(self, coef):
+        """The unwrapped LAPACK gufunc gives np.linalg.eigvals' bits and
+        Python types: floats when every root is real, else complex."""
+        def bits(roots):
+            return [(type(z), z.real.hex(), z.imag.hex()) for z in roots]
+
+        def reference(r):
+            n = len(r) - 1
+            m = np.eye(n, k=-1)
+            m[:, -1] = [-c / r[n] for c in r[:n]]
+            return np.linalg.eigvals(m).tolist()
+
+        assert bits(companion_roots(coef)) == bits(reference(coef))
+        rng = np.random.default_rng(len(coef))
+        kinds = set()
+        for _ in range(500):
+            r = rng.standard_normal(len(coef)).tolist()
+            got = companion_roots(r)
+            assert bits(got) == bits(reference(r))
+            kinds.add(type(got[0]))
+        assert kinds == ({float} if len(coef) == 2 else {float, complex})
+
+    @pytest.mark.parametrize("coef", [
+        [math.inf, 1.0, 1.0], [math.nan, 0.0, 1.0], [1.0, -math.inf, 0.0, 2.0],
+        # the companion entry 1e300 / 1e-300 overflows to inf
+        [1e300, 0.0, 1e-300],
+    ])
+    def test_non_finite_companion_raises(self, coef):
+        with pytest.raises(np.linalg.LinAlgError):
+            companion_roots(coef)
+
 
 class TestPencilSigma2:
     """The closed-form second singular value against numpy's SVD.
@@ -158,7 +199,7 @@ class TestPencilSigma2:
         pair = scene_pair(seed)
         F1, F2 = pair.C1.scaled(), pair.C2.scaled()
         ref = svd_sigma2(F1, F2)
-        assert abs(_pencil_sigma2(F1, F2) - ref) <= 1e-12 * ref
+        assert abs(_pencil_sigma2(F1.terms, F2.terms) - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("eps", [1e-9, 3e-10, 1e-10, 3e-11, 1e-11])
     def test_near_proportional_pairs(self, eps):
@@ -170,7 +211,7 @@ class TestPencilSigma2:
             scale = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
             F2 = Conic(*(scale * F1.coeffs + eps * d / np.linalg.norm(d)))
             F1, F2 = F1.scaled(), F2.scaled()
-            got, ref = _pencil_sigma2(F1, F2), svd_sigma2(F1, F2)
+            got, ref = _pencil_sigma2(F1.terms, F2.terms), svd_sigma2(F1, F2)
             assert abs(got - ref) <= 1e-12 * ref + 4 * np.finfo(float).eps
             assert (got < PENCIL_RANK_TOL) == (ref < PENCIL_RANK_TOL)
             below += got < PENCIL_RANK_TOL
@@ -224,6 +265,16 @@ class TestIntersectConics:
         bad = type(pair)(C1=c, C2=Conic(*(2.0 * c.coeffs)),
                          sides=pair.sides, angles=pair.angles)
         with pytest.raises(DegeneratePencilError):
+            intersect_conics(bad)
+
+    def test_shared_component_rejected(self):
+        # u v - u = u (v - 1) and u v + u = u (v + 1) share the line u = 0
+        pair = eq1_pair()
+        bad = type(pair)(C1=Conic(0.0, 1.0, 0.0, -1.0, 0.0, 0.0),
+                         C2=Conic(0.0, 1.0, 0.0, 1.0, 0.0, 0.0),
+                         sides=pair.sides, angles=pair.angles)
+        with pytest.raises(DegeneratePencilError,
+                           match="^conics share a component$"):
             intersect_conics(bad)
 
     @pytest.mark.parametrize("C2, want", [

@@ -7,14 +7,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from itertools import combinations
+
+from p3pshare import conics
+from p3pshare.conics import (Conic, ConicPair, IntersectionSet, build_conics,
+                             intersect_conics)
 from p3pshare.errors import (DegenerateAngleError, DegenerateInputError,
                              DegeneratePencilError, InconsistentInputError,
                              InfeasibleRatioError, InfeasibleTripletError)
 from p3pshare.geometry import (ControlTriangle, RatioPair, SolutionTriplet,
-                               ViewAngles, view_angles_from_center)
-from p3pshare.scenes import random_scene
-from p3pshare.solver import (constraint_residuals, recover_centers, solve,
-                             triplet_from_ratio)
+                               ViewAngles, _cross, view_angles_from_center)
+from p3pshare.scenes import _locus_scene, _trial_rngs, random_scene
+from p3pshare.sharing import POINT_LABELS, SIDE_LABELS
+from p3pshare.solver import (Solution, constraint_residuals, recover_centers,
+                             solve, triplet_from_ratio)
 
 from conftest import EQ1_RATIOS, EQ1_S_LONG, EQ1_S_SHORT, triplet_of
 
@@ -176,3 +182,268 @@ class TestRecoverCenters:
     def test_infeasible_triplet_rejected(self, eq1_triangle):
         with pytest.raises(InfeasibleTripletError):
             recover_centers(SolutionTriplet(10.0, 0.6, 0.6), eq1_triangle)
+
+
+# ---------------------------------------------------------------------------
+# The solve path as it stood on Conic objects and numpy's eigvals wrapper,
+# kept as the reference for the float-tuple kernel. The helpers that kernel
+# did not change (_adj, _dot, _member, _split_lines, _line_seeds) are shared.
+
+def ref_scaled(F: Conic) -> Conic:
+    m = max(abs(c) for c in F.terms)
+    if m == 0.0:
+        raise DegeneratePencilError("zero conic")
+    return Conic(*(c / m for c in F.terms))
+
+
+def ref_newton_polish(F1, F2, u, v, tol=1e-13):
+    u, v = float(u), float(v)
+    best_r = max(abs(F1(u, v)), abs(F2(u, v)))
+    for _ in range(50):
+        if best_r < tol:
+            break
+        f1, f2 = F1(u, v), F2(u, v)
+        a = F1.c_uv * v + 2.0 * F1.c_uu * u + F1.c_u
+        b = 2.0 * F1.c_vv * v + F1.c_uv * u + F1.c_v
+        c = F2.c_uv * v + 2.0 * F2.c_uu * u + F2.c_u
+        d = 2.0 * F2.c_vv * v + F2.c_uv * u + F2.c_v
+        if abs(c) > abs(a):
+            a, b, c, d, f1, f2 = c, d, a, b, f2, f1
+        l = c / a if a else 0.0
+        u22 = d - l * b
+        if a and u22:
+            dv = (l * f1 - f2) / u22
+            du = (-f1 - b * dv) / a
+        else:
+            du, dv = np.linalg.lstsq(np.array([[a, b], [c, d]]),
+                                     np.array([-f1, -f2]), rcond=None)[0].tolist()
+        if not (math.isfinite(du) and math.isfinite(dv)):
+            break
+        lam = 1.0
+        for _ in range(8):
+            qu, qv = u + lam * du, v + lam * dv
+            r = max(abs(F1(qu, qv)), abs(F2(qu, qv)))
+            if r < best_r:
+                u, v, best_r = qu, qv, r
+                break
+            lam *= 0.5
+        else:
+            break
+    return u, v, best_r
+
+
+def ref_companion_roots(r) -> list:
+    n = len(r) - 1
+    if n < 2:
+        return [-r[0] / r[1]] if n == 1 else []
+    m = np.eye(n, k=-1)
+    m[:, -1] = [-c / r[n] for c in r[:n]]
+    return np.linalg.eigvals(m).tolist()
+
+
+def ref_pencil_sigma2(F1: Conic, F2: Conic) -> float:
+    x, y = F1.terms, F2.terms
+    norms = math.hypot(*x) * math.hypot(*y)
+    dot = sum(p * q for p, q in zip(x, y)) / norms
+    wedge = math.sqrt(sum((x[i] * y[j] - x[j] * y[i]) ** 2
+                          for i, j in combinations(range(6), 2))) / norms
+    return wedge / math.sqrt(1.0 + abs(dot))
+
+
+def ref_matrix(F: Conic):
+    h_uv, h_u, h_v = 0.5 * F.c_uv, 0.5 * F.c_u, 0.5 * F.c_v
+    return ((F.c_uu, h_uv, h_u), (h_uv, F.c_vv, h_v), (h_u, h_v, F.c_1))
+
+
+def ref_intersect_conics(pair, tol=conics.INTERSECT_TOL,
+                         cluster_tol=conics.CLUSTER_TOL):
+    _adj, _dot, _member = conics._adj, conics._dot, conics._member
+    F1 = ref_scaled(pair.C1)
+    F2 = ref_scaled(pair.C2)
+    if ref_pencil_sigma2(F1, F2) < conics.PENCIL_RANK_TOL:
+        raise DegeneratePencilError("proportional conic pair")
+    A, B = ref_matrix(F1), ref_matrix(F2)
+    adjA, adjB = _adj(A), _adj(B)
+    detA, detB = _dot(A[0], adjA[0]), _dot(B[0], adjB[0])
+    if abs(detB) < abs(detA):
+        A, B, adjA, adjB, detA, detB = B, A, adjB, adjA, detB, detA
+    cubic = [detA, sum(map(_dot, adjA, B)), sum(map(_dot, A, adjB)), detB]
+    if max(abs(c) for c in cubic) < 1e-14:
+        raise DegeneratePencilError("conics share a component")
+    r = cubic[:]
+    while r[-1] == 0.0:
+        r.pop()
+    roots = ref_companion_roots(r)
+
+    def isolation(k):
+        return min(abs(roots[k] - z) for j, z in enumerate(roots) if j != k)
+    real = [k for k, z in enumerate(roots) if z.imag == 0.0]
+    lam = roots[max(real, key=isolation) if len(real) > 1 else real[0]].real
+    if abs(lam) > 1.0:
+        A, B, lam = B, A, 1.0 / lam
+        cubic.reverse()
+    for _ in range(2):
+        D = _member(A, B, lam)
+        df = cubic[1] + (2.0 * cubic[2] + 3.0 * cubic[3] * lam) * lam
+        if df:
+            lam -= _dot(D[0], _cross(D[1], D[2])) / df
+    points = []
+    for line in conics._split_lines(_member(A, B, lam)):
+        for u0, v0 in conics._line_seeds(B, line, tol):
+            u, v, res = ref_newton_polish(F1, F2, u0, v0, tol=1e-15)
+            if not res <= tol * (1.0 + u * u + v * v):
+                continue
+            for i, q in enumerate(points):
+                if (abs(u - q.u) <= cluster_tol * (1.0 + abs(q.u))
+                        and abs(v - q.v) <= cluster_tol * (1.0 + abs(q.v))):
+                    points[i] = RatioPair(q.u, q.v, q.multiplicity + 1)
+                    break
+            else:
+                points.append(RatioPair(u, v, 1))
+    points.sort(key=lambda p: (p.u, p.v))
+    return IntersectionSet(points=tuple(points),
+                           all_real=sum(p.multiplicity for p in points))
+
+
+def ref_triplet_from_ratio(rp, sides, angles, tol=1e-9):
+    a, _, _ = sides
+    ca = angles.cos_alpha
+    u, v = rp.u, rp.v
+    if not (u > 0.0 and v > 0.0):
+        raise InfeasibleRatioError("ratio point outside quadrant I")
+    rad = u * u + v * v - 2.0 * ca * u * v
+    if rad <= 0.0:
+        raise InfeasibleRatioError("non-positive base-distance radicand")
+    s1 = a / math.sqrt(rad)
+    t = SolutionTriplet(s1=s1, s2=u * s1, s3=v * s1)
+    if max(abs(r) for r in constraint_residuals(t, sides, angles)) > tol:
+        raise InconsistentInputError("ratio point violates the basic constraints")
+    return t
+
+
+def ref_solve(tri, angles, tol=conics.INTERSECT_TOL,
+              cluster_tol=conics.CLUSTER_TOL):
+    pair = build_conics(tri.sides, angles)
+    inter = ref_intersect_conics(pair, tol=tol, cluster_tol=cluster_tol)
+    sols = []
+    for rp in conics.quadrant_one_filter(inter):
+        try:
+            t = ref_triplet_from_ratio(rp, tri.sides, angles,
+                                       tol=max(tol, 1e-9))
+        except InfeasibleRatioError:
+            continue
+        sols.append(Solution(triplet=t, ratio=rp,
+                             repeated=rp.multiplicity >= 2))
+    sols.sort(key=lambda s: (s.triplet.s1, s.triplet.s2))
+    return tuple(sols)
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result as float.hex strings, or the type of what it raised."""
+    try:
+        out = fn(*args, **kwargs)
+    except Exception as exc:  # the reference raises the same types
+        return type(exc)
+    if isinstance(out, SolutionTriplet):
+        return [x.hex() for x in out.values]
+    if isinstance(out, IntersectionSet):
+        return out.all_real, [(p.u.hex(), p.v.hex(), p.multiplicity)
+                              for p in out.points]
+    sols = out if isinstance(out, tuple) else out.solutions
+    return [(*(x.hex() for x in s.triplet.values), s.ratio.u.hex(),
+             s.ratio.v.hex(), s.ratio.multiplicity, s.repeated) for s in sols]
+
+
+def unfiltered(seed: int, scale: float):
+    """TestSolveUnfiltered's draw, or None when it is degenerate."""
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(-1.0, 1.0, (3, 2))
+    points = [np.array([x, y, 0.0]) * scale for x, y in xy]
+    O = rng.uniform(-2.0, 2.0, 3) * scale
+    try:
+        tri = ControlTriangle.from_points(*points)
+        return tri, view_angles_from_center(tri, O)
+    except (DegenerateInputError, DegenerateAngleError):
+        return None
+
+
+class TestSolveReference:
+    """solve, intersect_conics and triplet_from_ratio bit for bit against
+    the reference path: float.hex of every output, and the type of every
+    exception."""
+
+    def assert_same(self, tri, angles):
+        for cluster_tol in (conics.CLUSTER_TOL, 1e-4):
+            assert outcome(solve, tri, angles, cluster_tol=cluster_tol) \
+                == outcome(ref_solve, tri, angles, cluster_tol=cluster_tol)
+        pair = build_conics(tri.sides, angles)
+        assert outcome(intersect_conics, pair) \
+            == outcome(ref_intersect_conics, pair)
+
+    def test_random_scenes(self):
+        for rng in _trial_rngs(211, 300):
+            sc = random_scene(rng)
+            self.assert_same(sc.triangle, sc.angles)
+            for rp in intersect_conics(build_conics(sc.triangle.sides,
+                                                    sc.angles)).points:
+                assert outcome(triplet_from_ratio, rp, sc.triangle.sides,
+                               sc.angles) \
+                    == outcome(ref_triplet_from_ratio, rp, sc.triangle.sides,
+                               sc.angles)
+
+    def test_locus_scenes(self):
+        labels = (*SIDE_LABELS, *POINT_LABELS, None)
+        checked = repeated = 0
+        for t, rng in enumerate(_trial_rngs(223, 140)):
+            scene = _locus_scene(rng, labels[t % len(labels)])
+            if scene is None:
+                continue
+            self.assert_same(scene.triangle, scene.angles)
+            checked += 1
+            repeated += any(s.repeated for s in solve(
+                scene.triangle, scene.angles, cluster_tol=1e-4).solutions)
+        assert checked >= 130 and repeated >= 5
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_unfiltered_draws(self, scale):
+        # seed 20531 is the sliver triangle of the xfail above
+        checked = 0
+        for seed in [20531, *range(400)]:
+            drawn = unfiltered(seed, scale)
+            if drawn is not None:
+                self.assert_same(*drawn)
+                checked += 1
+        assert checked >= 390
+
+    def test_sliver_triangles(self):
+        # side a of 1e-5 to 1e-3: the basic-constraint gate rejects ratio
+        # points here, so both paths must raise InconsistentInputError alike
+        rng = np.random.default_rng(227)
+        inconsistent = 0
+        for _ in range(200):
+            a = 10.0 ** rng.uniform(-5.0, -3.0)
+            A = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.3, 1.0), 0.0])
+            O = rng.uniform(-2.0, 2.0, 3)
+            try:
+                tri = ControlTriangle.from_points(A, np.zeros(3),
+                                                  np.array([a, 0.0, 0.0]))
+                angles = view_angles_from_center(tri, O)
+            except (DegenerateInputError, DegenerateAngleError):
+                continue
+            self.assert_same(tri, angles)
+            inconsistent += outcome(solve, tri, angles) is InconsistentInputError
+        assert inconsistent >= 5
+
+    def test_hand_made_pairs(self):
+        pair = build_conics((1.0, 1.0, 1.0), ViewAngles(0.625, 0.625, 0.625))
+        circle = Conic(1.0, 0.0, 1.0, 0.0, 0.0, -1.0)
+        for C1, C2 in [
+                (circle, Conic(1.0, 0.0, 1.0, -4.0, 0.0, 3.0)),
+                (circle, Conic(1.0, 0.0, 0.25, 0.0, 0.0, -1.0)),
+                (circle, Conic(2.0, 1.0, 1.0, -1.0, 0.0, -1.0)),
+                (Conic(0.0, 1.0, 0.0, -1.0, 0.0, 0.0),
+                 Conic(0.0, 1.0, 0.0, 1.0, 0.0, 0.0)),
+                (circle, Conic(2.0, 0.0, 2.0, 0.0, 0.0, -2.0))]:
+            bad = ConicPair(C1, C2, pair.sides, pair.angles)
+            assert outcome(intersect_conics, bad) \
+                == outcome(ref_intersect_conics, bad)
