@@ -150,10 +150,9 @@ def cmd_export_skew_mesh(args) -> int:
                 for label in sharing.POINT_LABELS]
     else:
         jobs = [(sharing.SharingLabel[args.label], args.out)]
-    bounds = tuple(args.bounds) if args.bounds else None
     for label, path in jobs:
         surf = loci.skewed_danger_cylinder(tri, label)
-        verts, faces = loci.skew_mesh(surf, bounds=bounds, n=args.grid)
+        verts, faces = loci.skew_mesh(surf, bounds=args.bounds, n=args.grid)
         if len(verts) == 0:
             print(f"empty admissible region of {label.name} in bounds",
                   file=sys.stderr)
@@ -172,6 +171,16 @@ def _at_least(minimum: int):
         return int(text)
     parse.__name__ = "int"  # argparse: "invalid int value" for non-integers
     return parse
+
+
+class _Bounds(argparse.Action):
+    """--bounds as a tuple: finite, X0 < X1 and Y0 < Y1 (a reversed range
+    would flip the faces' winding)."""
+
+    def __call__(self, parser, namespace, b, option_string=None):
+        if not (np.isfinite(b).all() and b[0] < b[1] and b[2] < b[3]):
+            parser.error(f"{option_string}: need finite X0 < X1 and Y0 < Y1")
+        setattr(namespace, self.dest, tuple(b))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--label", default="POINT_A",
                     choices=[*(l.name for l in sharing.POINT_LABELS), "all"])
     mp.add_argument("--grid", type=_at_least(2), default=96)
-    mp.add_argument("--bounds", type=float, nargs=4, default=None,
+    mp.add_argument("--bounds", type=float, nargs=4, action=_Bounds,
                     metavar=("X0", "X1", "Y0", "Y1"))
     mp.add_argument("--out", required=True)
     mp.set_defaults(func=cmd_export_skew_mesh)

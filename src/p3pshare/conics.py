@@ -176,6 +176,15 @@ def resultant_in_u(F1: Conic, F2: Conic) -> np.ndarray:
                      p2 * p2 - q1 * r3])
 
 
+def _no_convergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+#: np.linalg.eigvals' LAPACK gufunc under its errstate, built once
+_eigvals = np.errstate(call=_no_convergence, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")(_umath_linalg.eigvals)
+
+
 def companion_roots(r) -> list:
     """Complex roots of the polynomial with low-first coefficients r (nonzero
     leading one): np.linalg.eigvals of numpy's polycompanion, unwrapped."""
@@ -187,11 +196,7 @@ def companion_roots(r) -> list:
         raise LinAlgError("Array must not contain infs or NaNs")
     for i in range(1, n):
         m[i][i - 1] = 1.0
-    def no_convergence(err, flag):
-        raise LinAlgError("Eigenvalues did not converge")
-    with np.errstate(call=no_convergence, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        z = _umath_linalg.eigvals(m, signature="d->D").tolist()
+    z = _eigvals(m, signature="d->D").tolist()
     return [w.real for w in z] if all(w.imag == 0.0 for w in z) else z
 
 

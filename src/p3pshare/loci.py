@@ -219,107 +219,99 @@ def _sample_skew(surf: SkewedDangerCylinder, rng, region) -> np.ndarray:
 def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96):
     """Triangulated mesh of the skew surface over an (x, y) grid.
 
-    Returns (vertices, faces) in canonical coordinates; faces are 1-based
-    index triples. The two sheets z = +/- sqrt(RHS) are stitched along
-    boundary vertices located by bisection on y*Q (where z = 0).
+    Returns (vertices, faces) in canonical coordinates: a float (V, 3) array
+    (np.array([]) when empty) and 1-based index triples. The two sheets
+    z = +/- sqrt(RHS) meet at z = 0 vertices found by bisection on y*Q.
+    Raises OverflowError where a grid coordinate's square overflows.
     """
     a, e, f = surf.frame.a, surf.frame.e, surf.frame.f
     cyl = surf.cylinder
     cx, cy = cyl.center
-    r = cyl.radius
     if bounds is None:
-        pad = 1.6 * r
+        pad = 1.6 * cyl.radius
         bounds = (cx - pad, cx + pad, cy - pad, cy + pad)
     x0, x1, y0, y1 = bounds
-    xs = np.linspace(x0, x1, n).tolist()
-    ys = np.linspace(y0, y1, n).tolist()
+    xs, ys = np.linspace(x0, x1, n), np.linspace(y0, y1, n)
     den_min = _DEN_TOL * max(1.0, a * a)
 
-    def rhs_parts(x, y):
-        Q = (x - cx) ** 2 + (y - cy) ** 2 - cyl.radius_squared
-        den = e * e - f * y - a * e
-        return f * y * Q, den
+    # squares by libm pow, as Python's x ** 2 in _skew_terms takes them;
+    # np.square (x * x) differs from it in the last bit now and then
+    def fyq(x, y):  # f*y*Q, the numerator of z^2
+        return f * y * (np.float_power(x - cx, 2.0)
+                        + np.float_power(y - cy, 2.0) - cyl.radius_squared)
 
-    # rhs_parts at every node at once; the squares are taken one coordinate
-    # at a time with the scalar power of rhs_parts, whose last bit can
-    # differ from numpy's array square
-    y = np.array(ys)
-    Q = np.array([(x - cx) ** 2 for x in xs])[:, None] \
-        + np.array([(yj - cy) ** 2 for yj in ys]) - cyl.radius_squared
-    den = e * e - f * y - a * e
+    d = abs(np.concatenate((xs - cx, ys - cy)))
+    float(d[d < np.inf].max(initial=0.0)) ** 2  # OverflowError, as x ** 2
+    g = fyq(xs[:, None], ys)
+    den = e * e - f * ys - a * e
     with np.errstate(divide="ignore", invalid="ignore"):
-        z2 = f * y * Q / den
-    adm_grid = (abs(den) >= den_min) & (z2 > 0.0)
-    adm = adm_grid.tolist()
-    zs = np.sqrt(np.where(adm_grid, z2, 0.0)).tolist()
+        z2 = g / den
+    adm = (abs(den) >= den_min) & (z2 > 0.0)
+    touched = adm[:-1, :-1] | adm[1:, :-1] | adm[:-1, 1:] | adm[1:, 1:]
+    if not touched.any():
+        return np.array([]), []
 
-    vertices: list[tuple[float, float, float]] = []
-    top = {}
-    bot = {}
+    # edges from an admissible to an inadmissible node, by flat node index:
+    # ei go (i, j)-(i+1, j) and ej (i, j)-(i, j+1); ni of those kept are ei
+    ei = np.flatnonzero(adm[:-1] != adm[1:])
+    ej = np.flatnonzero(adm[:, :-1] != adm[:, 1:])
+    ej += ej // (n - 1)
+    p0, p1 = np.concatenate((ei, ej)), np.concatenate((ei + n, ej + 1))
+    d0, d1 = den[p0 % n], den[p1 % n]
+    ok = (d0 * d1 > 0.0) & (np.minimum(abs(d0), abs(d1)) > den_min) \
+        & (g.take(p0) * g.take(p1) < 0.0)
+    ni = np.count_nonzero(ok[:len(ei)])
+    p0, p1 = p0[ok], p1[ok]
+    # bisect them all at once; as the midpoint is symmetric and the end
+    # whose sign gm has moves, either end may be lo (and lo keeps its sign)
+    lx, ly, hx, hy = xs[p0 // n], ys[p0 % n], xs[p1 // n], ys[p1 % n]
+    pos = g.take(p0) > 0.0
+    live = np.arange(len(p0))
+    for _ in range(80):
+        if not live.size:
+            break
+        ax, ay, bx, by = lx[live], ly[live], hx[live], hy[live]
+        mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
+        gm = fyq(mx, my)
+        move = ~((mx == ax) & (my == ay) | (mx == bx) & (my == by))
+        zero = gm == 0.0
+        lo = (gm > 0.0) == pos[live]
+        for s, px, py in ((move & (lo | zero), lx, ly),
+                          (move & (zero | ~lo), hx, hy)):
+            px[live[s]], py[live[s]] = mx[s], my[s]
+        live = live[move & ~zero]
 
-    def node_vertex(i, j, sheet):
-        key = (i, j)
-        table = top if sheet > 0 else bot
-        if key not in table:
-            vertices.append((xs[i], ys[j], sheet * zs[i][j]))
-            table[key] = len(vertices)
-        return table[key]
-
-    cross_cache = {}
-
-    def edge_crossing(n0, n1):
-        """z=0 vertex on the edge between an admissible and inadmissible node."""
-        key = (min(n0, n1), max(n0, n1))
-        if key in cross_cache:
-            return cross_cache[key]
-        lx, ly = xs[n0[0]], ys[n0[1]]
-        hx, hy = xs[n1[0]], ys[n1[1]]
-        g0, d0 = rhs_parts(lx, ly)
-        g1, d1 = rhs_parts(hx, hy)
-        idx = None
-        if d0 * d1 > 0.0 and min(abs(d0), abs(d1)) > den_min \
-                and g0 * g1 < 0.0:
-            glo = g0
-            for _ in range(80):
-                mx, my = 0.5 * (lx + hx), 0.5 * (ly + hy)
-                if (mx, my) == (lx, ly) or (mx, my) == (hx, hy):
-                    break  # a fixed point: no further step moves lo or hi
-                gm, _ = rhs_parts(mx, my)
-                if gm == 0.0:
-                    lx, ly = hx, hy = mx, my
-                    break
-                if (gm > 0.0) == (glo > 0.0):
-                    lx, ly = mx, my
-                    glo = gm
-                else:
-                    hx, hy = mx, my
-            vertices.append((0.5 * (lx + hx), 0.5 * (ly + hy), 0.0))
-            idx = len(vertices)
-        cross_cache[key] = idx
-        return idx
-
-    faces: list[tuple[int, int, int]] = []
-
-    def fan(poly):
-        for t in range(1, len(poly) - 1):
-            faces.append((poly[0], poly[t], poly[t + 1]))
-
-    touched = adm_grid[:-1, :-1] | adm_grid[1:, :-1] | adm_grid[:-1, 1:] \
-        | adm_grid[1:, 1:]
-    for i, j in np.argwhere(touched).tolist():
-        cyc = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-        flags = [adm[p][q] for p, q in cyc]
-        for sheet in (1, -1):
-            poly = []
-            for t in range(4):
-                p, q = cyc[t], cyc[(t + 1) % 4]
-                if flags[t]:
-                    poly.append(node_vertex(*p, sheet))
-                if flags[t] != flags[(t + 1) % 4]:
-                    idx = edge_crossing(p, q)
-                    if idx is not None:
-                        poly.append(idx)
-            if len(poly) >= 3:
-                fan(poly)
-
-    return np.array(vertices), faces
+    # a walk of the cells, row-major, meets per cell a polygon on the top
+    # sheet, then one on the bottom, each in 8 slots counterclockwise from
+    # (i, j): corner t, then the edge from corner t to t + 1; the slots hold
+    # vertex ids (0 for none) from tables of top nodes, bottom nodes, edges
+    # to i + 1 and edges to j + 1
+    node = np.flatnonzero(adm)
+    xv, yv, z = xs[node // n], ys[node % n], np.sqrt(z2.take(node))
+    vertices = np.stack((np.concatenate((xv, xv, 0.5 * (lx + hx))),
+                         np.concatenate((yv, yv, 0.5 * (ly + hy))),
+                         np.concatenate((z, -z, np.zeros_like(lx)))), axis=1)
+    at = np.concatenate((node, node + n * n, p0 + 2 * n * n))
+    at[2 * len(node) + ni:] += n * n
+    tab = np.zeros(4 * n * n, np.int32)
+    tab[at] = np.arange(1, len(at) + 1)
+    cell = np.flatnonzero(touched).astype(np.int32)
+    cell += cell // (n - 1)  # now the flat index of the cell's node (i, j)
+    slots = np.array([0, 2, 0, 3, 0, 2, 0, 3, 1, 2, 1, 3, 1, 2, 1, 3]) * n * n \
+        + [0, 0, n, n, n + 1, 1, 1, 0] * 2
+    refs = tab[cell[:, None] + slots.astype(np.int32)]
+    nz = refs != 0
+    flat = refs[nz]
+    # vertices are numbered in the order the walk first meets them
+    seen = np.full(len(at) + 1, len(flat))
+    np.minimum.at(seen, flat, np.arange(len(flat)))
+    order = np.argsort(seen[1:])
+    ids = np.empty(len(at) + 1, object)  # the faces share one int a vertex
+    ids[1 + order] = np.arange(1, len(at) + 1)
+    # each polygon is fanned as (p0, pt, pt+1) over its nonzero slots
+    k = np.count_nonzero(nz.reshape(-1, 8), axis=1)
+    first = np.repeat(np.cumsum(k) - k, k)
+    q = np.flatnonzero((first[:-1] == first[1:])
+                       & (first[:-1] < np.arange(len(flat) - 1)))
+    tri = np.stack((flat[first[q]], flat[q], flat[q + 1]))
+    return vertices[order], list(zip(*ids[tri].tolist()))

@@ -97,10 +97,10 @@ def format_csv(header: list[str], rows) -> str:
 def write_obj(path: str, vertices: np.ndarray, faces) -> None:
     """Text mesh: 'v x y z' lines plus 1-based triangular 'f i j k' lines."""
     with open(path, "w") as fh:
-        for v in vertices:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in faces:
-            fh.write(f"f {f[0]} {f[1]} {f[2]}\n")
+        for x, y, z in vertices.tolist():
+            fh.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
+        for i, j, k in faces:
+            fh.write(f"f {i} {j} {k}\n")
 
 
 def read_obj(path: str):

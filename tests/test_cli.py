@@ -15,7 +15,8 @@ from p3pshare.cli import (EXIT_CAMPAIGN_FAIL, EXIT_DEGENERATE,
                           EXIT_INCONSISTENT, EXIT_IO, EXIT_OK, EXIT_PARSE,
                           EXIT_PIPE, main)
 from p3pshare.errors import DegeneratePencilError, InconsistentInputError
-from p3pshare.sceneio import read_obj, serialize_scene
+from p3pshare.loci import skew_mesh, skewed_danger_cylinder
+from p3pshare.sceneio import load_scene, read_obj, serialize_scene
 
 from test_sceneio import MALFORMED_SCENES
 
@@ -240,6 +241,35 @@ class TestExportSkewMesh:
                   "--out", str(tmp_path / "x.obj")])
         assert exc.value.code == EXIT_PARSE
         assert not (tmp_path / "x.obj").exists()
+
+    @pytest.mark.parametrize("bounds", [
+        ["nan", "1", "0", "1"],      # wrote 109 vertices and no face
+        ["0", "inf", "0", "1"],      # a RuntimeWarning, then "empty region"
+        ["0", "1", "0", "inf"],
+        ["0.4", "0.4", "-1", "1"],   # wrote 16340 zero-area faces
+        ["0", "1", "0.5", "0.5"],
+        ["1", "0", "0", "1"],        # reversed: flipped the faces' winding
+        ["0", "1", "1", "0"],
+    ])
+    def test_bad_bounds_exits_parse(self, tmp_path, bounds, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["export-skew-mesh", EQUILATERAL, "--bounds", *bounds,
+                  "--out", str(tmp_path / "x.obj")])
+        assert exc.value.code == EXIT_PARSE
+        assert "X0 < X1 and Y0 < Y1" in capsys.readouterr().err
+        assert not (tmp_path / "x.obj").exists()
+
+    def test_bounds_reach_the_mesh(self, tmp_path, capsys):
+        out_obj = tmp_path / "x.obj"
+        assert main(["export-skew-mesh", EQUILATERAL, "--grid", "40",
+                     "--bounds", "-1", "2", "-1.5", "2",
+                     "--out", str(out_obj)]) == EXIT_OK
+        tri = load_scene(EQUILATERAL)[0]
+        verts, faces = skew_mesh(skewed_danger_cylinder(tri), n=40,
+                                 bounds=(-1.0, 2.0, -1.5, 2.0))
+        got_v, got_f = read_obj(str(out_obj))
+        assert got_v.shape == verts.shape
+        assert got_f == [list(f) for f in faces]
 
 
 VERIFY_3 = [sys.executable, "-m", "p3pshare", "verify", "construct_side",

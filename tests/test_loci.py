@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p3pshare.geometry import canonical_frame, circumcircle_2d
-from p3pshare.loci import (SampleRegion, SkewedDangerCylinder,
+from p3pshare.loci import (_DEN_TOL, SampleRegion, SkewedDangerCylinder,
                            cylinder_membership, danger_cylinder,
                            plane_membership, sample_locus, skew_mesh,
                            skewed_danger_cylinder, skewed_membership,
@@ -200,3 +202,196 @@ class TestSkewMesh:
             on_circle = abs(math.hypot(v[0] - cx, v[1] - cy) - cyl.radius)
             on_axis = abs(v[1])
             assert min(on_circle, on_axis) < 1e-9
+
+
+def scalar_skew_mesh(surf, bounds=None, n: int = 96):
+    """The cell walk that skew_mesh replaced, kept as its reference: node
+    tables in dicts, one scalar bisection per crossing edge (cached by edge)
+    and a fan per polygon, vertices numbered as the walk creates them.
+    """
+    a, e, f = surf.frame.a, surf.frame.e, surf.frame.f
+    cyl = surf.cylinder
+    cx, cy = cyl.center
+    r = cyl.radius
+    if bounds is None:
+        pad = 1.6 * r
+        bounds = (cx - pad, cx + pad, cy - pad, cy + pad)
+    x0, x1, y0, y1 = bounds
+    xs = np.linspace(x0, x1, n).tolist()
+    ys = np.linspace(y0, y1, n).tolist()
+    den_min = _DEN_TOL * max(1.0, a * a)
+
+    def rhs_parts(x, y):
+        Q = (x - cx) ** 2 + (y - cy) ** 2 - cyl.radius_squared
+        den = e * e - f * y - a * e
+        return f * y * Q, den
+
+    # rhs_parts at every node at once; the squares are taken one coordinate
+    # at a time with the scalar power of rhs_parts, whose last bit can
+    # differ from numpy's array square
+    y = np.array(ys)
+    Q = np.array([(x - cx) ** 2 for x in xs])[:, None] \
+        + np.array([(yj - cy) ** 2 for yj in ys]) - cyl.radius_squared
+    den = e * e - f * y - a * e
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z2 = f * y * Q / den
+    adm_grid = (abs(den) >= den_min) & (z2 > 0.0)
+    adm = adm_grid.tolist()
+    zs = np.sqrt(np.where(adm_grid, z2, 0.0)).tolist()
+
+    vertices: list[tuple[float, float, float]] = []
+    top = {}
+    bot = {}
+
+    def node_vertex(i, j, sheet):
+        key = (i, j)
+        table = top if sheet > 0 else bot
+        if key not in table:
+            vertices.append((xs[i], ys[j], sheet * zs[i][j]))
+            table[key] = len(vertices)
+        return table[key]
+
+    cross_cache = {}
+
+    def edge_crossing(n0, n1):
+        """z=0 vertex on the edge between an admissible and inadmissible node."""
+        key = (min(n0, n1), max(n0, n1))
+        if key in cross_cache:
+            return cross_cache[key]
+        lx, ly = xs[n0[0]], ys[n0[1]]
+        hx, hy = xs[n1[0]], ys[n1[1]]
+        g0, d0 = rhs_parts(lx, ly)
+        g1, d1 = rhs_parts(hx, hy)
+        idx = None
+        if d0 * d1 > 0.0 and min(abs(d0), abs(d1)) > den_min \
+                and g0 * g1 < 0.0:
+            glo = g0
+            for _ in range(80):
+                mx, my = 0.5 * (lx + hx), 0.5 * (ly + hy)
+                if (mx, my) == (lx, ly) or (mx, my) == (hx, hy):
+                    break  # a fixed point: no further step moves lo or hi
+                gm, _ = rhs_parts(mx, my)
+                if gm == 0.0:
+                    lx, ly = hx, hy = mx, my
+                    break
+                if (gm > 0.0) == (glo > 0.0):
+                    lx, ly = mx, my
+                    glo = gm
+                else:
+                    hx, hy = mx, my
+            vertices.append((0.5 * (lx + hx), 0.5 * (ly + hy), 0.0))
+            idx = len(vertices)
+        cross_cache[key] = idx
+        return idx
+
+    faces: list[tuple[int, int, int]] = []
+
+    def fan(poly):
+        for t in range(1, len(poly) - 1):
+            faces.append((poly[0], poly[t], poly[t + 1]))
+
+    touched = adm_grid[:-1, :-1] | adm_grid[1:, :-1] | adm_grid[:-1, 1:] \
+        | adm_grid[1:, 1:]
+    for i, j in np.argwhere(touched).tolist():
+        cyc = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+        flags = [adm[p][q] for p, q in cyc]
+        for sheet in (1, -1):
+            poly = []
+            for t in range(4):
+                p, q = cyc[t], cyc[(t + 1) % 4]
+                if flags[t]:
+                    poly.append(node_vertex(*p, sheet))
+                if flags[t] != flags[(t + 1) % 4]:
+                    idx = edge_crossing(p, q)
+                    if idx is not None:
+                        poly.append(idx)
+            if len(poly) >= 3:
+                fan(poly)
+
+    return np.array(vertices), faces
+
+
+def assert_same_mesh(surf, bounds, n, check_types=False):
+    """skew_mesh equals scalar_skew_mesh: vertex bytes, shape and dtype, the
+    face list and, with check_types, every face's Python types."""
+    want_v, want_f = scalar_skew_mesh(surf, bounds=bounds, n=n)
+    got_v, got_f = skew_mesh(surf, bounds=bounds, n=n)
+    assert (got_v.shape, got_v.dtype) == (want_v.shape, want_v.dtype)
+    assert got_v.tobytes() == want_v.tobytes()
+    assert type(got_f) is list and got_f == want_f
+    if check_types:
+        assert {type(t) for t in got_f} <= {tuple}
+        assert {type(k) for t in got_f for k in t} <= {int}
+    return got_v, got_f
+
+
+class TestSkewMeshReference:
+    """The array mesh against the scalar cell walk, bit for bit."""
+
+    def test_fixed_cases(self, sc1_triangle):
+        cases = [(surf, bounds, n)
+                 for _, surf, bounds, n in mesh_cases(sc1_triangle)]
+        surf = skewed_danger_cylinder(sc1_triangle, SharingLabel.POINT_A)
+        cases += [(surf, None, n) for n in (2, 3, 24, 200)]
+        # a reversed box and zero-width ones: the library accepts them
+        cases += [(surf, (4.0, -1.0, 3.0, -2.5), 30),
+                  (surf, (0.4, 0.4, -1.0, 1.0), 30),
+                  (surf, (-1.0, 4.0, 0.5, 0.5), 30)]
+        for surf, bounds, n in cases:
+            assert_same_mesh(surf, bounds, n, check_types=True)
+
+    def test_empty_region(self, sc1_triangle):
+        surf = skewed_danger_cylinder(sc1_triangle, SharingLabel.POINT_A)
+        verts, faces = assert_same_mesh(surf, (100.0, 101.0, 100.0, 101.0),
+                                        10)
+        assert verts.shape == (0,) and faces == []
+
+    def test_random_draws(self):
+        """300 random triangle x label x n in [2, 120] x bounds draws."""
+        rng = np.random.default_rng(20261018)
+        crossings = 0
+        for k in range(300):
+            tri = random_scene(rng).triangle
+            surf = skewed_danger_cylinder(tri, POINT_LABELS[k % 3])
+            n = int(rng.integers(2, 121))
+            bounds = None
+            if k % 2:
+                (cx, cy), r = surf.cylinder.center, surf.cylinder.radius
+                xb = np.sort(rng.uniform(cx - 2.0 * r, cx + 2.0 * r, 2))
+                yb = np.sort(rng.uniform(cy - 2.0 * r, cy + 2.0 * r, 2))
+                bounds = (*xb.tolist(), *yb.tolist())
+            verts, _ = assert_same_mesh(surf, bounds, n)
+            crossings += int(np.count_nonzero(verts[:, 2] == 0.0)) \
+                if len(verts) else 0
+        assert crossings > 1000  # the bisection ran on many edges
+
+    def test_overflowing_square_raises_in_both(self, sc1_triangle):
+        """x ** 2 raises OverflowError past |x| ~ 1.34e154; so does the
+        array mesh, not return infinities."""
+        surf = skewed_danger_cylinder(sc1_triangle, SharingLabel.POINT_A)
+        for bounds in [(1e155, 2e155, 0.0, 1.0), (0.0, 1.0, -2e154, 0.0)]:
+            with pytest.raises(OverflowError):
+                scalar_skew_mesh(surf, bounds=bounds, n=5)
+            with pytest.raises(OverflowError):
+                skew_mesh(surf, bounds=bounds, n=5)
+        assert_same_mesh(surf, (1e150, 2e150, 0.0, 1.0), 5)
+
+
+class TestLibmSquare:
+    """skew_mesh squares with np.float_power(x, 2.0) to get the bits of
+    Python's x ** 2 (both call libm pow; np.square does not). A numpy or
+    libm change that breaks this fails here, not as a golden-mesh mismatch.
+    """
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(-1e154, 1e154, exclude_min=True, exclude_max=True))
+    def test_float_power_is_python_square(self, x):
+        got = float(np.float_power(np.array([x]), 2.0)[0])
+        assert got.hex() == (x ** 2).hex()
+
+    def test_seeded_draws(self):
+        rng = np.random.default_rng(154)
+        x = rng.standard_normal(1_000_000) \
+            * 10.0 ** rng.uniform(-170.0, 153.0, 1_000_000)
+        want = np.array([v ** 2 for v in x.tolist()])
+        assert np.float_power(x, 2.0).tobytes() == want.tobytes()
