@@ -157,7 +157,9 @@ def cmd_export_skew_mesh(args) -> int:
             print(f"empty admissible region of {label.name} in bounds",
                   file=sys.stderr)
             return EXIT_DEGENERATE
-        world = np.array([surf.frame.to_world(v) for v in verts])
+        # to_world on every row at once: (p - t) R is R^T (p - t), the same
+        # bits as the per-vertex map (tests/test_cli.py)
+        world = (verts - surf.frame.translation).dot(surf.frame.rotation)
         sceneio.write_obj(path, world, faces)
         print(f"wrote {len(verts)} vertices, {len(faces)} faces to {path}")
     return EXIT_OK

@@ -112,30 +112,70 @@ _MERGE_TOL = 1e-5
 _BOX_CELLS = (128, 32, 8)
 
 
+def _stacked(F1: conics.Conic, F2: conics.Conic, ndim: int) -> conics.Conic:
+    """Both conics as one Conic whose coefficients are arrays of shape
+    (2, 1, ..., 1), with ndim ones: evaluated on nodes of ndim axes, it
+    gives F1's values then F2's, each computed as Conic.__call__ does."""
+    return conics.Conic(*np.array([F1.terms, F2.terms]).T
+                        .reshape(6, 2, *(1,) * ndim))
+
+
+def _centred(lo, hi):
+    """(c, h): the float midpoint of [lo, hi], 0 < lo <= hi, which lies in
+    it, and its largest distance to an end rounded outward, so that
+    c - h <= lo and hi <= c + h hold exactly."""
+    c = 0.5 * (lo + hi)
+    return c, np.nextafter(np.maximum(hi - c, c - lo), np.inf)
+
+
 def _one_signed(F: conics.Conic, ulo, uhi, vlo, vhi) -> np.ndarray:
-    """Mask of the boxes [ulo, uhi] x [vlo, vhi] (u, v > 0) on whose grid
-    nodes the float value F(u, v) keeps one strict sign.
+    """Mask of the boxes [ulo, uhi] x [vlo, vhi] (0 < lo < hi) on whose grid
+    nodes the float value F(u, v) keeps one strict sign. The coefficients
+    of F may be arrays that broadcast against the boxes.
 
-    For u, v > 0 each monomial of F is monotone in both, so its range over a
-    box lies between its values at the (lo, lo) and (hi, hi) corners, and the
-    sums of the per-term ends bound F. Conic.__call__ forms each term with at
-    most two products and sums the six with five additions, so at a node it
-    errs by at most 7 units of roundoff (eps / 2) times S, the sum of the
-    absolute terms; the bounds below err by as much again. A margin of
-    8 eps S therefore covers both with room for the rounding of S itself.
-    Under gradual underflow each of the 16 products may instead err by half
-    of smallest_subnormal (sums of subnormals are exact), hence its term.
+    About a box's centre c = (cu, cv), exactly F(cu + du, cv + dv) = F(c)
+    + F_u du + F_v dv + c_uu du^2 + c_uv du dv + c_vv dv^2, so where
+    |du| <= hu and |dv| <= hv, F differs from F(c) by at most R = |F_u| hu
+    + |F_v| hv + |c_uu| hu^2 + |c_uv| hu hv + |c_vv| hv^2 (the centred
+    form). The box is one-signed when the computed |F(c)| - R exceeds a
+    margin of 8 eps S, S being the sum of the absolute terms of F at
+    (uhi, vhi); for u, v > 0 each monomial grows with u and v, so S bounds
+    that sum at every node. In units of roundoff (eps / 2) times S, the
+    margin is 16 and covers:
+      - the node evaluation, 7: Conic.__call__ forms each term with at most
+        two products and adds the six with five additions;
+      - F(c) and R, 8: F(c) errs by 7 units of its own sum of absolute
+        terms S(c), and R by 8 (three roundings in F_u, one product, four
+        additions) of R', the R with each gradient replaced by the sum of
+        its absolute terms. Term by term, S(c) + R' is S at (cu + hu,
+        cv + hv);
+      - the centre and half-widths, rounded outward (_centred): every node
+        lies within hu, hv of c, and cu + hu <= uhi (1 + 4 units), so S at
+        (cu + hu, cv + hv) is at most S (1 + 9 units). That, the 7 units by
+        which S itself may round and the errors' own rounding add terms in
+        eps^2 S, which the one unit to spare covers. The last subtraction
+        adds nothing: rounding is monotone and the margin is a float;
+      - the subnormal term, 16 W eta with eta = smallest_subnormal and
+        W = 1 + uhi + vhi: under gradual underflow a product may instead
+        err by up to eta / 2 (sums of subnormals are exact), and a later
+        factor u, v, hu or hv, each below W, scales that error. Summed over
+        its products, a node then errs by at most 5/2 W eta, F(c) by as
+        much, and R by 5/2 W eta again: two products in each gradient,
+        whose errors hu or hv scale, one that scales the gradient, and two
+        in each quadratic term. eps S and 2 W eta may each round by
+        eta / 2, which the factor 8 makes 8 eta at most, and
+        15/2 W eta + 8 eta <= 16 W eta.
     """
-    def terms(u, v):
-        return np.stack([F.c_vv * v * v, F.c_uv * u * v, F.c_uu * u * u,
-                         F.c_u * u, F.c_v * v, np.full_like(u, F.c_1)])
-
-    lo, hi = terms(ulo, vlo), terms(uhi, vhi)
+    (cu, hu), (cv, hv) = _centred(ulo, uhi), _centred(vlo, vhi)
+    fu = 2.0 * F.c_uu * cu + F.c_uv * cv + F.c_u
+    fv = 2.0 * F.c_vv * cv + F.c_uv * cu + F.c_v
+    r = (abs(fu) * hu + abs(fv) * hv + abs(F.c_uu) * hu * hu
+         + abs(F.c_uv) * hu * hv + abs(F.c_vv) * hv * hv)
     fi = np.finfo(float)
-    margin = 8.0 * (fi.eps * np.maximum(abs(lo), abs(hi)).sum(axis=0)
-                    + fi.smallest_subnormal)
-    return (np.minimum(lo, hi).sum(axis=0) > margin) \
-        | (np.maximum(lo, hi).sum(axis=0) < -margin)
+    S = conics.Conic(*map(abs, F.terms))(uhi, vhi)
+    W = 1.0 + uhi + vhi
+    return abs(F(cu, cv)) - r > 8.0 * (fi.eps * S
+                                       + 2.0 * fi.smallest_subnormal * W)
 
 
 def _candidate_cells(F1: conics.Conic, F2: conics.Conic,
@@ -151,27 +191,24 @@ def _candidate_cells(F1: conics.Conic, F2: conics.Conic,
     """
     m = len(t) - 1
     boxes, side = np.zeros((1, 2), dtype=np.intp), m
+    F = _stacked(F1, F2, 1)
     for nxt in _BOX_CELLS:
         off = np.arange(0, side, nxt)
-        sub = np.stack(np.meshgrid(off, off, indexing="ij"), -1).reshape(-1, 2)
+        sub = np.stack([off.repeat(len(off)), np.tile(off, len(off))], 1)
         boxes = (boxes[:, None] + sub).reshape(-1, 2)
         boxes = boxes[(boxes < m).all(axis=1)]
         side = nxt
         ulo, vlo = t[boxes].T
         uhi, vhi = t[np.minimum(boxes + side, m)].T
-        boxes = boxes[~(_one_signed(F1, ulo, uhi, vlo, vhi)
-                        | _one_signed(F2, ulo, uhi, vlo, vhi))]
+        boxes = boxes[~_one_signed(F, ulo, uhi, vlo, vhi).any(axis=0)]
     r = np.arange(side + 1)
     u = t[np.minimum(boxes[:, 0, None, None] + r[:, None], m)]  # (k, s+1, 1)
     v = t[np.minimum(boxes[:, 1, None, None] + r, m)]           # (k, 1, s+1)
-
-    def mixed(F):
-        S = F(u, v) > 0.0
-        return ~((S[:, :-1, :-1] == S[:, 1:, :-1])
-                 & (S[:, :-1, :-1] == S[:, :-1, 1:])
-                 & (S[:, :-1, :-1] == S[:, 1:, 1:]))
-
-    k, di, dj = np.nonzero(mixed(F1) & mixed(F2))
+    S = _stacked(F1, F2, 3)(u, v) > 0.0                     # (2, k, s+1, s+1)
+    mixed = ~((S[..., :-1, :-1] == S[..., 1:, :-1])
+              & (S[..., :-1, :-1] == S[..., :-1, 1:])
+              & (S[..., :-1, :-1] == S[..., 1:, 1:]))
+    k, di, dj = np.nonzero(mixed.all(axis=0))
     cells = boxes[k] + np.stack([di, dj], axis=1)
     cells = cells[(cells < m).all(axis=1)]
     return cells[np.lexsort((cells[:, 1], cells[:, 0]))]
@@ -186,6 +223,11 @@ def brute_force_solutions(sides, angles: ViewAngles,
     corners, found by coarse-to-fine exclusion of boxes on which a conic
     provably keeps one sign (_candidate_cells); each is refined by Newton
     iteration and gated on residual.
+
+    The grid's first nodes are at u, v = u_max / n, so a root with u or v
+    below that lies in no cell and is not found: 0.01 at the defaults,
+    where the solver finds a root at u = 0.00335 in the sixth scene of the
+    oracle_mesh benchmark at seed 53.
     """
     pair = conics.build_conics(sides, angles)
     F1 = pair.C1.scaled()
@@ -193,7 +235,8 @@ def brute_force_solutions(sides, angles: ViewAngles,
     t = np.linspace(grid.u_max / grid.n, grid.u_max, grid.n)
     cells = _candidate_cells(F1, F2, t)
     found: list[tuple[float, float]] = []
-    for i, j in cells:
+    t = t.tolist()
+    for i, j in cells.tolist():
         u0 = 0.5 * (t[i] + t[i + 1])
         v0 = 0.5 * (t[j] + t[j + 1])
         uu, vv, res = conics.newton_polish(F1, F2, u0, v0)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -15,13 +16,18 @@ from p3pshare.cli import (EXIT_CAMPAIGN_FAIL, EXIT_DEGENERATE,
                           EXIT_INCONSISTENT, EXIT_IO, EXIT_OK, EXIT_PARSE,
                           EXIT_PIPE, main)
 from p3pshare.errors import DegeneratePencilError, InconsistentInputError
+from p3pshare.geometry import view_angles_from_center
 from p3pshare.loci import skew_mesh, skewed_danger_cylinder
 from p3pshare.sceneio import load_scene, read_obj, serialize_scene
+from p3pshare.sharing import POINT_LABELS
 
 from test_sceneio import MALFORMED_SCENES
 
 ROOT = Path(__file__).resolve().parent.parent
 EQUILATERAL = str(ROOT / "scenes" / "equilateral.json")
+#: O on the circumcircle of (0,0,0), (1,0,0), (0.3,0.8,0), lifted 1e-8: valid
+#: view angles whose conic pencil is degenerate
+COCYCLIC_LIFTED = str(ROOT / "scenes" / "cocyclic_lifted.json")
 
 
 @pytest.fixture
@@ -60,6 +66,18 @@ def assert_degenerate(command, cocyclic_path, scene_path, monkeypatch,
     assert second == "degenerate scene: conics share a component"
 
 
+def assert_pencil_degenerate(command, capsys):
+    """The lifted cocyclic scene: solve itself raises DegeneratePencilError,
+    and the command exits 3 with one stderr line and no stdout."""
+    tri, center, _, _ = load_scene(COCYCLIC_LIFTED)
+    with pytest.raises(DegeneratePencilError):
+        solver.solve(tri, view_angles_from_center(tri, center))
+    assert main([command, COCYCLIC_LIFTED]) == EXIT_DEGENERATE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "degenerate scene: conics share a component\n"
+
+
 class TestSolve:
     def test_eq1(self, eq1_scene_path, capsys):
         assert main(["solve", eq1_scene_path]) == EXIT_OK
@@ -94,6 +112,9 @@ class TestSolve:
         assert_degenerate("solve", cocyclic_scene_path, eq1_scene_path,
                           monkeypatch, capsys)
 
+    def test_degenerate_pencil_scene(self, capsys):
+        assert_pencil_degenerate("solve", capsys)
+
     def test_inconsistent_solution(self, eq1_scene_path, monkeypatch, capsys):
         def leak(*args, **kwargs):
             raise InconsistentInputError("ratio point violates the basic constraints")
@@ -119,6 +140,9 @@ class TestAnalyze:
                               monkeypatch, capsys):
         assert_degenerate("analyze", cocyclic_scene_path, eq1_scene_path,
                           monkeypatch, capsys)
+
+    def test_degenerate_pencil_scene(self, capsys):
+        assert_pencil_degenerate("analyze", capsys)
 
 
 class TestVerify:
@@ -200,7 +224,26 @@ class TestVerify:
         assert f"argument {flag}:" in capsys.readouterr().err
 
 
+#: sha256 of the files that `export-skew-mesh scenes/equilateral.json --label
+#: all` writes at the default grid
+EQUILATERAL_OBJ_SHA256 = {
+    "surf_point_a.obj":
+        "d9c5ddf03555d62cf2a44020b3207230f886f0104556001fa286531c762e2996",
+    "surf_point_b.obj":
+        "6514df204764bce06ba2e5ef6f7deda95316234340de587feaf2c081d12fb799",
+    "surf_point_c.obj":
+        "02abfa169078e46ec8e44939a3ef15bdc050308eb3481dafffec00c478e7c4d7",
+}
+
+
 class TestExportSkewMesh:
+    def test_equilateral_bytes(self, tmp_path, capsys):
+        assert main(["export-skew-mesh", EQUILATERAL, "--label", "all",
+                     "--out", str(tmp_path / "surf.obj")]) == EXIT_OK
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.glob("*.obj")}
+        assert got == EQUILATERAL_OBJ_SHA256
+
     def test_writes_valid_mesh(self, eq1_scene_path, tmp_path, capsys):
         out_obj = str(tmp_path / "surf.obj")
         code = main(["export-skew-mesh", eq1_scene_path, "--grid", "32",
@@ -209,6 +252,24 @@ class TestExportSkewMesh:
         verts, faces = read_obj(out_obj)
         assert len(verts) > 0 and len(faces) > 0
         assert max(max(f) for f in faces) <= len(verts)
+
+    def test_vertices_are_mapped_per_vertex(self, tmp_path, capsys):
+        """The written vertices equal, bit for bit, to_world of each mesh
+        vertex, on random triangles (the golden bytes above hold one)."""
+        for k, rng in enumerate(scenes._trial_rngs(31, 12)):
+            sc = scenes.random_scene(rng)
+            scene = tmp_path / f"s{k}.json"
+            scene.write_text(serialize_scene(sc.triangle, center=sc.center))
+            out = tmp_path / f"s{k}.obj"
+            assert main(["export-skew-mesh", str(scene), "--label", "all",
+                         "--grid", "24", "--out", str(out)]) == EXIT_OK
+            for label in POINT_LABELS:
+                surf = skewed_danger_cylinder(sc.triangle, label)
+                verts, _ = skew_mesh(surf, n=24)
+                want = np.array([surf.frame.to_world(v) for v in verts])
+                got, _ = read_obj(str(tmp_path /
+                                      f"s{k}_{label.name.lower()}.obj"))
+                assert got.tobytes() == want.tobytes()
 
     def test_label_choices(self, eq1_scene_path, tmp_path):
         out_obj = str(tmp_path / "surf_b.obj")

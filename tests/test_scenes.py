@@ -1,6 +1,7 @@
 """Random scene generation, the grid oracle, and verification campaigns."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,10 @@ import pytest
 from p3pshare.conics import Conic, build_conics
 from p3pshare.geometry import ViewAngles
 from p3pshare.scenes import (GridConfig, SceneConfig, _candidate_cells,
-                             _locus_scene, _trial_rngs, brute_force_solutions,
-                             random_scene, scene_from_center, true_triplet,
-                             verify_theorem, THEOREM_IDS)
+                             _centred, _locus_scene, _trial_rngs,
+                             brute_force_solutions, random_scene,
+                             scene_from_center, true_triplet, verify_theorem,
+                             THEOREM_IDS)
 from p3pshare.solver import constraint_residuals, solve
 
 from conftest import EQ1_RATIOS
@@ -182,6 +184,39 @@ def certificate_cases(kind):
              Conic(0.0, 0.0, 0.0, 1.0, -1.0, 0.0), t)]
 
 
+#: the degree of each Conic.terms coefficient (c_vv, c_uv, c_uu, c_u, c_v, c_1)
+DEGREES = np.array([2.0, 2.0, 2.0, 1.0, 1.0, 0.0])
+
+
+def random_conic_rows(rng, log_scale, log_u_max):
+    """(F1, F2, t): random coefficient rows on a random grid.
+
+    n is in [20, 260] and u_max in 10^log_u_max; each coefficient is uniform
+    in [-1, 1] times u_max^-degree, so that both conics cross the grid, then
+    zero with probability 1/4, and the pair is scaled by 10^log_scale.
+    Half the pairs are forced through one grid node: c_1 is minus the
+    computed sum of the other terms there, so both computed values are
+    exactly 0. Half the time that node is a box corner at every level.
+    """
+    n = int(rng.integers(20, 261))
+    u_max = 10.0 ** rng.uniform(*log_u_max)
+    t = np.linspace(u_max / n, u_max, n)
+    scale = 10.0 ** rng.uniform(*log_scale)
+    i, j = rng.integers(0, n, size=2).tolist()
+    if rng.random() < 0.5:
+        i, j = i - i % 8, j - j % 8
+    forced = rng.random() < 0.5
+    rows = []
+    for _ in range(2):
+        c = rng.uniform(-1.0, 1.0, 6) * scale / u_max ** DEGREES
+        c[rng.random(6) < 0.25] = 0.0
+        c = c.tolist()
+        if forced:
+            c[5] = -Conic(*c[:5], 0.0)(t[i], t[j])
+        rows.append(Conic(*c))
+    return (*rows, t)
+
+
 class TestCandidateCells:
     @pytest.mark.parametrize("kind", ["random", "cylinder", "n200",
                                       "near_tangent", "node_lines"])
@@ -191,6 +226,37 @@ class TestCandidateCells:
             want = full_grid_cells(F1, F2, t)
             assert len(want) > 0
             np.testing.assert_array_equal(_candidate_cells(F1, F2, t), want)
+
+    @pytest.mark.parametrize("seed, pairs, log_scale, log_u_max", [
+        (1101, 500, (-150.0, 150.0), (-3.0, 3.0)),
+        # subnormal terms, where a first product's rounding error is scaled
+        # by a second factor u or v of up to 1000
+        (1103, 300, (-318.0, -300.0), (2.0, 3.0)),
+    ], ids=["normal", "subnormal"])
+    def test_random_coefficient_rows(self, seed, pairs, log_scale, log_u_max):
+        """The box exclusion against the full scan on random pairs."""
+        rng = np.random.default_rng(seed)
+        nonempty = 0
+        for _ in range(pairs):
+            F1, F2, t = random_conic_rows(rng, log_scale, log_u_max)
+            want = full_grid_cells(F1, F2, t)
+            nonempty += len(want) > 0
+            np.testing.assert_array_equal(_candidate_cells(F1, F2, t), want)
+        assert nonempty >= pairs // 3
+
+    def test_half_widths_cover_the_box(self):
+        """c - h <= lo and hi <= c + h in exact arithmetic, c in [lo, hi]."""
+        rng = np.random.default_rng(1102)
+        lo = 10.0 ** rng.uniform(-6.0, 6.0, 3000)
+        hi = np.concatenate([np.nextafter(lo[:1000], np.inf),
+                             lo[1000:] * (1.0 + 10.0 ** rng.uniform(
+                                 -15.0, 1.0, 2000))])
+        c, h = _centred(lo, hi)
+        for a, b, x, y in zip(lo.tolist(), hi.tolist(), c.tolist(),
+                              h.tolist()):
+            assert a <= x <= b
+            assert Fraction(x) - Fraction(y) <= Fraction(a)
+            assert Fraction(b) <= Fraction(x) + Fraction(y)
 
     def test_empty_grid(self):
         F = _circle(1.0, 1.0, 0.5)
