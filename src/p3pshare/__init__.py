@@ -5,8 +5,7 @@ from .geometry import (CanonicalFrame, ControlTriangle, RatioPair,
                        cocyclic_degeneracy, interior_angles,
                        view_angles_from_center)
 from .conics import (Conic, ConicPair, IntersectionSet, build_conics,
-                     difference_conic, intersect_conics, quadrant_one_filter,
-                     tangency_flags)
+                     intersect_conics, quadrant_one_filter)
 from .solver import (Solution, SolutionSet, constraint_residuals,
                      recover_centers, solve, triplet_from_ratio)
 from .sharing import (PairClassification, SharingLabel, classify_solution_set,

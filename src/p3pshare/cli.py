@@ -175,6 +175,16 @@ def _at_least(minimum: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float above 0 (nan fails the comparison)."""
+    if not 0.0 < float(text) < np.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not finite and above 0")
+    return float(text)
+
+
+_tolerance.__name__ = "float"  # argparse: "invalid float value: ..."
+
+
 class _Bounds(argparse.Action):
     """--bounds as a tuple: finite, X0 < X1 and Y0 < Y1 (a reversed range
     would flip the faces' winding)."""
@@ -192,15 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="enumerate all solutions of a scene")
     sp.add_argument("scene")
-    sp.add_argument("--tol", type=float, default=conics.INTERSECT_TOL)
-    sp.add_argument("--cluster-tol", type=float, default=conics.CLUSTER_TOL)
+    sp.add_argument("--tol", type=_tolerance, default=conics.INTERSECT_TOL)
+    sp.add_argument("--cluster-tol", type=_tolerance, default=conics.CLUSTER_TOL)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_solve)
 
     ap = sub.add_parser("analyze", help="solve plus pair classification and loci")
     ap.add_argument("scene")
-    ap.add_argument("--tol", type=float, default=conics.INTERSECT_TOL)
-    ap.add_argument("--tol-class", type=float, default=sharing.LINE_TOL)
+    ap.add_argument("--tol", type=_tolerance, default=conics.INTERSECT_TOL)
+    ap.add_argument("--tol-class", type=_tolerance, default=sharing.LINE_TOL)
     ap.add_argument("--out", default=None)
     ap.set_defaults(func=cmd_analyze)
 
@@ -209,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--trials", type=_at_least(1), default=None)
     vp.add_argument("--converse-trials", type=_at_least(0), default=None)
     vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--tol", type=float, default=sharing.LINE_TOL)
+    vp.add_argument("--tol", type=_tolerance, default=sharing.LINE_TOL)
     vp.add_argument("--out", default=None)
     vp.set_defaults(func=cmd_verify)
 

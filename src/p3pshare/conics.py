@@ -97,12 +97,6 @@ def build_conics(sides: tuple[float, float, float], angles: ViewAngles) -> Conic
     return ConicPair(Conic(*t1), Conic(*t2), tuple(sides), angles)
 
 
-def difference_conic(pair: ConicPair) -> Conic:
-    """C2 - C1; every common point of the pair lies on it."""
-    d = pair.C2.coeffs - pair.C1.coeffs
-    return Conic(*d)
-
-
 def newton_polish(F1: Conic, F2: Conic, u: float, v: float,
                   tol: float = 1e-13):
     """Damped Newton on (F1, F2) = 0, 50 steps at most -> (u, v, residual)."""
@@ -292,7 +286,12 @@ def intersect_conics(pair: ConicPair, tol: float = INTERSECT_TOL,
     Raises DegeneratePencilError when the conics are proportional or share a
     component (every member of the pencil is degenerate).
     """
-    t1, t2 = _unit(pair.C1.terms), _unit(pair.C2.terms)
+    return _intersect(pair.C1.terms, pair.C2.terms, tol, cluster_tol)
+
+
+def _intersect(t1, t2, tol: float, cluster_tol: float) -> IntersectionSet:
+    """intersect_conics on the two conics' `Conic.terms` rows."""
+    t1, t2 = _unit(t1), _unit(t2)
     if _pencil_sigma2(t1, t2) < PENCIL_RANK_TOL:
         raise DegeneratePencilError("proportional conic pair")
 
@@ -347,8 +346,3 @@ def intersect_conics(pair: ConicPair, tol: float = INTERSECT_TOL,
 def quadrant_one_filter(inter: IntersectionSet) -> list[RatioPair]:
     """Points with u and v above _MIN_RATIO."""
     return [p for p in inter.points if p.u > _MIN_RATIO and p.v > _MIN_RATIO]
-
-
-def tangency_flags(inter: IntersectionSet) -> list[bool]:
-    """True for points with multiplicity >= 2 (repeated P3P solutions)."""
-    return [p.multiplicity >= 2 for p in inter.points]

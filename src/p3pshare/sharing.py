@@ -9,6 +9,7 @@ ratio points re-expressed in the relabeled base distance.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -206,6 +207,7 @@ _LABEL_OF_SIGNATURE = {tuple((i != label.shift) == (label.kind == "side")
 _SAME_DISTANCE_TOL = 1e-6
 
 
+@functools.lru_cache(maxsize=1)
 def classify_solution_set(sol_set: SolutionSet, tri: ControlTriangle,
                           angles: ViewAngles, tol: float = LINE_TOL
                           ) -> PairClassification:
@@ -214,16 +216,23 @@ def classify_solution_set(sol_set: SolutionSet, tri: ControlTriangle,
     A label is reported only when the distance-level signature agrees AND
     both members lie on the constraint line (within tol). A signature names
     at most one label, so only that label's line is evaluated.
+
+    The last call is memoised on its four arguments (tol as passed; by
+    keyword in companion_check). Safe: SolutionSet and ControlTriangle are
+    frozen, eq=False and hash by identity, and the cache holds them, so no id
+    is reused while cached; ViewAngles hashes by value; the result is frozen.
     """
     sols = sol_set.solutions
     repeated = tuple(i for i, s in enumerate(sols) if s.repeated)
     kept = [i for i, s in enumerate(sols) if not s.repeated]
+    values = [s.triplet.values for s in sols]
     pairs = []
     for i, j in itertools.combinations(kept, 2):
-        si, sj = sols[i].triplet.values, sols[j].triplet.values
+        si, sj = values[i], values[j]
         same_tol = _SAME_DISTANCE_TOL * max(*si, *sj)
-        label = _LABEL_OF_SIGNATURE.get(
-            tuple(abs(x - y) <= same_tol for x, y in zip(si, sj)))
+        label = _LABEL_OF_SIGNATURE.get((abs(si[0] - sj[0]) <= same_tol,
+                                         abs(si[1] - sj[1]) <= same_tol,
+                                         abs(si[2] - sj[2]) <= same_tol))
         if label is None:
             continue
         try:
@@ -276,7 +285,7 @@ def factorization_residual(tri: ControlTriangle, angles: ViewAngles,
     numpy calls: their BLAS rounding is what the golden reports hold.
     """
     t1, t2 = conics.conic_terms(cycle3(tri.sides, k), cycle3(angles.cosines, k))
-    d = np.array([y - x for x, y in zip(t1, t2)])  # C2 - C1, difference_conic
+    d = np.array([y - x for x, y in zip(t1, t2)])  # the difference C2 - C1
     p = np.array(_line_product_terms(tri, angles, k))
     d = d / math.sqrt(d.dot(d))
     p = p / math.sqrt(p.dot(p))
@@ -312,16 +321,17 @@ def companion_check(sol_set: SolutionSet, tri: ControlTriangle,
     For every label family with a detected pair in a 4-solution scene, the
     remaining two solutions must form the dual-kind pair, the scene-level
     identity must vanish, and the conic difference must factor into the two
-    constraint lines.
+    constraint lines. After the caller's classify_solution_set on the same
+    arguments (`p3pshare analyze`), the pairs are that memoised result.
     """
     cls = classify_solution_set(sol_set, tri, angles, tol=tol)
+    found = {"side": ([], [], []), "point": ([], [], [])}
+    for i, j, label, _ in cls.pairs:
+        found[label.kind][label.shift].append((i, j))
     applicable = sol_set.count >= 3
     families = []
     for k in range(3):
-        side = tuple((i, j) for i, j, label, _ in cls.pairs
-                     if label is SIDE_LABELS[k])
-        point = tuple((i, j) for i, j, label, _ in cls.pairs
-                      if label is POINT_LABELS[k])
+        side, point = tuple(found["side"][k]), tuple(found["point"][k])
         ok: bool | None = None
         if sol_set.count == 4 and (side or point):
             ok = True

@@ -73,8 +73,8 @@ def solve(tri: ControlTriangle, angles: ViewAngles,
 
     Propagates DegeneratePencilError for cocyclic configurations.
     """
-    pair = conics.build_conics(tri.sides, angles)
-    inter = conics.intersect_conics(pair, tol=tol, cluster_tol=cluster_tol)
+    inter = conics._intersect(*conics.conic_terms(tri.sides, angles.cosines),
+                              tol, cluster_tol)
     sols = []
     for rp in conics.quadrant_one_filter(inter):
         try:

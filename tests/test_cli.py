@@ -19,7 +19,7 @@ from p3pshare.errors import DegeneratePencilError, InconsistentInputError
 from p3pshare.geometry import view_angles_from_center
 from p3pshare.loci import skew_mesh, skewed_danger_cylinder
 from p3pshare.sceneio import load_scene, read_obj, serialize_scene
-from p3pshare.sharing import POINT_LABELS
+from p3pshare.sharing import POINT_LABELS, SharingLabel
 
 from test_sceneio import MALFORMED_SCENES
 
@@ -124,6 +124,16 @@ class TestSolve:
         assert "inconsistent solution" in capsys.readouterr().err
 
 
+#: sha256 of the stdout of `p3pshare analyze` on each scene of
+#: TestAnalyze.test_stdout_bytes
+ANALYZE_STDOUT_SHA256 = {
+    "equilateral":
+        "0c2bcc7e8748739418ce65e8abab863db0fd1ead7411f569d782e42dc3c9af74",
+    "locus":
+        "a1034bc951b2f20ca64552f6ba4b55c6947f73595bdaa545be3b00f011f34c5a",
+}
+
+
 class TestAnalyze:
     def test_eq1_reports_pairs_and_loci(self, eq1_scene_path, capsys):
         assert main(["analyze", eq1_scene_path]) == EXIT_OK
@@ -143,6 +153,22 @@ class TestAnalyze:
 
     def test_degenerate_pencil_scene(self, capsys):
         assert_pencil_degenerate("analyze", capsys)
+
+    def test_stdout_bytes(self, tmp_path, capsys):
+        """The full report, byte for byte, on the equilateral scene and on a
+        four-solution SIDE_AB locus scene whose family 2 carries a companion
+        pair."""
+        scene = scenes._locus_scene(scenes._trial_rngs(5, 1)[0],
+                                    SharingLabel.SIDE_AB)
+        locus = tmp_path / "locus.json"
+        locus.write_text(serialize_scene(scene.triangle, center=scene.center))
+        got = {}
+        for name, path in (("equilateral", EQUILATERAL), ("locus", locus)):
+            assert main(["analyze", str(path)]) == EXIT_OK
+            out = capsys.readouterr().out
+            got[name] = hashlib.sha256(out.encode()).hexdigest()
+        assert "solutions: 4" in out and "SIDE_AB" in out and "POINT_C" in out
+        assert got == ANALYZE_STDOUT_SHA256
 
 
 class TestVerify:
@@ -222,6 +248,25 @@ class TestVerify:
             main(["verify", "side_nsc", "--trials", "2", flag, value])
         assert exc.value.code == EXIT_PARSE
         assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", EQUILATERAL], "--tol"),
+    (["solve", EQUILATERAL], "--cluster-tol"),
+    (["analyze", EQUILATERAL], "--tol"),
+    (["analyze", EQUILATERAL], "--tol-class"),
+    (["verify", "side_nsc", "--trials", "2"], "--tol"),
+], ids=["solve-tol", "solve-cluster-tol", "analyze-tol", "analyze-tol-class",
+        "verify-tol"])
+def test_bad_tolerance_exits_parse(argv, flag, value, capsys):
+    """A tolerance must be finite and above 0: exit 2 with a usage line."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"{flag}={value}"])
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err
 
 
 #: sha256 of the files that `export-skew-mesh scenes/equilateral.json --label

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p3pshare.conics import Conic, build_conics, difference_conic
+from p3pshare.conics import Conic, build_conics
 from p3pshare.errors import (NotOnConstraintLineError,
                              RightAngleDegeneracyError)
 from p3pshare.geometry import (RatioPair, SolutionTriplet, ViewAngles,
                                interior_angles)
+from p3pshare import sharing
 from p3pshare.scenes import _locus_scene, _solved, _trial_rngs, random_scene
 from p3pshare.sharing import (POINT_LABELS, SIDE_LABELS, SharingLabel,
                               classify_solution_set, companion_check,
@@ -22,7 +23,7 @@ from p3pshare.sharing import (POINT_LABELS, SIDE_LABELS, SharingLabel,
                               relabel_ratio, relabel_triangle, relabel_triplet,
                               sharing_residual, side_mate_condition,
                               side_share_residual)
-from p3pshare.solver import constraint_residuals, solve
+from p3pshare.solver import SolutionSet, constraint_residuals, solve
 
 from conftest import EQ1_S_LONG, EQ1_S_SHORT
 
@@ -254,7 +255,7 @@ def reference_factorization(tri, angles, k):
     """factorization_residual as first written: conics, difference, arrays."""
     sides = cycle3(tri.sides, k)
     pair = build_conics(sides, ViewAngles(*cycle3(angles.cosines, k)))
-    d = difference_conic(pair).coeffs
+    d = pair.C2.coeffs - pair.C1.coeffs
     a, b, c = sides
     _, cb, cg = cycle3(angles.cosines, k)
     _, cosB, cosC = cycle3(interior_angles(tri), k)
@@ -344,6 +345,64 @@ class TestCompanionReference:
                         == reference_factorization(sc.triangle, sc.angles,
                                                    k).hex()
                 checked += 1
+
+
+class TestClassificationMemo:
+    """classify_solution_set keeps its last result: companion_check reuses
+    the caller's classification, and no other call is served it."""
+
+    def test_reuse_equals_cold_cache(self):
+        # per scene: the caller's classification, then companion_check on the
+        # same arguments, for the solved set at a tol tighter than one of its
+        # pairs, the same set at LINE_TOL, and the reversed set (another
+        # object of the same count) at LINE_TOL
+        labels = (*SIDE_LABELS, *POINT_LABELS, None)
+        checked = tol_moved = set_moved = 0
+        for t, rng in enumerate(_trial_rngs(83, 230)):
+            scene = _locus_scene(rng, labels[t % len(labels)])
+            sol = _solved(scene) if scene is not None else None
+            if sol is None:
+                continue
+            tri, angles = scene.triangle, scene.angles
+            rev = SolutionSet(tri, angles, sol.solutions[::-1])
+            resid = [r for *_, r in reference_pairs(sol, tri, angles) if r]
+            tight = 0.5 * min(resid, default=sharing.LINE_TOL)
+            steps = ((sol, tight), (sol, sharing.LINE_TOL),
+                     (rev, sharing.LINE_TOL))
+            warm = []
+            for s, tol in steps:
+                classify_solution_set(s, tri, angles, tol=tol)
+                warm.append(companion_fields(
+                    companion_check(s, tri, angles, tol=tol)))
+            cold = []
+            for s, tol in steps:
+                classify_solution_set.cache_clear()
+                cold.append(companion_fields(
+                    companion_check(s, tri, angles, tol=tol)))
+            assert warm == cold
+            checked += 1
+            tol_moved += cold[0] != cold[1]
+            set_moved += cold[1] != cold[2]
+        assert checked >= 200 and tol_moved >= 150 and set_moved >= 30
+
+    def test_companion_check_runs_no_second_classification(
+            self, eq1_triangle, eq1_angles, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sharing_residual(*args)
+
+        sol = solve(eq1_triangle, eq1_angles)
+        # tol by keyword, as companion_check and `p3pshare analyze` pass it
+        classify_solution_set(sol, eq1_triangle, eq1_angles,
+                              tol=sharing.LINE_TOL)
+        monkeypatch.setattr(sharing, "sharing_residual", counted)
+        assert companion_check(sol, eq1_triangle, eq1_angles).companion_ok
+        assert calls == []
+        companion_check(sol, eq1_triangle, eq1_angles,
+                        tol=0.5 * sharing.LINE_TOL)
+        assert len(calls) == 12  # six pairs, both members each
 
 
 class TestCompanion:
