@@ -191,29 +191,93 @@ def _sample_cylinder(cyl: DangerCylinder, rng, region) -> np.ndarray:
 _DEN_TOL = 1e-8
 
 
+#: _sample_skew makes its first _SKEW_FIRST attempts one at a time, as most
+#: calls accept within them, then tests _SKEW_BLOCK attempts per block
+_SKEW_FIRST, _SKEW_BLOCK = 16, 64
+
+
 def _sample_skew(surf: SkewedDangerCylinder, rng, region) -> np.ndarray:
+    """Rejection sampling of (x, y) in the box, z from the surface.
+
+    Each attempt draws x, then y, and, once accepted, the sign of z. After
+    the first few, the attempts are tested a block at a time: the
+    generator's state is saved, the block's 2 * _SKEW_BLOCK uniforms are
+    drawn at once (rng.random(k) gives the values and end state of k scalar
+    draws) and tested as arrays on the bits of the scalar test. Where
+    attempt i of a block is accepted, the state is restored, the 2 * i
+    uniforms before it are drawn again and the scalar attempt makes the
+    point. The points and the generator's end state are those of the
+    scalar loop, a failure too.
+    """
     a, e, f = surf.frame.a, surf.frame.e, surf.frame.f
     cyl = surf.cylinder
     cx, cy = cyl.center
     h = region.xy_half_extent
     den_min = _DEN_TOL * max(1.0, a * a)
-    for _ in range(region.max_rejects):
+
+    def attempt():
         x = uniform(rng, cx - h, cx + h)
         y = uniform(rng, cy - h, cy + h)
         Q = (x - cx) ** 2 + (y - cy) ** 2 - cyl.radius_squared
         den = e * e - f * y - a * e
         if abs(den) < den_min:
-            continue
+            return None
         z2 = f * y * Q / den
         if z2 <= 0.0:
-            continue
+            return None
         z = math.sqrt(z2)
         if not (region.min_abs_z <= z <= region.z_max):
-            continue
+            return None
         if rng.random() < 0.5:
             z = -z
         return surf.frame.to_world(np.array([x, y, z]))
+
+    left = region.max_rejects
+    for _ in range(min(_SKEW_FIRST, left)):
+        left -= 1
+        p = attempt()
+        if p is not None:
+            return p
+    while left > 0:
+        m = min(_SKEW_BLOCK, left)
+        state = rng.bit_generator.state
+        u = rng.random(2 * m)
+        x = (cx - h) + ((cx + h) - (cx - h)) * u[0::2]
+        y = (cy - h) + ((cy + h) - (cy - h)) * u[1::2]
+        hit = _skew_hits(surf, x, y, region, den_min)
+        if not hit.size:
+            left -= m
+            continue
+        rng.bit_generator.state = state
+        rng.random(2 * int(hit[0]))
+        left -= int(hit[0]) + 1
+        p = attempt()
+        if p is not None:
+            return p
     raise SamplingFailureError("skew-surface sampling region exhausted")
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _skew_hits(surf, x, y, region, den_min) -> np.ndarray:
+    """Indices of the (x, y) draws that _sample_skew accepts: its tests on
+    the same bits, the squares by libm pow as its x ** 2 takes them."""
+    a, e, f = surf.frame.a, surf.frame.e, surf.frame.f
+    cx, cy = surf.cylinder.center
+    Q = np.float_power(x - cx, 2.0) + np.float_power(y - cy, 2.0) \
+        - surf.cylinder.radius_squared
+    den = e * e - f * y - a * e
+    z2 = f * y * Q / den
+    z = np.sqrt(z2)
+    return np.flatnonzero((abs(den) >= den_min) & (z2 > 0.0)
+                          & (region.min_abs_z <= z) & (z <= region.z_max))
+
+
+def _circle_root(c, s2, lo, hi):
+    """c - sqrt(s2) or c + sqrt(s2), whichever is nearer the edge [lo, hi]
+    (in either order), clipped into it; s2 below 0 by rounding counts as 0.
+    """
+    root = c + np.copysign(np.sqrt(np.maximum(s2, 0.0)), 0.5 * (lo + hi) - c)
+    return np.clip(root, np.minimum(lo, hi), np.maximum(lo, hi))
 
 
 def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96):
@@ -221,8 +285,13 @@ def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96):
 
     Returns (vertices, faces) in canonical coordinates: a float (V, 3) array
     (np.array([]) when empty) and 1-based index triples. The two sheets
-    z = +/- sqrt(RHS) meet at z = 0 vertices found by bisection on y*Q.
-    Raises OverflowError where a grid coordinate's square overflows.
+    z = +/- sqrt(RHS) meet at z = 0, where f*y*Q = 0: on the base line
+    y = 0 (side BC) or on the danger circle Q = 0. So every grid edge on
+    which f*y*Q changes sign gets its z = 0 vertex in closed form: y = 0,
+    or the circle's root x = cx +/- sqrt(r^2 - (y - cy)^2) (along x) or
+    y = cy +/- sqrt(r^2 - (x - cx)^2) (along y) nearest the edge, clipped
+    into it. Raises OverflowError where a grid coordinate's square
+    overflows.
     """
     a, e, f = surf.frame.a, surf.frame.e, surf.frame.f
     cyl = surf.cylinder
@@ -236,13 +305,10 @@ def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96):
 
     # squares by libm pow, as Python's x ** 2 in _skew_terms takes them;
     # np.square (x * x) differs from it in the last bit now and then
-    def fyq(x, y):  # f*y*Q, the numerator of z^2
-        return f * y * (np.float_power(x - cx, 2.0)
-                        + np.float_power(y - cy, 2.0) - cyl.radius_squared)
-
     d = abs(np.concatenate((xs - cx, ys - cy)))
     float(d[d < np.inf].max(initial=0.0)) ** 2  # OverflowError, as x ** 2
-    g = fyq(xs[:, None], ys)
+    sx, sy = np.float_power(xs - cx, 2.0), np.float_power(ys - cy, 2.0)
+    g = f * ys * (sx[:, None] + sy - cyl.radius_squared)  # f*y*Q: z^2 * den
     den = e * e - f * ys - a * e
     with np.errstate(divide="ignore", invalid="ignore"):
         z2 = g / den
@@ -261,25 +327,19 @@ def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96):
     ok = (d0 * d1 > 0.0) & (np.minimum(abs(d0), abs(d1)) > den_min) \
         & (g.take(p0) * g.take(p1) < 0.0)
     ni = np.count_nonzero(ok[:len(ei)])
-    p0, p1 = p0[ok], p1[ok]
-    # bisect them all at once; as the midpoint is symmetric and the end
-    # whose sign gm has moves, either end may be lo (and lo keeps its sign)
-    lx, ly, hx, hy = xs[p0 // n], ys[p0 % n], xs[p1 // n], ys[p1 % n]
-    pos = g.take(p0) > 0.0
-    live = np.arange(len(p0))
-    for _ in range(80):
-        if not live.size:
-            break
-        ax, ay, bx, by = lx[live], ly[live], hx[live], hy[live]
-        mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
-        gm = fyq(mx, my)
-        move = ~((mx == ax) & (my == ay) | (mx == bx) & (my == by))
-        zero = gm == 0.0
-        lo = (gm > 0.0) == pos[live]
-        for s, px, py in ((move & (lo | zero), lx, ly),
-                          (move & (zero | ~lo), hx, hy)):
-            px[live[s]], py[live[s]] = mx[s], my[s]
-        live = live[move & ~zero]
+    p0 = p0[ok]
+    # f*y*Q changes sign on each kept edge, and f > 0, so exactly one of y
+    # and Q does: the z = 0 slice is the line y = 0 (side BC) and the
+    # circle Q = 0, and the crossing is on one of them in closed form
+    i, j = np.divmod(p0, n)
+    ix, jx, iy, jy = i[:ni], j[:ni], i[ni:], j[ni:]
+    xc = _circle_root(cx, cyl.radius_squared - sy[jx], xs[ix], xs[ix + 1])
+    yc = _circle_root(cy, cyl.radius_squared - sx[iy], ys[jy], ys[jy + 1])
+    # a y edge across y = 0 may also hold two circle roots (Q keeps its
+    # sign): the sign change of y*Q is that of y, so the vertex is y = 0
+    yc[(ys[jy] > 0.0) != (ys[jy + 1] > 0.0)] = 0.0
+    # x and y of the z = 0 vertices, x edges first as in p0
+    xz, yz = np.concatenate((xc, xs[iy])), np.concatenate((ys[jx], yc))
 
     # a walk of the cells, row-major, meets per cell a polygon on the top
     # sheet, then one on the bottom, each in 8 slots counterclockwise from
@@ -288,9 +348,9 @@ def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96):
     # to i + 1 and edges to j + 1
     node = np.flatnonzero(adm)
     xv, yv, z = xs[node // n], ys[node % n], np.sqrt(z2.take(node))
-    vertices = np.stack((np.concatenate((xv, xv, 0.5 * (lx + hx))),
-                         np.concatenate((yv, yv, 0.5 * (ly + hy))),
-                         np.concatenate((z, -z, np.zeros_like(lx)))), axis=1)
+    vertices = np.stack((np.concatenate((xv, xv, xz)),
+                         np.concatenate((yv, yv, yz)),
+                         np.concatenate((z, -z, np.zeros_like(xz)))), axis=1)
     at = np.concatenate((node, node + n * n, p0 + 2 * n * n))
     at[2 * len(node) + ni:] += n * n
     tab = np.zeros(4 * n * n, np.int32)

@@ -95,12 +95,15 @@ def format_csv(header: list[str], rows) -> str:
 
 
 def write_obj(path: str, vertices: np.ndarray, faces) -> None:
-    """Text mesh: 'v x y z' lines plus 1-based triangular 'f i j k' lines."""
+    """Text mesh: 'v x y z' lines plus 1-based triangular 'f i j k' lines.
+
+    The text is built whole, one %-format per section, and written once.
+    """
+    text = ("v %.17g %.17g %.17g\n" * len(vertices)) \
+        % tuple(np.ravel(vertices).tolist()) \
+        + ("f %d %d %d\n" * len(faces)) % tuple(k for f in faces for k in f)
     with open(path, "w") as fh:
-        for x, y, z in vertices.tolist():
-            fh.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
-        for i, j, k in faces:
-            fh.write(f"f {i} {j} {k}\n")
+        fh.write(text)
 
 
 def read_obj(path: str):

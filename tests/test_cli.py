@@ -273,11 +273,11 @@ def test_bad_tolerance_exits_parse(argv, flag, value, capsys):
 #: all` writes at the default grid
 EQUILATERAL_OBJ_SHA256 = {
     "surf_point_a.obj":
-        "d9c5ddf03555d62cf2a44020b3207230f886f0104556001fa286531c762e2996",
+        "89ecc12e73703acb592789a8f011d72231522bb259586f39202d9b7985fdfba3",
     "surf_point_b.obj":
-        "6514df204764bce06ba2e5ef6f7deda95316234340de587feaf2c081d12fb799",
+        "8b6d7c15cf916882021fd2618ee4df872c3a0fe3989d8354ce68d0a38fce1c18",
     "surf_point_c.obj":
-        "02abfa169078e46ec8e44939a3ef15bdc050308eb3481dafffec00c478e7c4d7",
+        "ba016bbed23d75efa859b22b33486812725e39cb5629b42e332ae993e83529ee",
 }
 
 

@@ -1,5 +1,6 @@
 """Danger cylinder, vertical planes, skew surfaces, sampling, meshing."""
 
+import bisect
 import hashlib
 import json
 import math
@@ -11,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p3pshare.geometry import canonical_frame, circumcircle_2d
+from p3pshare.errors import SamplingFailureError
 from p3pshare.loci import (_DEN_TOL, SampleRegion, SkewedDangerCylinder,
                            cylinder_membership, danger_cylinder,
                            plane_membership, sample_locus, skew_mesh,
                            skewed_danger_cylinder, skewed_membership,
-                           vertical_plane)
+                           uniform, vertical_plane)
 from p3pshare.scenes import random_scene, scene_from_center, true_triplet
 from p3pshare.sharing import (POINT_LABELS, SIDE_LABELS, SharingLabel,
                               point_share_residual, side_share_residual)
@@ -166,6 +168,72 @@ class TestSampling:
             sample_locus(object(), np.random.default_rng(0))
 
 
+def scalar_sample_skew(surf, rng, region):
+    """The one-attempt-at-a-time loop that _sample_skew replays."""
+    a, e, f = surf.frame.a, surf.frame.e, surf.frame.f
+    (cx, cy), h = surf.cylinder.center, region.xy_half_extent
+    for _ in range(region.max_rejects):
+        x = uniform(rng, cx - h, cx + h)
+        y = uniform(rng, cy - h, cy + h)
+        Q = (x - cx) ** 2 + (y - cy) ** 2 - surf.cylinder.radius_squared
+        den = e * e - f * y - a * e
+        if abs(den) < _DEN_TOL * max(1.0, a * a):
+            continue
+        z2 = f * y * Q / den
+        if z2 <= 0.0 or not region.min_abs_z <= math.sqrt(z2) <= region.z_max:
+            continue
+        z = math.sqrt(z2) if rng.random() >= 0.5 else -math.sqrt(z2)
+        return surf.frame.to_world(np.array([x, y, z]))
+    raise SamplingFailureError("skew-surface sampling region exhausted")
+
+
+def sample_run(sampler, surf, seed, region, count=3):
+    """count draws of sampler from default_rng(seed): the point bytes (or
+    "fail" where it raised) and the generator's end state."""
+    rng = np.random.default_rng(seed)
+    out = []
+    try:
+        for _ in range(count):
+            out.append(sampler(surf, rng, region).tobytes())
+    except SamplingFailureError:
+        out.append("fail")
+    return out, rng.bit_generator.state
+
+
+class TestSkewSampler:
+    """_sample_skew tests its attempts in blocks and replays the stream to
+    the accepted one: the points and end state of the scalar loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(0, 2),
+           h=st.floats(0.02, 6.0), z_lo=st.floats(0.0, 1.5),
+           z_span=st.floats(0.0, 2.5), budget=st.integers(1, 400))
+    def test_matches_scalar_loop(self, seed, k, h, z_lo, z_span, budget):
+        tri = random_scene(np.random.default_rng(seed)).triangle
+        surf = skewed_danger_cylinder(tri, POINT_LABELS[k])
+        region = SampleRegion(xy_half_extent=h, min_abs_z=z_lo,
+                              z_max=z_lo + z_span, max_rejects=budget)
+        assert sample_run(sample_locus, surf, seed, region) \
+            == sample_run(scalar_sample_skew, surf, seed, region)
+
+    def test_no_admissible_point_raises_in_both(self, sc1_triangle):
+        surf = skewed_danger_cylinder(sc1_triangle, SharingLabel.POINT_B)
+        region = SampleRegion(min_abs_z=1.5, z_max=1.0, max_rejects=1000)
+        got = sample_run(sample_locus, surf, 7, region)
+        assert got[0] == ["fail"]
+        assert got == sample_run(scalar_sample_skew, surf, 7, region)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 127, 128, 1001])
+    def test_block_draw_is_scalar_draws(self, k):
+        """Generator.random(k) gives the values and end state of k scalar
+        rng.random() calls; the replay rests on it."""
+        a, b = np.random.default_rng(k), np.random.default_rng(k)
+        block = a.random(k)
+        scalar = [b.random() for _ in range(k)]
+        assert block.tobytes() == np.array(scalar, dtype=float).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 class TestSkewMesh:
     def test_golden_meshes(self, sc1_triangle):
         """Vertices and faces equal, bit for bit, the stored digests."""
@@ -203,11 +271,27 @@ class TestSkewMesh:
             on_axis = abs(v[1])
             assert min(on_circle, on_axis) < 1e-9
 
+    def test_seam_in_closed_form(self, sc1_triangle):
+        """Every z = 0 vertex lies in its crossing edge, at y == 0 or on the
+        danger circle to 4 ulps of r; criterion 9's meshes keep membership
+        residuals below 1e-12."""
+        for label in POINT_LABELS:
+            surf = skewed_danger_cylinder(sc1_triangle, label)
+            verts, _ = skew_mesh(surf)
+            assert seam_errors(surf, verts, None, 96) == []
+            worst = max(abs(skewed_membership(surf, surf.frame.to_world(v)))
+                        for v in verts)
+            assert worst <= 1e-12
+        for surf, bounds, n in random_mesh_draws():
+            verts, _ = skew_mesh(surf, bounds=bounds, n=n)
+            assert seam_errors(surf, verts, bounds, n) == []
+
 
 def scalar_skew_mesh(surf, bounds=None, n: int = 96):
     """The cell walk that skew_mesh replaced, kept as its reference: node
-    tables in dicts, one scalar bisection per crossing edge (cached by edge)
-    and a fan per polygon, vertices numbered as the walk creates them.
+    tables in dicts, one scalar closed-form z = 0 vertex per crossing edge
+    (cached by edge) and a fan per polygon, vertices numbered as the walk
+    creates them.
     """
     a, e, f = surf.frame.a, surf.frame.e, surf.frame.f
     cyl = surf.cylinder
@@ -253,8 +337,14 @@ def scalar_skew_mesh(surf, bounds=None, n: int = 96):
 
     cross_cache = {}
 
+    def circle_root(c, s2, lo, hi):
+        """c -/+ sqrt(s2) nearer the edge [lo, hi] (either order), clipped."""
+        root = c + math.copysign(math.sqrt(max(s2, 0.0)), 0.5 * (lo + hi) - c)
+        return min(max(root, min(lo, hi)), max(lo, hi))
+
     def edge_crossing(n0, n1):
-        """z=0 vertex on the edge between an admissible and inadmissible node."""
+        """z=0 vertex on the edge between an admissible and inadmissible node:
+        y = 0 where y changes sign along it, else the circle root."""
         key = (min(n0, n1), max(n0, n1))
         if key in cross_cache:
             return cross_cache[key]
@@ -265,21 +355,16 @@ def scalar_skew_mesh(surf, bounds=None, n: int = 96):
         idx = None
         if d0 * d1 > 0.0 and min(abs(d0), abs(d1)) > den_min \
                 and g0 * g1 < 0.0:
-            glo = g0
-            for _ in range(80):
-                mx, my = 0.5 * (lx + hx), 0.5 * (ly + hy)
-                if (mx, my) == (lx, ly) or (mx, my) == (hx, hy):
-                    break  # a fixed point: no further step moves lo or hi
-                gm, _ = rhs_parts(mx, my)
-                if gm == 0.0:
-                    lx, ly = hx, hy = mx, my
-                    break
-                if (gm > 0.0) == (glo > 0.0):
-                    lx, ly = mx, my
-                    glo = gm
-                else:
-                    hx, hy = mx, my
-            vertices.append((0.5 * (lx + hx), 0.5 * (ly + hy), 0.0))
+            if n0[1] == n1[1]:  # along x
+                x = circle_root(cx, cyl.radius_squared - (ly - cy) ** 2,
+                                lx, hx)
+                vertices.append((x, ly, 0.0))
+            elif (ly > 0.0) != (hy > 0.0):
+                vertices.append((lx, 0.0, 0.0))
+            else:
+                y = circle_root(cy, cyl.radius_squared - (lx - cx) ** 2,
+                                ly, hy)
+                vertices.append((lx, y, 0.0))
             idx = len(vertices)
         cross_cache[key] = idx
         return idx
@@ -309,6 +394,60 @@ def scalar_skew_mesh(surf, bounds=None, n: int = 96):
                 fan(poly)
 
     return np.array(vertices), faces
+
+
+def random_mesh_draws(seed: int = 20261018, count: int = 300):
+    """(surface, bounds, n) draws: random triangle, label, n in [2, 120],
+    and on odd draws a random box around the danger circle."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        tri = random_scene(rng).triangle
+        surf = skewed_danger_cylinder(tri, POINT_LABELS[k % 3])
+        n = int(rng.integers(2, 121))
+        bounds = None
+        if k % 2:
+            (cx, cy), r = surf.cylinder.center, surf.cylinder.radius
+            xb = np.sort(rng.uniform(cx - 2.0 * r, cx + 2.0 * r, 2))
+            yb = np.sort(rng.uniform(cy - 2.0 * r, cy + 2.0 * r, 2))
+            bounds = (*xb.tolist(), *yb.tolist())
+        yield surf, bounds, n
+
+
+def seam_errors(surf, verts, bounds, n) -> list[str]:
+    """What is wrong with the mesh's z = 0 vertices, if anything. Each must
+    lie in a grid edge (bounds ascending) across which f*y*Q changes sign,
+    with y == 0 exactly or hypot(x - cx, y - cy) within 4 ulps of r.
+    """
+    cyl = surf.cylinder
+    (cx, cy), r = cyl.center, cyl.radius
+    if bounds is None:
+        bounds = (cx - 1.6 * r, cx + 1.6 * r, cy - 1.6 * r, cy + 1.6 * r)
+    xs = np.linspace(bounds[0], bounds[1], n).tolist()
+    ys = np.linspace(bounds[2], bounds[3], n).tolist()
+
+    def g(x, y):
+        return surf.frame.f * y * ((x - cx) ** 2 + (y - cy) ** 2
+                                   - cyl.radius_squared)
+
+    def spans(line, t):
+        k = bisect.bisect_left(line, t)
+        return [j for j in (k - 1, k)
+                if 0 <= j < n - 1 and line[j] <= t <= line[j + 1]]
+
+    errors = []
+    for x, y, z in verts.tolist() if len(verts) else []:
+        if z != 0.0:
+            continue
+        edges = [((x, ys[j]), (x, ys[j + 1])) for j in spans(ys, y)
+                 if x in xs]
+        edges += [((xs[i], y), (xs[i + 1], y)) for i in spans(xs, x)
+                  if y in ys]
+        if not any(g(*p) * g(*q) < 0.0 for p, q in edges):
+            errors.append(f"({x!r}, {y!r}) is in no crossing edge")
+        elif y != 0.0 and abs(math.hypot(x - cx, y - cy) - r) \
+                > 4.0 * math.ulp(r):
+            errors.append(f"({x!r}, {y!r}) is off the circle")
+    return errors
 
 
 def assert_same_mesh(surf, bounds, n, check_types=False):
@@ -348,22 +487,12 @@ class TestSkewMeshReference:
 
     def test_random_draws(self):
         """300 random triangle x label x n in [2, 120] x bounds draws."""
-        rng = np.random.default_rng(20261018)
         crossings = 0
-        for k in range(300):
-            tri = random_scene(rng).triangle
-            surf = skewed_danger_cylinder(tri, POINT_LABELS[k % 3])
-            n = int(rng.integers(2, 121))
-            bounds = None
-            if k % 2:
-                (cx, cy), r = surf.cylinder.center, surf.cylinder.radius
-                xb = np.sort(rng.uniform(cx - 2.0 * r, cx + 2.0 * r, 2))
-                yb = np.sort(rng.uniform(cy - 2.0 * r, cy + 2.0 * r, 2))
-                bounds = (*xb.tolist(), *yb.tolist())
+        for surf, bounds, n in random_mesh_draws():
             verts, _ = assert_same_mesh(surf, bounds, n)
             crossings += int(np.count_nonzero(verts[:, 2] == 0.0)) \
                 if len(verts) else 0
-        assert crossings > 1000  # the bisection ran on many edges
+        assert crossings > 1000  # many edges got a z = 0 vertex
 
     def test_overflowing_square_raises_in_both(self, sc1_triangle):
         """x ** 2 raises OverflowError past |x| ~ 1.34e154; so does the
