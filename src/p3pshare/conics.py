@@ -5,8 +5,9 @@ cubic det(A + lam B) gives a degenerate member, a pair of lines through the
 common points. Each line meets the other conic in one quadratic, whose
 roots seed damped Newton on the bivariate system; a double root of that
 quadratic is a tangency, and its two seeds merge into one point of
-multiplicity 2. All but one eigenvalue call is float arithmetic on tuples, as
-numpy's per-call cost dominates; sums fold left to right (see README).
+multiplicity 2. All but one eigenvalue call is straight-line arithmetic on
+float locals, as numpy's per-call cost dominates; sums fold left to right
+(see README).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DegeneratePencilError
-from .geometry import RatioPair, ViewAngles, _cross
+from .geometry import RatioPair, ViewAngles
 
 #: default acceptance residual for polished intersection points
 INTERSECT_TOL = 1e-9
@@ -205,79 +206,6 @@ def _pencil_sigma2(x, y) -> float:
     return math.sqrt(w) / norms / math.sqrt(1.0 + abs(dot))
 
 
-def _matrix(t):
-    """Symmetric M with F(u, v) = x^T M x for x = (u, v, 1), from F's terms t."""
-    h_uv, h_u, h_v = 0.5 * t[1], 0.5 * t[3], 0.5 * t[4]
-    return ((t[2], h_uv, h_u), (h_uv, t[0], h_v), (h_u, h_v, t[5]))
-
-
-def _dot(x, y) -> float:
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-
-
-def _adj(M):
-    """Adjugate of a symmetric 3x3 matrix: cross products of its rows."""
-    return (_cross(M[1], M[2]), _cross(M[2], M[0]), _cross(M[0], M[1]))
-
-
-def _member(A, B, lam: float):
-    """A + lam B."""
-    return [(ra[0] + lam * rb[0], ra[1] + lam * rb[1], ra[2] + lam * rb[2])
-            for ra, rb in zip(A, B)]
-
-
-def _split_lines(D):
-    """The two real lines l . (u, v, 1) = 0 whose product is the degenerate
-    conic D: adj(D) = -p p^T for their common point p, and D plus the skew
-    matrix of p is the rank-1 l m^T (Richter-Gebert, Perspectives on
-    Projective Geometry, 11.3). None when the lines are complex conjugate."""
-    q = _adj(D)
-    i = max(range(3), key=lambda k: abs(q[k][k]))
-    if q[i][i] > 0.0:
-        return ()
-    beta = math.sqrt(-q[i][i])
-    p0, p1, p2 = (x / beta for x in q[i]) if beta else (0.0, 0.0, 0.0)
-    (a, b, c), (_, d, e), (_, _, f) = D
-    C = ((a, b + p2, c - p1), (b - p2, d, e + p0), (c + p1, e - p0, f))
-    flat = [abs(x) for row in C for x in row]
-    i, j = divmod(flat.index(max(flat)), 3)
-    return C[i], (C[0][j], C[1][j], C[2][j])
-
-
-def _line_seeds(G, line, tol: float) -> list[tuple[float, float]]:
-    """Seeds for the common points of a line and the conic of matrix G.
-
-    Along the line o + x d, G is a quadratic a2 x^2 + a1 x + a0. A complex
-    pair x0 +- i im gives the seeds x0 +- im when G there, 2 |a2| im^2,
-    passes the tol gate: a tangency that rounding pushed off the real axis."""
-    l0, l1, l2 = line
-    if abs(l1) >= abs(l0):
-        if l1 == 0.0:  # the line at infinity
-            return []
-        d, o = (1.0, -l0 / l1, 0.0), (0.0, -l2 / l1, 1.0)
-    else:
-        d, o = (-l1 / l0, 1.0, 0.0), (-l2 / l0, 0.0, 1.0)
-    Gd, Go = [_dot(row, d) for row in G], [_dot(row, o) for row in G]
-    a2, a1, a0 = _dot(d, Gd), 2.0 * _dot(o, Gd), _dot(o, Go)
-    disc = a1 * a1 - 4.0 * a2 * a0
-    if disc < 0.0:
-        x0 = -0.5 * a1 / a2
-        im = math.sqrt(-disc) / (2.0 * abs(a2))
-        u0, v0 = o[0] + x0 * d[0], o[1] + x0 * d[1]
-        if 2.0 * abs(a2) * im * im > tol * (1.0 + u0 * u0 + v0 * v0):
-            return []
-        xs = (x0 - im, x0 + im)
-    else:
-        # the stable pair q / a2, a0 / q; a2 = 0 leaves the one root a0 / q,
-        # and q = 0 means a1 = 0 and a2 a0 = 0
-        q = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
-        if q == 0.0:
-            xs = (0.0, 0.0) if a2 else ()
-        else:
-            xs = (q / a2, a0 / q) if a2 else (a0 / q,)
-    return [(o[0] + x * d[0], o[1] + x * d[1]) for x in xs]
-
-
 def intersect_conics(pair: ConicPair, tol: float = INTERSECT_TOL,
                      cluster_tol: float = CLUSTER_TOL) -> IntersectionSet:
     """All real intersections of the pair, with root multiplicities: polished
@@ -289,58 +217,189 @@ def intersect_conics(pair: ConicPair, tol: float = INTERSECT_TOL,
     return _intersect(pair.C1.terms, pair.C2.terms, tol, cluster_tol)
 
 
-def _intersect(t1, t2, tol: float, cluster_tol: float) -> IntersectionSet:
-    """intersect_conics on the two conics' `Conic.terms` rows."""
-    t1, t2 = _unit(t1), _unit(t2)
-    if _pencil_sigma2(t1, t2) < PENCIL_RANK_TOL:
-        raise DegeneratePencilError("proportional conic pair")
-
-    A, B = _matrix(t1), _matrix(t2)
-    adjA, adjB = _adj(A), _adj(B)
-    detA, detB = _dot(A[0], adjA[0]), _dot(B[0], adjB[0])
-    if abs(detB) < abs(detA):  # det B leads the cubic: finite roots
-        A, B, adjA, adjB, detA, detB = B, A, adjB, adjA, detB, detA
-    cubic = [detA, reduce(add, map(_dot, adjA, B), 0.0),
-             reduce(add, map(_dot, A, adjB), 0.0), detB]
-    if max(map(abs, cubic)) < 1e-14:
-        raise DegeneratePencilError("conics share a component")
-    r = cubic[:]  # both conics can be line pairs: det A = det B = 0
-    while r[-1] == 0.0:
-        r.pop()
-    roots = companion_roots(r)
-
-    # the real root farthest from the other two is simple even at a
-    # tangency, where the two members through the tangent point coincide
+def _isolated_root(roots) -> float:
+    """The real root farthest from the others, first on ties."""
     def isolation(k):
         return min(abs(roots[k] - z) for j, z in enumerate(roots) if j != k)
     real = [k for k, z in enumerate(roots) if z.imag == 0.0]
-    lam = roots[max(real, key=isolation) if len(real) > 1 else real[0]].real
+    return roots[max(real, key=isolation) if len(real) > 1 else real[0]].real
+
+
+def _intersect(t1, t2, tol: float, cluster_tol: float) -> IntersectionSet:
+    """intersect_conics on the two conics' `Conic.terms` rows.
+
+    Straight-line float code: A and B are the symmetric matrices of the unit
+    rows (F = x^T M x for x = (u, v, 1)), held as their six upper entries;
+    adjugates are the cross products of matrix rows, each subtraction in
+    `geometry._cross` order, and sums fold left in the order that
+    `TestSolveReference` pins bit for bit."""
+    x0, x1, x2, x3, x4, x5 = t1 = _unit(t1)
+    y0, y1, y2, y3, y4, y5 = t2 = _unit(t2)
+    # sigma2 needs its 15-term wedge only where (x.y)^2 > 0.999 |x|^2 |y|^2:
+    # outside, |cos| <= sqrt(0.999) between the rows, so
+    # sigma2 = sqrt(1 - |cos|) >= 0.022, far above PENCIL_RANK_TOL
+    xx = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4 + x5 * x5
+    yy = y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3 + y4 * y4 + y5 * y5
+    xy = x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3 + x4 * y4 + x5 * y5
+    if (xy * xy > 0.999 * xx * yy
+            and _pencil_sigma2(t1, t2) < PENCIL_RANK_TOL):
+        raise DegeneratePencilError("proportional conic pair")
+
+    a00, a01, a02, a11, a12, a22 = x2, 0.5 * x1, 0.5 * x3, x0, 0.5 * x4, x5
+    b00, b01, b02, b11, b12, b22 = y2, 0.5 * y1, 0.5 * y3, y0, 0.5 * y4, y5
+    # adj A = (e..) and adj B = (f..), symmetric to the bit
+    e00, e01, e02 = (a11 * a22 - a12 * a12, a12 * a02 - a01 * a22,
+                     a01 * a12 - a11 * a02)
+    e11, e12, e22 = (a22 * a00 - a02 * a02, a02 * a01 - a12 * a00,
+                     a00 * a11 - a01 * a01)
+    f00, f01, f02 = (b11 * b22 - b12 * b12, b12 * b02 - b01 * b22,
+                     b01 * b12 - b11 * b02)
+    f11, f12, f22 = (b22 * b00 - b02 * b02, b02 * b01 - b12 * b00,
+                     b00 * b11 - b01 * b01)
+    # det(A + lam B) = c0 + c1 lam + c2 lam^2 + c3 lam^3
+    c0 = a00 * e00 + a01 * e01 + a02 * e02
+    c1 = (0.0 + (e00 * b00 + e01 * b01 + e02 * b02)
+          + (e01 * b01 + e11 * b11 + e12 * b12)
+          + (e02 * b02 + e12 * b12 + e22 * b22))
+    c2 = (0.0 + (a00 * f00 + a01 * f01 + a02 * f02)
+          + (a01 * f01 + a11 * f11 + a12 * f12)
+          + (a02 * f02 + a12 * f12 + a22 * f22))
+    c3 = b00 * f00 + b01 * f01 + b02 * f02
+    if abs(c3) < abs(c0):  # det B leads the cubic: finite roots
+        (a00, a01, a02, a11, a12, a22, b00, b01, b02, b11, b12, b22) = (
+            b00, b01, b02, b11, b12, b22, a00, a01, a02, a11, a12, a22)
+        c0, c1, c2, c3 = c3, c2, c1, c0
+    if max(abs(c0), abs(c1), abs(c2), abs(c3)) < 1e-14:
+        raise DegeneratePencilError("conics share a component")
+
+    # the real root farthest from the other two is simple even at a
+    # tangency, where the two members through the tangent point coincide
+    if c3 != 0.0:
+        m0, m1, m2 = -c0 / c3, -c1 / c3, -c2 / c3
+        if not (math.isfinite(m0) and math.isfinite(m1)
+                and math.isfinite(m2)):
+            raise LinAlgError("Array must not contain infs or NaNs")
+        z = _eigvals(((0.0, 0.0, m0), (1.0, 0.0, m1), (0.0, 1.0, m2)),
+                     signature="d->D").tolist()
+        real = [w.real for w in z if w.imag == 0.0]
+        if len(real) == 3:
+            r0, r1, r2 = real
+            d01, d02, d12 = abs(r0 - r1), abs(r0 - r2), abs(r1 - r2)
+            lam, best = r0, min(d01, d02)
+            if min(d01, d12) > best:
+                lam, best = r1, min(d01, d12)
+            if min(d02, d12) > best:
+                lam = r2
+        elif len(real) == 1:
+            lam = real[0]
+        else:
+            lam = _isolated_root(z)
+    else:  # both conics are line pairs: det A = det B = 0
+        r = [c0, c1, c2]
+        while r[-1] == 0.0:
+            r.pop()
+        lam = _isolated_root(companion_roots(r))
     if abs(lam) > 1.0:
         # the same member as B + A / lam: swap the roles so that |lam| <= 1
-        A, B, lam = B, A, 1.0 / lam
-        cubic.reverse()
-    for _ in range(2):
-        D = _member(A, B, lam)
-        df = cubic[1] + (2.0 * cubic[2] + 3.0 * cubic[3] * lam) * lam
+        (a00, a01, a02, a11, a12, a22, b00, b01, b02, b11, b12, b22) = (
+            b00, b01, b02, b11, b12, b22, a00, a01, a02, a11, a12, a22)
+        lam = 1.0 / lam
+        c0, c1, c2, c3 = c3, c2, c1, c0
+    for _ in range(2):  # Newton on det(A + lam B)
+        df = c1 + (2.0 * c2 + 3.0 * c3 * lam) * lam
         if df:
-            lam -= _dot(D[0], _cross(D[1], D[2])) / df
+            d00, d01, d02 = a00 + lam * b00, a01 + lam * b01, a02 + lam * b02
+            d11, d12, d22 = a11 + lam * b11, a12 + lam * b12, a22 + lam * b22
+            lam -= (d00 * (d11 * d22 - d12 * d12)
+                    + d01 * (d12 * d02 - d01 * d22)
+                    + d02 * (d01 * d12 - d11 * d02)) / df
 
+    # The member D splits into two real lines l . (u, v, 1) = 0:
+    # adj(D) = -p p^T for their common point p, and D plus the skew matrix
+    # of p is the rank-1 l m^T (Richter-Gebert, Perspectives on Projective
+    # Geometry, 11.3). Complex conjugate lines (q_ii > 0) give no points.
+    d00, d01, d02 = a00 + lam * b00, a01 + lam * b01, a02 + lam * b02
+    d11, d12, d22 = a11 + lam * b11, a12 + lam * b12, a22 + lam * b22
+    q00, q01, q02 = (d11 * d22 - d12 * d12, d12 * d02 - d01 * d22,
+                     d01 * d12 - d11 * d02)
+    q11, q12, q22 = (d22 * d00 - d02 * d02, d02 * d01 - d12 * d00,
+                     d00 * d11 - d01 * d01)
+    qii, qi = q00, (q00, q01, q02)  # the row of adj(D) of largest |q_ii|
+    if abs(q11) > abs(qii):
+        qii, qi = q11, (q01, q11, q12)
+    if abs(q22) > abs(qii):
+        qii, qi = q22, (q02, q12, q22)
+    if qii > 0.0:
+        return IntersectionSet(points=(), all_real=0)
+    beta = math.sqrt(-qii)
+    p0, p1, p2 = ((qi[0] / beta, qi[1] / beta, qi[2] / beta) if beta
+                  else (0.0, 0.0, 0.0))
+    C = (d00, d01 + p2, d02 - p1,
+         d01 - p2, d11, d12 + p0,
+         d02 + p1, d12 - p0, d22)
+    flat = list(map(abs, C))
+    i, j = divmod(flat.index(max(flat)), 3)
+
+    # Each line meets B in a quadratic a2 x^2 + a1 x + a0 along o + x d
+    # (a2 = d.Bd, a1 = 2 o.Bd, a0 = o.Bo), with d = (1, s, 0) and
+    # o = (0, t, 1) when |l1| >= |l0|; otherwise u and v trade places
+    # (flip). The * 0.0 products stay: they set signed zeros and turn an
+    # infinity into NaN. A complex pair x0 +- i im gives the seeds x0 +- im
+    # when B there, 2 |a2| im^2, passes the tol gate: a tangency that
+    # rounding pushed off the real axis.
     points: list[list] = []  # [u, v, multiplicity]
-    for line in _split_lines(_member(A, B, lam)):
-        for u0, v0 in _line_seeds(B, line, tol):
+    for l0, l1, l2 in (C[3 * i:3 * i + 3], C[j::3]):
+        if abs(l1) >= abs(l0):
+            if l1 == 0.0:  # the line at infinity
+                continue
+            flip, s, t = False, -l0 / l1, -l2 / l1
+            g00, g02, g11, g12 = b00, b02, b11, b12
+        else:
+            flip, s, t = True, -l1 / l0, -l2 / l0
+            g00, g02, g11, g12 = b11, b12, b00, b02
+        gd0 = g00 + b01 * s + g02 * 0.0
+        gd1 = b01 + g11 * s + g12 * 0.0
+        gd2 = g02 + g12 * s + b22 * 0.0
+        a2 = gd0 + s * gd1 + 0.0 * gd2
+        a1 = 2.0 * (0.0 * gd0 + t * gd1 + gd2)
+        a0 = (0.0 * (g00 * 0.0 + b01 * t + g02)
+              + t * (b01 * 0.0 + g11 * t + g12)
+              + (g02 * 0.0 + g12 * t + b22))
+        disc = a1 * a1 - 4.0 * a2 * a0
+        if disc < 0.0:
+            x0 = -0.5 * a1 / a2
+            im = math.sqrt(-disc) / (2.0 * abs(a2))
+            u0, v0 = 0.0 + x0, t + x0 * s
+            if flip:
+                u0, v0 = v0, u0
+            if 2.0 * abs(a2) * im * im > tol * (1.0 + u0 * u0 + v0 * v0):
+                continue
+            xs = (x0 - im, x0 + im)
+        else:
+            # the stable pair q / a2, a0 / q; a2 = 0 leaves the one root
+            # a0 / q, and q = 0 means a1 = 0 and a2 a0 = 0
+            q = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
+            if q == 0.0:
+                xs = (0.0, 0.0) if a2 else ()
+            else:
+                xs = (q / a2, a0 / q) if a2 else (a0 / q,)
+        for x in xs:
+            u0, v0 = 0.0 + x, t + x * s
+            if flip:
+                u0, v0 = v0, u0
             u, v, res = _polish(t1, t2, u0, v0, 1e-15)
             if not res <= tol * (1.0 + u * u + v * v):
                 continue
-            for q in points:
-                if (abs(u - q[0]) <= cluster_tol * (1.0 + abs(q[0]))
-                        and abs(v - q[1]) <= cluster_tol * (1.0 + abs(q[1]))):
-                    q[2] += 1
+            for p in points:
+                if (abs(u - p[0]) <= cluster_tol * (1.0 + abs(p[0]))
+                        and abs(v - p[1]) <= cluster_tol * (1.0 + abs(p[1]))):
+                    p[2] += 1
                     break
             else:
                 points.append([u, v, 1])
-    points.sort(key=lambda q: (q[0], q[1]))
-    return IntersectionSet(points=tuple([RatioPair(*q) for q in points]),
-                           all_real=sum(q[2] for q in points))
+    points.sort(key=lambda p: (p[0], p[1]))
+    return IntersectionSet(points=tuple([RatioPair(*p) for p in points]),
+                           all_real=sum(p[2] for p in points))
 
 
 def quadrant_one_filter(inter: IntersectionSet) -> list[RatioPair]:

@@ -71,20 +71,34 @@ def solve(tri: ControlTriangle, angles: ViewAngles,
           cluster_tol: float = conics.CLUSTER_TOL) -> SolutionSet:
     """Enumerate all distinct positive solutions of the scene.
 
-    Propagates DegeneratePencilError for cocyclic configurations.
+    Raises:
+        DegeneratePencilError: the two conics are proportional or share a
+            component: cocyclic configurations (O near the circumcircle of
+            the control points, in their plane), and most sliver triangles
+            with one side below 1e-3 of the others, whose cubic falls under
+            the absolute 1e-14 gate.
+        InconsistentInputError: a quadrant-I ratio point fails the
+            basic-constraint residual gate; sliver triangles, whose
+            residuals divide by a tiny side squared, reach it.
+        numpy.linalg.LinAlgError: the eigenvalue guards (those of
+            `conics.companion_roots`) fire, on a non-finite companion matrix
+            (a leading cubic coefficient so small that a ratio to it
+            overflows) or when LAPACK does not converge. No scene of the
+            tests or campaigns reaches them.
     """
-    inter = conics._intersect(*conics.conic_terms(tri.sides, angles.cosines),
+    sides = tri.sides
+    inter = conics._intersect(*conics.conic_terms(sides, angles.cosines),
                               tol, cluster_tol)
+    gate = max(tol, 1e-9)
     sols = []
     for rp in conics.quadrant_one_filter(inter):
         try:
-            t = _triplet(rp.u, rp.v, tri.sides, angles, max(tol, 1e-9))
+            t = _triplet(rp.u, rp.v, sides, angles, gate)
         except InfeasibleRatioError:
             continue
-        sols.append(Solution(triplet=t, ratio=rp,
-                             repeated=rp.multiplicity >= 2))
+        sols.append(Solution(t, rp, rp.multiplicity >= 2))
     sols.sort(key=lambda s: (s.triplet.s1, s.triplet.s2))
-    return SolutionSet(triangle=tri, angles=angles, solutions=tuple(sols))
+    return SolutionSet(tri, angles, tuple(sols))
 
 
 def recover_centers(t: SolutionTriplet, tri: ControlTriangle):

@@ -224,6 +224,62 @@ class TestPencilSigma2:
             assert below == 40
 
 
+class TestPencilGateBand:
+    """intersect_conics evaluates _pencil_sigma2 only where the unit rows
+    x, y have (x.y)^2 > 0.999 |x|^2 |y|^2. Outside that band sigma2 >= 0.022,
+    so the proportional-pair decision is _pencil_sigma2's alone."""
+
+    @staticmethod
+    def rows_at(off: float, k: int):
+        """A scene conic's row x, and y = x/|x| + off d for a unit d normal
+        to x: cos^2 between x and y is 1 / (1 + off^2)."""
+        x = np.array(scene_pair(k).C1.scaled().terms)
+        xh = x / np.linalg.norm(x)
+        d = np.random.default_rng(k).standard_normal(6)
+        d -= d.dot(xh) * xh
+        y = xh + off * d / np.linalg.norm(d)
+        return tuple(x.tolist()), tuple(y.tolist())
+
+    @staticmethod
+    def decisions(t1, t2, monkeypatch):
+        """(kernel raised "proportional", _pencil_sigma2 alone says so,
+        times the kernel evaluated it)."""
+        calls = []
+
+        def spy(x, y):
+            calls.append((x, y))
+            return _pencil_sigma2(x, y)
+        monkeypatch.setattr(conics, "_pencil_sigma2", spy)
+        try:
+            conics._intersect(t1, t2, conics.INTERSECT_TOL, conics.CLUSTER_TOL)
+            raised = False
+        except DegeneratePencilError as exc:
+            raised = str(exc) == "proportional conic pair"
+        x, y = Conic(*t1).scaled().terms, Conic(*t2).scaled().terms
+        return raised, _pencil_sigma2(x, y) < PENCIL_RANK_TOL, len(calls)
+
+    @pytest.mark.parametrize("k", range(20))
+    def test_just_inside_and_outside_the_band(self, k, monkeypatch):
+        edge = 1.0 / 0.999 - 1.0  # off^2 at cos^2 = 0.999
+        inside = self.rows_at(math.sqrt(edge * (1.0 - 1e-6)), k)
+        outside = self.rows_at(math.sqrt(edge * (1.0 + 1e-6)), k)
+        assert self.decisions(*inside, monkeypatch) == (False, False, 1)
+        assert self.decisions(*outside, monkeypatch) == (False, False, 0)
+        # the bound the short cut rests on
+        assert _pencil_sigma2(Conic(*outside[0]).scaled().terms,
+                              Conic(*outside[1]).scaled().terms) >= 0.022
+
+    @pytest.mark.parametrize("k", range(20))
+    def test_proportional_rows(self, k, monkeypatch):
+        x = scene_pair(k).C2.terms
+        for scale in (1.0, -2.0, 0.75):
+            y = tuple([scale * c for c in x])
+            assert self.decisions(x, y, monkeypatch) == (True, True, 1)
+        # 1e-11 off proportional: inside the band, below PENCIL_RANK_TOL
+        x, y = self.rows_at(1e-11, k)
+        assert self.decisions(x, y, monkeypatch) == (True, True, 1)
+
+
 class TestNewtonPolish:
     def test_converges_from_nearby_guess(self):
         pair = eq1_pair()

@@ -186,8 +186,76 @@ class TestRecoverCenters:
 
 # ---------------------------------------------------------------------------
 # The solve path as it stood on Conic objects and numpy's eigvals wrapper,
-# kept as the reference for the float-tuple kernel. The helpers that kernel
-# did not change (_adj, _dot, _member, _split_lines, _line_seeds) are shared.
+# kept as the reference for the straight-line kernel. It shares no code with
+# that kernel: the tuple helpers below (_dot, _adj, _member, _split_lines,
+# _line_seeds) are the ones the kernel replaced, kept verbatim.
+
+def _dot(x, y) -> float:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _adj(M):
+    """Adjugate of a symmetric 3x3 matrix: cross products of its rows."""
+    return (_cross(M[1], M[2]), _cross(M[2], M[0]), _cross(M[0], M[1]))
+
+
+def _member(A, B, lam: float):
+    """A + lam B."""
+    return [(ra[0] + lam * rb[0], ra[1] + lam * rb[1], ra[2] + lam * rb[2])
+            for ra, rb in zip(A, B)]
+
+
+def _split_lines(D):
+    """The two real lines l . (u, v, 1) = 0 whose product is the degenerate
+    conic D: adj(D) = -p p^T for their common point p, and D plus the skew
+    matrix of p is the rank-1 l m^T (Richter-Gebert, Perspectives on
+    Projective Geometry, 11.3). None when the lines are complex conjugate."""
+    q = _adj(D)
+    i = max(range(3), key=lambda k: abs(q[k][k]))
+    if q[i][i] > 0.0:
+        return ()
+    beta = math.sqrt(-q[i][i])
+    p0, p1, p2 = (x / beta for x in q[i]) if beta else (0.0, 0.0, 0.0)
+    (a, b, c), (_, d, e), (_, _, f) = D
+    C = ((a, b + p2, c - p1), (b - p2, d, e + p0), (c + p1, e - p0, f))
+    flat = [abs(x) for row in C for x in row]
+    i, j = divmod(flat.index(max(flat)), 3)
+    return C[i], (C[0][j], C[1][j], C[2][j])
+
+
+def _line_seeds(G, line, tol: float) -> list[tuple[float, float]]:
+    """Seeds for the common points of a line and the conic of matrix G.
+
+    Along the line o + x d, G is a quadratic a2 x^2 + a1 x + a0. A complex
+    pair x0 +- i im gives the seeds x0 +- im when G there, 2 |a2| im^2,
+    passes the tol gate: a tangency that rounding pushed off the real axis."""
+    l0, l1, l2 = line
+    if abs(l1) >= abs(l0):
+        if l1 == 0.0:  # the line at infinity
+            return []
+        d, o = (1.0, -l0 / l1, 0.0), (0.0, -l2 / l1, 1.0)
+    else:
+        d, o = (-l1 / l0, 1.0, 0.0), (-l2 / l0, 0.0, 1.0)
+    Gd, Go = [_dot(row, d) for row in G], [_dot(row, o) for row in G]
+    a2, a1, a0 = _dot(d, Gd), 2.0 * _dot(o, Gd), _dot(o, Go)
+    disc = a1 * a1 - 4.0 * a2 * a0
+    if disc < 0.0:
+        x0 = -0.5 * a1 / a2
+        im = math.sqrt(-disc) / (2.0 * abs(a2))
+        u0, v0 = o[0] + x0 * d[0], o[1] + x0 * d[1]
+        if 2.0 * abs(a2) * im * im > tol * (1.0 + u0 * u0 + v0 * v0):
+            return []
+        xs = (x0 - im, x0 + im)
+    else:
+        # the stable pair q / a2, a0 / q; a2 = 0 leaves the one root a0 / q,
+        # and q = 0 means a1 = 0 and a2 a0 = 0
+        q = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
+        if q == 0.0:
+            xs = (0.0, 0.0) if a2 else ()
+        else:
+            xs = (q / a2, a0 / q) if a2 else (a0 / q,)
+    return [(o[0] + x * d[0], o[1] + x * d[1]) for x in xs]
+
 
 def ref_scaled(F: Conic) -> Conic:
     m = max(abs(c) for c in F.terms)
@@ -257,7 +325,6 @@ def ref_matrix(F: Conic):
 
 def ref_intersect_conics(pair, tol=conics.INTERSECT_TOL,
                          cluster_tol=conics.CLUSTER_TOL):
-    _adj, _dot, _member = conics._adj, conics._dot, conics._member
     F1 = ref_scaled(pair.C1)
     F2 = ref_scaled(pair.C2)
     if ref_pencil_sigma2(F1, F2) < conics.PENCIL_RANK_TOL:
@@ -288,8 +355,8 @@ def ref_intersect_conics(pair, tol=conics.INTERSECT_TOL,
         if df:
             lam -= _dot(D[0], _cross(D[1], D[2])) / df
     points = []
-    for line in conics._split_lines(_member(A, B, lam)):
-        for u0, v0 in conics._line_seeds(B, line, tol):
+    for line in _split_lines(_member(A, B, lam)):
+        for u0, v0 in _line_seeds(B, line, tol):
             u, v, res = ref_newton_polish(F1, F2, u0, v0, tol=1e-15)
             if not res <= tol * (1.0 + u * u + v * v):
                 continue
@@ -447,3 +514,73 @@ class TestSolveReference:
             bad = ConicPair(C1, C2, pair.sides, pair.angles)
             assert outcome(intersect_conics, bad) \
                 == outcome(ref_intersect_conics, bad)
+
+    # One hand-made pair per rare branch of the kernel, with its real count.
+    # Terms order: c_vv, c_uv, c_uu, c_u, c_v, c_1 (F = c_vv v^2 + ... + c_1).
+    @pytest.mark.parametrize("C1, C2, all_real", [
+        # u^2 = v^2 and u^2 = 1: both are line pairs, det A = det B = 0, so
+        # the cubic's leading coefficient is exactly 0
+        pytest.param((-1.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+                     (0.0, 0.0, 1.0, 0.0, 0.0, -1.0), 4, id="cubic_degree_2"),
+        # the lines v = +-1 and the hyperbola u^2 = v^2 + v + 1: the cubic's
+        # roots 0 and +-2/sqrt(3) tie in isolation, and the first wins, as
+        # with max
+        pytest.param((1.0, 0.0, 0.0, 0.0, 0.0, -1.0),
+                     (-1.0, 0.0, 1.0, 0.0, -1.0, -1.0), 4, id="root_tie"),
+        # the lines u (v + 2) = 0 and the parabola v = -u^2, then the lines
+        # v (u + 1/2) = 0 and the parabola u = -v^2: one and then the other
+        # middle coefficient of the cubic sums to zero, and its `0.0 +`
+        # start makes that +0.0
+        pytest.param((0.0, 0.0, -2.0, 0.0, -2.0, 0.0),
+                     (0.0, 1.0, 0.0, 2.0, 0.0, 0.0), 3, id="zero_sum_sign"),
+        pytest.param((0.0, 1.0, 0.0, 0.0, 0.5, 0.0),
+                     (-1.0, 0.0, 0.0, -1.0, 0.0, 0.0), 3, id="zero_sum_sign_2"),
+        # the lines u (u - 2) = 0 and the hyperbola uv + u^2 + v = 0: two
+        # diagonal entries of adj(D) tie in size, and the first wins
+        pytest.param((0.0, 0.0, -1.0, 2.0, 0.0, 0.0),
+                     (0.0, 1.0, 1.0, 0.0, 1.0, 0.0), 2, id="adjugate_tie"),
+        # the double line v^2 = 0 and the line u = 0: the seed at x = -0.0
+        # comes out as u = 0.0 + x = +0.0
+        pytest.param((-1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                     (0.0, 0.0, 0.0, 1.0, 0.0, 0.0), 2, id="seed_sign"),
+        # the unit circle and an ellipse: the isolated root has |lam| > 1
+        pytest.param((1.0, 0.0, 1.0, 0.0, 0.0, -1.0),
+                     (2.0, 1.0, 1.0, -1.0, 0.0, -1.0), 2, id="lam_swap"),
+        # the hyperbola uv = -1 and the lines (u + v)(v - u + 2) = 0: the
+        # second touches it at (1, -1), where the first crosses, a triple
+        # point; det(A + lam B) is flat at the root taken
+        pytest.param((0.0, 2.0, 0.0, 0.0, 0.0, 2.0),
+                     (1.0, 0.0, -1.0, 2.0, 2.0, 0.0), 4, id="df_zero"),
+        # the double line v^2 = 0 and the parabola 2v = (u - 1)^2 touching
+        # it: the member is the double line, adj(D) = 0 and beta = 0 (and
+        # df = 0 as well)
+        pytest.param((-1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                     (0.0, 0.0, -1.0, 2.0, 2.0, -1.0), 4, id="beta_zero"),
+        # the line v = 0 and the empty circle u^2 + v^2 = -2: the member's
+        # lines are complex conjugate (q_ii > 0)
+        pytest.param((0.0, 0.0, 0.0, 0.0, 1.0, 0.0),
+                     (1.0, 0.0, 1.0, 0.0, 0.0, 2.0), 0, id="complex_lines"),
+        # the parabola v^2 + v + 2u = 0 and the line u = 0: the other line
+        # of the member is the line at infinity
+        pytest.param((1.0, 0.0, 0.0, 2.0, 1.0, 0.0),
+                     (0.0, 0.0, 0.0, -1.0, 0.0, 0.0), 2, id="line_at_infinity"),
+        # a circle and the double line v^2 = 0 across it: each crossing is
+        # a double point, and comes back as a complex pair that passes the
+        # tol gate
+        pytest.param((2.0, 0.0, 2.0, 2.0, 0.0, -1.0),
+                     (2.0, 0.0, 0.0, 0.0, 0.0, 0.0), 4, id="complex_tangency"),
+        # the lines u (v + 1) = 0 and the parabola v = u^2: u = 0 is
+        # parallel to the axis and meets it once (a2 = 0, one seed)
+        pytest.param((0.0, -1.0, 0.0, -1.0, 0.0, 0.0),
+                     (0.0, 0.0, -1.0, 0.0, 1.0, 0.0), 1, id="a2_zero"),
+        # the unit circle and an ellipse tangent to it at (0, +-1): each
+        # line's quadratic has a1 = 0 and a double root, so q = 0
+        pytest.param((1.0, 0.0, 1.0, 0.0, 0.0, -1.0),
+                     (1.0, 0.0, 0.25, 0.0, 0.0, -1.0), 4, id="q_zero"),
+    ])
+    def test_rare_branches(self, C1, C2, all_real):
+        eq1 = build_conics((1.0, 1.0, 1.0), ViewAngles(0.625, 0.625, 0.625))
+        pair = ConicPair(Conic(*C1), Conic(*C2), eq1.sides, eq1.angles)
+        got = outcome(intersect_conics, pair)
+        assert got == outcome(ref_intersect_conics, pair)
+        assert got[0] == all_real
