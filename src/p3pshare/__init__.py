@@ -9,10 +9,8 @@ from .conics import (Conic, ConicPair, IntersectionSet, build_conics,
 from .solver import (Solution, SolutionSet, constraint_residuals,
                      recover_centers, solve, triplet_from_ratio)
 from .sharing import (PairClassification, SharingLabel, classify_solution_set,
-                      companion_check, construct_point_mate,
-                      construct_side_mate, point_mate_condition,
-                      point_share_residual, side_mate_condition,
-                      side_share_residual)
+                      companion_check, construct_mate, mate_condition,
+                      sharing_residual)
 from .loci import (DangerCylinder, SampleRegion, SkewedDangerCylinder,
                    VerticalPlane, cylinder_membership, danger_cylinder,
                    plane_membership, sample_locus, skewed_danger_cylinder,

@@ -73,8 +73,6 @@ def _unit(t) -> tuple[float, ...]:
 class ConicPair:
     C1: Conic
     C2: Conic
-    sides: tuple[float, float, float]
-    angles: ViewAngles
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ def conic_terms(sides, cosines) -> tuple[tuple[float, ...], tuple[float, ...]]:
 def build_conics(sides: tuple[float, float, float], angles: ViewAngles) -> ConicPair:
     """The two characteristic conics of the scene (u = s2/s1, v = s3/s1)."""
     t1, t2 = conic_terms(sides, angles.cosines)
-    return ConicPair(Conic(*t1), Conic(*t2), tuple(sides), angles)
+    return ConicPair(Conic(*t1), Conic(*t2))
 
 
 def newton_polish(F1: Conic, F2: Conic, u: float, v: float,

@@ -81,9 +81,7 @@ def load_scene(path: str):
 
 def write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(format_csv(header, rows))
 
 
 def format_csv(header: list[str], rows) -> str:

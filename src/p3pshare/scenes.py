@@ -15,7 +15,7 @@ from .errors import (DegenerateAngleError, DegenerateInputError,
                      SamplingFailureError)
 from .geometry import (ControlTriangle, RatioPair, SolutionTriplet, ViewAngles,
                        canonical_frame, cocyclic_degeneracy,
-                       view_angles_from_center)
+                       interior_angles, view_angles_from_center)
 from .sharing import SharingLabel
 
 
@@ -564,9 +564,9 @@ def _campaign_construct_point(rep: CampaignReport, tol: float, seed: int,
         k = label.shift
         _, b_k, c_k = sharing.cycle3(tri.sides, k)
         _, cb, cg = sharing.cycle3(scene.angles.cosines, k)
-        _, cosB, cosC = sharing.cycle3((tri.cos_A, tri.cos_B, tri.cos_C), k)
+        _, cosB, cosC = sharing.cycle3(interior_angles(tri), k)
         for s in sol.solutions:
-            r = sharing.point_share_residual(s.ratio, tri, scene.angles, label)
+            r = sharing.sharing_residual(s.ratio, tri, scene.angles, label)
             if abs(r) > tol:
                 continue
             s1 = sharing.relabel_triplet(s.triplet, k).s1
@@ -578,7 +578,7 @@ def _campaign_construct_point(rep: CampaignReport, tol: float, seed: int,
                 reason = "condition equivalence violated"
             if (cb > cosB) != (s1 > c_k) or (cg > cosC) != (s1 > b_k):
                 componentwise_mismatch += 1
-        if sharing.point_mate_condition(tri, scene.angles, label):
+        if sharing.mate_condition(tri, scene.angles, label):
             s = true_triplet(scene)
             mate = sharing.construct_mate(s, tri, scene.angles, label,
                                           line_tol=tol)

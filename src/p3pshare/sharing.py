@@ -1,9 +1,13 @@
 """Side-sharing and point-sharing analysis.
 
-The constraint lines and mate constructions are stated for the shared side
-BC and the shared point A; the other labels follow by the cyclic
-relabeling (A, a, alpha, s1) -> (B, b, beta, s2) -> (C, c, gamma, s3), with
-ratio points re-expressed in the relabeled base distance.
+Six labels, two kinds at three cyclic shifts. Each kind has one constraint
+line, stated for the shared side BC or the shared point A (`_line`); the
+other labels follow by the cyclic relabeling
+(A, a, alpha, s1) -> (B, b, beta, s2) -> (C, c, gamma, s3), with ratio
+points re-expressed in the relabeled base distance. Each label question
+has one entry point: `sharing_residual`, `mate_condition` and
+`construct_mate`. The companion factorization is the product of a
+family's two lines.
 """
 
 from __future__ import annotations
@@ -76,120 +80,74 @@ def relabel_triangle(tri: ControlTriangle, k: int) -> ControlTriangle:
     return ControlTriangle.from_points(A, B, C)
 
 
-def side_share_residual(rp: RatioPair, angles: ViewAngles,
-                        label: SharingLabel) -> float:
-    """Value of the side-share constraint line at the ratio point.
+def _line(tri: ControlTriangle, cosines: tuple[float, float, float],
+          kind: str, k: int) -> tuple[float, float, float]:
+    """(Lu, Lv, L1) of the kind's line Lu u + Lv v + L1 = 0, relabeled by k.
 
-    For SIDE_BC this is cos(gamma) u - cos(beta) v.
+    SIDE_BC: (cos gamma, -cos beta, -0.0), the one zero that leaves every
+    sum unchanged. POINT_A: ((cosACB/cos gamma) b, (cosABC/cos beta) c, -a).
     """
-    k = label.shift
-    _, cb, cg = cycle3(angles.cosines, k)
-    u, v = relabel_ratio(rp.u, rp.v, k)
-    return cg * u - cb * v
-
-
-def point_share_residual(rp: RatioPair, tri: ControlTriangle,
-                         angles: ViewAngles, label: SharingLabel) -> float:
-    """Value of the point-share constraint line at the ratio point.
-
-    For POINT_A: (cosACB/cos gamma) b u + (cosABC/cos beta) c v - a.
-    """
-    k = label.shift
+    _, cb, cg = cycle3(cosines, k)
+    if kind == "side":
+        return cg, -cb, -0.0
     a, b, c = cycle3(tri.sides, k)
-    _, cb, cg = cycle3(angles.cosines, k)
     _, cosB, cosC = cycle3(interior_angles(tri), k)
-    if abs(cb) < 1e-10 or abs(cg) < 1e-10:
-        raise RightAngleDegeneracyError("denominator cosine vanishes")
-    u, v = relabel_ratio(rp.u, rp.v, k)
-    return (cosC / cg) * b * u + (cosB / cb) * c * v - a
+    return (cosC / cg) * b, (cosB / cb) * c, -a
 
 
 def sharing_residual(rp: RatioPair, tri: ControlTriangle, angles: ViewAngles,
                      label: SharingLabel) -> float:
-    if label.kind == "side":
-        return side_share_residual(rp, angles, label)
-    return point_share_residual(rp, tri, angles, label)
+    """Value of the label's constraint line at the ratio point.
 
-
-def side_mate_condition(tri: ControlTriangle, angles: ViewAngles,
-                        label: SharingLabel = SharingLabel.SIDE_BC) -> bool:
-    """True iff the subtended angle is strictly below the opposite interior angle."""
-    k = label.shift
-    ca = cycle3(angles.cosines, k)[0]
-    cosA = cycle3(interior_angles(tri), k)[0]
-    return ca > cosA
-
-
-def point_mate_condition(tri: ControlTriangle, angles: ViewAngles,
-                         label: SharingLabel = SharingLabel.POINT_A) -> bool:
-    """True iff the optical center is outside both toroids of the shared point."""
-    k = label.shift
-    _, cb, cg = cycle3(angles.cosines, k)
-    _, cosB, cosC = cycle3(interior_angles(tri), k)
-    return cb > cosB and cg > cosC
+    A point line divides by its family's cos beta and cos gamma: it raises
+    RightAngleDegeneracyError when either nearly vanishes.
+    """
+    kind, k = label.value
+    cosines = angles.cosines
+    if kind == "point":
+        _, cb, cg = cycle3(cosines, k)
+        if abs(cb) < 1e-10 or abs(cg) < 1e-10:
+            raise RightAngleDegeneracyError("denominator cosine vanishes")
+    lu, lv, l1 = _line(tri, cosines, kind, k)
+    u, v = relabel_ratio(rp.u, rp.v, k)
+    return lu * u + lv * v + l1
 
 
 def mate_condition(tri: ControlTriangle, angles: ViewAngles,
                    label: SharingLabel) -> bool:
-    """The mate condition of a side or a point label."""
-    if label.kind == "side":
-        return side_mate_condition(tri, angles, label)
-    return point_mate_condition(tri, angles, label)
-
-
-def _ratio_of(t: SolutionTriplet) -> RatioPair:
-    return RatioPair(u=t.s2 / t.s1, v=t.s3 / t.s1)
-
-
-def construct_side_mate(t: SolutionTriplet, angles: ViewAngles,
-                        label: SharingLabel = SharingLabel.SIDE_BC,
-                        line_tol: float = LINE_TOL):
-    """The mate sharing the labeled side, or None when it is not positive.
-
-    The solution must lie on the side-share line (within line_tol).
-    """
-    if abs(side_share_residual(_ratio_of(t), angles, label)) > line_tol:
-        raise NotOnConstraintLineError("solution off the side-share line")
-    k = label.shift
-    _, _, cg = cycle3(angles.cosines, k)
-    tk = relabel_triplet(t, k)
-    s1_new = 2.0 * cg * tk.s2 - tk.s1
-    if s1_new <= 0.0:
-        return None
-    mate_k = SolutionTriplet(s1=s1_new, s2=tk.s2, s3=tk.s3)
-    return relabel_triplet(mate_k, (3 - k) % 3)
-
-
-def construct_point_mate(t: SolutionTriplet, angles: ViewAngles,
-                         label: SharingLabel = SharingLabel.POINT_A,
-                         line_tol: float = LINE_TOL,
-                         tri: ControlTriangle | None = None):
-    """The mate sharing the labeled point, or None when it is not positive.
-
-    tri is needed to evaluate the line precondition; pass None to skip it.
-    """
-    if tri is not None \
-            and abs(point_share_residual(_ratio_of(t), tri, angles,
-                                         label)) > line_tol:
-        raise NotOnConstraintLineError("solution off the point-share line")
-    k = label.shift
-    _, cb, cg = cycle3(angles.cosines, k)
-    tk = relabel_triplet(t, k)
-    s2_new = 2.0 * cg * tk.s1 - tk.s2
-    s3_new = 2.0 * cb * tk.s1 - tk.s3
-    if s2_new <= 0.0 or s3_new <= 0.0:
-        return None
-    mate_k = SolutionTriplet(s1=tk.s1, s2=s2_new, s3=s3_new)
-    return relabel_triplet(mate_k, (3 - k) % 3)
+    """The angle-form mate condition: for a side, the subtended angle is
+    strictly below the opposite interior angle; for a point, the optical
+    center is outside both toroids of the shared point."""
+    kind, k = label.value
+    ca, cb, cg = cycle3(angles.cosines, k)
+    cosA, cosB, cosC = cycle3(interior_angles(tri), k)
+    if kind == "side":
+        return ca > cosA
+    return cb > cosB and cg > cosC
 
 
 def construct_mate(t: SolutionTriplet, tri: ControlTriangle,
                    angles: ViewAngles, label: SharingLabel,
-                   line_tol: float = LINE_TOL):
-    """The mate of t sharing the labeled side or point (None if not positive)."""
-    if label.kind == "side":
-        return construct_side_mate(t, angles, label, line_tol)
-    return construct_point_mate(t, angles, label, line_tol, tri)
+                   line_tol: float = LINE_TOL) -> SolutionTriplet | None:
+    """The mate of t sharing the labeled side or point, None if not positive.
+
+    t must lie on the label's line (within line_tol). The mate is an exact
+    reflection: s1' = 2 cos(gamma) s2 - s1 for SIDE_BC; s2' =
+    2 cos(gamma) s1 - s2, s3' = 2 cos(beta) s1 - s3 for POINT_A.
+    """
+    kind, k = label.value
+    rp = RatioPair(u=t.s2 / t.s1, v=t.s3 / t.s1)
+    if abs(sharing_residual(rp, tri, angles, label)) > line_tol:
+        raise NotOnConstraintLineError(f"solution off the {kind}-share line")
+    _, cb, cg = cycle3(angles.cosines, k)
+    s1, s2, s3 = cycle3(t.values, k)
+    if kind == "side":
+        s1 = 2.0 * cg * s2 - s1
+    else:
+        s2, s3 = 2.0 * cg * s1 - s2, 2.0 * cb * s1 - s3
+    if s1 <= 0.0 or s2 <= 0.0 or s3 <= 0.0:
+        return None
+    return relabel_triplet(SolutionTriplet(s1, s2, s3), (3 - k) % 3)
 
 
 @dataclass(frozen=True)
@@ -263,17 +221,12 @@ def companion_identity_residual(tri: ControlTriangle, angles: ViewAngles,
     return (t1 + t2 + t3) / norm
 
 
-def _line_product_terms(tri: ControlTriangle, angles: ViewAngles,
+def _line_product_terms(tri: ControlTriangle, cosines: tuple[float, ...],
                         k: int) -> tuple[float, ...]:
     """Conic terms of (side line) * (point line) in the family-k basis."""
-    a, b, c = cycle3(tri.sides, k)
-    _, cb, cg = cycle3(angles.cosines, k)
-    _, cosB, cosC = cycle3(interior_angles(tri), k)
-    # L_side = cg u - cb v ; L_point = Pu u + Pv v + Pc
-    Pu = (cosC / cg) * b
-    Pv = (cosB / cb) * c
-    Pc = -a
-    return (-cb * Pv, cg * Pv - cb * Pu, cg * Pu, cg * Pc, -cb * Pc, 0.0)
+    su, sv, _ = _line(tri, cosines, "side", k)  # through the origin
+    pu, pv, p1 = _line(tri, cosines, "point", k)
+    return (sv * pv, su * pv + sv * pu, su * pu, su * p1, sv * p1, 0.0)
 
 
 def factorization_residual(tri: ControlTriangle, angles: ViewAngles,
@@ -284,9 +237,10 @@ def factorization_residual(tri: ControlTriangle, angles: ViewAngles,
     i.e. zero when they are proportional. The three dot products stay
     numpy calls: their BLAS rounding is what the golden reports hold.
     """
-    t1, t2 = conics.conic_terms(cycle3(tri.sides, k), cycle3(angles.cosines, k))
+    cosines = angles.cosines
+    t1, t2 = conics.conic_terms(cycle3(tri.sides, k), cycle3(cosines, k))
     d = np.array([y - x for x, y in zip(t1, t2)])  # the difference C2 - C1
-    p = np.array(_line_product_terms(tri, angles, k))
+    p = np.array(_line_product_terms(tri, cosines, k))
     d = d / math.sqrt(d.dot(d))
     p = p / math.sqrt(p.dot(p))
     r = d - d.dot(p) * p

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from p3pshare import conics, solver
-from p3pshare.conics import (PENCIL_RANK_TOL, Conic, _pencil_sigma2,
-                             build_conics, companion_roots, intersect_conics,
-                             newton_polish, quadrant_one_filter,
-                             resultant_in_u)
+from p3pshare.conics import (PENCIL_RANK_TOL, Conic, ConicPair,
+                             _pencil_sigma2, build_conics, companion_roots,
+                             intersect_conics, newton_polish,
+                             quadrant_one_filter, resultant_in_u)
 from p3pshare.errors import DegeneratePencilError, GenerationFailureError
 from p3pshare.geometry import ViewAngles
 from p3pshare.scenes import _trial_rngs, random_scene
@@ -318,18 +318,14 @@ class TestIntersectConics:
 
     def test_proportional_pair_rejected(self):
         c = Conic(1.0, 0.5, -1.0, 0.0, 0.25, 1.0)
-        pair = eq1_pair()
-        bad = type(pair)(C1=c, C2=Conic(*(2.0 * c.coeffs)),
-                         sides=pair.sides, angles=pair.angles)
+        bad = ConicPair(C1=c, C2=Conic(*(2.0 * c.coeffs)))
         with pytest.raises(DegeneratePencilError):
             intersect_conics(bad)
 
     def test_shared_component_rejected(self):
         # u v - u = u (v - 1) and u v + u = u (v + 1) share the line u = 0
-        pair = eq1_pair()
-        bad = type(pair)(C1=Conic(0.0, 1.0, 0.0, -1.0, 0.0, 0.0),
-                         C2=Conic(0.0, 1.0, 0.0, 1.0, 0.0, 0.0),
-                         sides=pair.sides, angles=pair.angles)
+        bad = ConicPair(C1=Conic(0.0, 1.0, 0.0, -1.0, 0.0, 0.0),
+                        C2=Conic(0.0, 1.0, 0.0, 1.0, 0.0, 0.0))
         with pytest.raises(DegeneratePencilError,
                            match="^conics share a component$"):
             intersect_conics(bad)
@@ -342,10 +338,8 @@ class TestIntersectConics:
         (Conic(1.0, 0.0, 0.25, 0.0, 0.0, -1.0), [(0.0, -1.0, 2), (0.0, 1.0, 2)]),
     ])
     def test_tangencies_of_the_unit_circle(self, C2, want):
-        pair = eq1_pair()
         circle = Conic(1.0, 0.0, 1.0, 0.0, 0.0, -1.0)
-        inter = intersect_conics(type(pair)(C1=circle, C2=C2, sides=pair.sides,
-                                            angles=pair.angles))
+        inter = intersect_conics(ConicPair(C1=circle, C2=C2))
         got = [(round(p.u, 9), round(p.v, 9), p.multiplicity)
                for p in inter.points]
         assert got == want

@@ -20,7 +20,7 @@ from p3pshare.loci import (_DEN_TOL, SampleRegion, SkewedDangerCylinder,
                            uniform, vertical_plane)
 from p3pshare.scenes import random_scene, scene_from_center, true_triplet
 from p3pshare.sharing import (POINT_LABELS, SIDE_LABELS, SharingLabel,
-                              point_share_residual, side_share_residual)
+                              sharing_residual)
 from p3pshare.geometry import RatioPair
 from p3pshare.solver import solve
 
@@ -100,7 +100,8 @@ class TestVerticalPlanes:
             sc = scene_from_center(sc1_triangle, O)
             t = true_triplet(sc)
             rp = RatioPair(u=t.s2 / t.s1, v=t.s3 / t.s1)
-            assert abs(side_share_residual(rp, sc.angles, label)) < 1e-12
+            assert abs(sharing_residual(rp, sc1_triangle, sc.angles,
+                                        label)) < 1e-12
 
 
 class TestSkewSurface:
@@ -126,7 +127,7 @@ class TestSkewSurface:
             sc = scene_from_center(sc1_triangle, O)
             t = true_triplet(sc)
             rp = RatioPair(u=t.s2 / t.s1, v=t.s3 / t.s1)
-            r = point_share_residual(rp, sc1_triangle, sc.angles, label)
+            r = sharing_residual(rp, sc1_triangle, sc.angles, label)
             assert abs(r) < 1e-9
 
     def test_off_surface_point_is_nonzero(self, sc1_triangle):

@@ -125,6 +125,15 @@ class TestCsv:
         assert path.read_text().replace("\r\n", "\n") == \
             format_csv(header, rows).replace("\r\n", "\n")
 
+    def test_write_bytes_are_format_bytes(self, tmp_path):
+        # quoted fields and line breaks inside a field pass untranslated
+        header, rows = ["id", 'q"t'], [["a,b", "line\nbreak"], ["\r\n", 1e-300]]
+        path = tmp_path / "r.csv"
+        write_csv(str(path), header, rows)
+        assert path.read_bytes() == format_csv(header, rows).encode()
+        assert path.read_bytes() == (b'id,"q""t"\r\n"a,b","line\nbreak"\r\n'
+                                     b'"\r\n",1e-300\r\n')
+
 
 class TestObj:
     def test_round_trip(self, tmp_path):

@@ -13,16 +13,14 @@ from p3pshare.errors import (NotOnConstraintLineError,
 from p3pshare.geometry import (RatioPair, SolutionTriplet, ViewAngles,
                                interior_angles)
 from p3pshare import sharing
-from p3pshare.scenes import _locus_scene, _solved, _trial_rngs, random_scene
+from p3pshare.scenes import (_locus_scene, _solved, _trial_rngs, random_scene,
+                             true_triplet)
 from p3pshare.sharing import (POINT_LABELS, SIDE_LABELS, SharingLabel,
                               classify_solution_set, companion_check,
-                              companion_identity_residual, construct_point_mate,
-                              construct_side_mate, cycle3,
-                              factorization_residual, point_mate_condition,
-                              point_share_residual,
+                              companion_identity_residual, construct_mate,
+                              cycle3, factorization_residual, mate_condition,
                               relabel_ratio, relabel_triangle, relabel_triplet,
-                              sharing_residual, side_mate_condition,
-                              side_share_residual)
+                              sharing_residual)
 from p3pshare.solver import SolutionSet, constraint_residuals, solve
 
 from conftest import EQ1_S_LONG, EQ1_S_SHORT
@@ -61,62 +59,60 @@ class TestRelabeling:
 
 
 class TestShareResiduals:
-    def test_side_line_holds_on_eq1_pair(self, eq1_angles):
+    def test_side_line_holds_on_eq1_pair(self, eq1_triangle, eq1_angles):
         for u, v in ((1.0, 1.0), (4.0, 4.0)):
-            r = side_share_residual(RatioPair(u, v), eq1_angles,
-                                    SharingLabel.SIDE_BC)
+            r = sharing_residual(RatioPair(u, v), eq1_triangle, eq1_angles,
+                                 SharingLabel.SIDE_BC)
             assert r == pytest.approx(0.0, abs=1e-15)
 
     def test_point_line_holds_on_eq1_pair(self, eq1_triangle, eq1_angles):
         for u, v in ((1.0, 0.25), (0.25, 1.0)):
-            r = point_share_residual(RatioPair(u, v), eq1_triangle, eq1_angles,
-                                     SharingLabel.POINT_A)
+            r = sharing_residual(RatioPair(u, v), eq1_triangle, eq1_angles,
+                                 SharingLabel.POINT_A)
             assert r == pytest.approx(0.0, abs=1e-12)
 
     def test_off_line_point_is_nonzero(self, eq1_triangle, eq1_angles):
-        r = point_share_residual(RatioPair(1.0, 1.0), eq1_triangle, eq1_angles,
-                                 SharingLabel.POINT_A)
+        r = sharing_residual(RatioPair(1.0, 1.0), eq1_triangle, eq1_angles,
+                             SharingLabel.POINT_A)
         assert abs(r) > 0.1
 
 
 class TestMateConditions:
     def test_eq1_satisfies_all(self, eq1_triangle, eq1_angles):
         # subtended cosines 0.625 > interior cosines 0.5 everywhere
-        for label in SIDE_LABELS:
-            assert side_mate_condition(eq1_triangle, eq1_angles, label)
-        for label in POINT_LABELS:
-            assert point_mate_condition(eq1_triangle, eq1_angles, label)
+        for label in (*SIDE_LABELS, *POINT_LABELS):
+            assert mate_condition(eq1_triangle, eq1_angles, label)
 
     def test_wide_angle_fails_side_condition(self, eq1_triangle):
         angles = ViewAngles(0.3, 0.625, 0.625)  # alpha wider than 60 degrees
-        assert not side_mate_condition(eq1_triangle, angles,
-                                       SharingLabel.SIDE_BC)
+        assert not mate_condition(eq1_triangle, angles, SharingLabel.SIDE_BC)
 
 
 class TestConstructSideMate:
-    def test_eq1_involution_between_known_pair(self, eq1_angles):
+    def test_eq1_involution_between_known_pair(self, eq1_triangle, eq1_angles):
         t = SolutionTriplet(EQ1_S_LONG, EQ1_S_LONG, EQ1_S_LONG)
-        mate = construct_side_mate(t, eq1_angles, SharingLabel.SIDE_BC)
+        mate = construct_mate(t, eq1_triangle, eq1_angles, SharingLabel.SIDE_BC)
         assert mate.values == pytest.approx(
             (EQ1_S_SHORT, EQ1_S_LONG, EQ1_S_LONG), abs=1e-12)
-        back = construct_side_mate(mate, eq1_angles, SharingLabel.SIDE_BC)
+        back = construct_mate(mate, eq1_triangle, eq1_angles,
+                              SharingLabel.SIDE_BC)
         assert back.values == pytest.approx(t.values, abs=1e-12)
 
-    def test_mate_satisfies_basic_constraints(self, eq1_angles):
+    def test_mate_satisfies_basic_constraints(self, eq1_triangle, eq1_angles):
         t = SolutionTriplet(EQ1_S_LONG, EQ1_S_LONG, EQ1_S_LONG)
-        mate = construct_side_mate(t, eq1_angles, SharingLabel.SIDE_BC)
+        mate = construct_mate(t, eq1_triangle, eq1_angles, SharingLabel.SIDE_BC)
         res = constraint_residuals(mate, EQ1_SIDES, eq1_angles)
         assert max(abs(r) for r in res) < 1e-12
 
-    def test_off_line_solution_rejected(self, eq1_angles):
+    def test_off_line_solution_rejected(self, eq1_triangle, eq1_angles):
         t = SolutionTriplet(EQ1_S_LONG, EQ1_S_LONG, EQ1_S_SHORT)  # on SIDE_AB
         with pytest.raises(NotOnConstraintLineError):
-            construct_side_mate(t, eq1_angles, SharingLabel.SIDE_BC)
+            construct_mate(t, eq1_triangle, eq1_angles, SharingLabel.SIDE_BC)
 
-    def test_shifted_label(self, eq1_angles):
+    def test_shifted_label(self, eq1_triangle, eq1_angles):
         # (1, 1) and (1, 0.25) share side AB: same s1, s2, different s3
         t = SolutionTriplet(EQ1_S_LONG, EQ1_S_LONG, EQ1_S_LONG)
-        mate = construct_side_mate(t, eq1_angles, SharingLabel.SIDE_AB)
+        mate = construct_mate(t, eq1_triangle, eq1_angles, SharingLabel.SIDE_AB)
         assert mate.values == pytest.approx(
             (EQ1_S_LONG, EQ1_S_LONG, EQ1_S_SHORT), abs=1e-12)
 
@@ -125,26 +121,23 @@ class TestConstructPointMate:
     def test_eq1_pair(self, eq1_triangle, eq1_angles):
         t = SolutionTriplet(*[x * 1.0 for x in
                               (EQ1_S_LONG, EQ1_S_LONG, EQ1_S_SHORT)])
-        mate = construct_point_mate(t, eq1_angles, SharingLabel.POINT_A,
-                                    tri=eq1_triangle)
+        mate = construct_mate(t, eq1_triangle, eq1_angles, SharingLabel.POINT_A)
         assert mate.values == pytest.approx(
             (EQ1_S_LONG, EQ1_S_SHORT, EQ1_S_LONG), abs=1e-12)
-        back = construct_point_mate(mate, eq1_angles, SharingLabel.POINT_A,
-                                    tri=eq1_triangle)
+        back = construct_mate(mate, eq1_triangle, eq1_angles,
+                              SharingLabel.POINT_A)
         assert back.values == pytest.approx(t.values, abs=1e-12)
 
     def test_mate_satisfies_basic_constraints(self, eq1_triangle, eq1_angles):
         t = SolutionTriplet(EQ1_S_LONG, EQ1_S_LONG, EQ1_S_SHORT)
-        mate = construct_point_mate(t, eq1_angles, SharingLabel.POINT_A,
-                                    tri=eq1_triangle)
+        mate = construct_mate(t, eq1_triangle, eq1_angles, SharingLabel.POINT_A)
         res = constraint_residuals(mate, EQ1_SIDES, eq1_angles)
         assert max(abs(r) for r in res) < 1e-12
 
     def test_off_line_solution_rejected(self, eq1_triangle, eq1_angles):
         t = SolutionTriplet(EQ1_S_LONG, EQ1_S_LONG, EQ1_S_LONG)
         with pytest.raises(NotOnConstraintLineError):
-            construct_point_mate(t, eq1_angles, SharingLabel.POINT_A,
-                                 tri=eq1_triangle)
+            construct_mate(t, eq1_triangle, eq1_angles, SharingLabel.POINT_A)
 
 
 class TestClassification:
@@ -198,6 +191,123 @@ class TestClassification:
         assert checked >= 20
 
 
+# The per-kind label functions as they stood before the one-line core, copied
+# verbatim under reference_* names (the library helpers they call, cycle3,
+# relabel_ratio, relabel_triplet and interior_angles, are unchanged).
+
+def reference_side_share_residual(rp: RatioPair, angles: ViewAngles,
+                                  label: SharingLabel) -> float:
+    """Value of the side-share constraint line at the ratio point.
+
+    For SIDE_BC this is cos(gamma) u - cos(beta) v.
+    """
+    k = label.shift
+    _, cb, cg = cycle3(angles.cosines, k)
+    u, v = relabel_ratio(rp.u, rp.v, k)
+    return cg * u - cb * v
+
+
+def reference_point_share_residual(rp: RatioPair, tri, angles: ViewAngles,
+                                   label: SharingLabel) -> float:
+    """Value of the point-share constraint line at the ratio point.
+
+    For POINT_A: (cosACB/cos gamma) b u + (cosABC/cos beta) c v - a.
+    """
+    k = label.shift
+    a, b, c = cycle3(tri.sides, k)
+    _, cb, cg = cycle3(angles.cosines, k)
+    _, cosB, cosC = cycle3(interior_angles(tri), k)
+    if abs(cb) < 1e-10 or abs(cg) < 1e-10:
+        raise RightAngleDegeneracyError("denominator cosine vanishes")
+    u, v = relabel_ratio(rp.u, rp.v, k)
+    return (cosC / cg) * b * u + (cosB / cb) * c * v - a
+
+
+def reference_sharing_residual(rp, tri, angles, label):
+    if label.kind == "side":
+        return reference_side_share_residual(rp, angles, label)
+    return reference_point_share_residual(rp, tri, angles, label)
+
+
+def reference_side_mate_condition(tri, angles: ViewAngles,
+                                  label: SharingLabel = SharingLabel.SIDE_BC
+                                  ) -> bool:
+    """True iff the subtended angle is strictly below the opposite interior angle."""
+    k = label.shift
+    ca = cycle3(angles.cosines, k)[0]
+    cosA = cycle3(interior_angles(tri), k)[0]
+    return ca > cosA
+
+
+def reference_point_mate_condition(tri, angles: ViewAngles,
+                                   label: SharingLabel = SharingLabel.POINT_A
+                                   ) -> bool:
+    """True iff the optical center is outside both toroids of the shared point."""
+    k = label.shift
+    _, cb, cg = cycle3(angles.cosines, k)
+    _, cosB, cosC = cycle3(interior_angles(tri), k)
+    return cb > cosB and cg > cosC
+
+
+def reference_mate_condition(tri, angles, label):
+    if label.kind == "side":
+        return reference_side_mate_condition(tri, angles, label)
+    return reference_point_mate_condition(tri, angles, label)
+
+
+def reference_ratio_of(t: SolutionTriplet) -> RatioPair:
+    return RatioPair(u=t.s2 / t.s1, v=t.s3 / t.s1)
+
+
+def reference_construct_side_mate(t: SolutionTriplet, angles: ViewAngles,
+                                  label: SharingLabel = SharingLabel.SIDE_BC,
+                                  line_tol: float = sharing.LINE_TOL):
+    """The mate sharing the labeled side, or None when it is not positive.
+
+    The solution must lie on the side-share line (within line_tol).
+    """
+    if abs(reference_side_share_residual(reference_ratio_of(t), angles,
+                                         label)) > line_tol:
+        raise NotOnConstraintLineError("solution off the side-share line")
+    k = label.shift
+    _, _, cg = cycle3(angles.cosines, k)
+    tk = relabel_triplet(t, k)
+    s1_new = 2.0 * cg * tk.s2 - tk.s1
+    if s1_new <= 0.0:
+        return None
+    mate_k = SolutionTriplet(s1=s1_new, s2=tk.s2, s3=tk.s3)
+    return relabel_triplet(mate_k, (3 - k) % 3)
+
+
+def reference_construct_point_mate(t: SolutionTriplet, angles: ViewAngles,
+                                   label: SharingLabel = SharingLabel.POINT_A,
+                                   line_tol: float = sharing.LINE_TOL,
+                                   tri=None):
+    """The mate sharing the labeled point, or None when it is not positive.
+
+    tri is needed to evaluate the line precondition; pass None to skip it.
+    """
+    if tri is not None \
+            and abs(reference_point_share_residual(reference_ratio_of(t), tri,
+                                                   angles, label)) > line_tol:
+        raise NotOnConstraintLineError("solution off the point-share line")
+    k = label.shift
+    _, cb, cg = cycle3(angles.cosines, k)
+    tk = relabel_triplet(t, k)
+    s2_new = 2.0 * cg * tk.s1 - tk.s2
+    s3_new = 2.0 * cb * tk.s1 - tk.s3
+    if s2_new <= 0.0 or s3_new <= 0.0:
+        return None
+    mate_k = SolutionTriplet(s1=tk.s1, s2=s2_new, s3=s3_new)
+    return relabel_triplet(mate_k, (3 - k) % 3)
+
+
+def reference_construct_mate(t, tri, angles, label, line_tol=sharing.LINE_TOL):
+    if label.kind == "side":
+        return reference_construct_side_mate(t, angles, label, line_tol)
+    return reference_construct_point_mate(t, angles, label, line_tol, tri)
+
+
 def reference_pairs(sol_set, tri, angles, tol=1e-7, dist_tol=1e-6):
     """The pair loop as first written: both residuals per pair and label."""
     def signature_ok(ti, tj, label):
@@ -220,8 +330,10 @@ def reference_pairs(sol_set, tri, angles, tol=1e-7, dist_tol=1e-6):
                 continue
             for label in (*SIDE_LABELS, *POINT_LABELS):
                 try:
-                    ri = sharing_residual(sols[i].ratio, tri, angles, label)
-                    rj = sharing_residual(sols[j].ratio, tri, angles, label)
+                    ri = reference_sharing_residual(sols[i].ratio, tri, angles,
+                                                    label)
+                    rj = reference_sharing_residual(sols[j].ratio, tri, angles,
+                                                    label)
                 except RightAngleDegeneracyError:
                     continue
                 resid = max(abs(ri), abs(rj))
@@ -345,6 +457,122 @@ class TestCompanionReference:
                         == reference_factorization(sc.triangle, sc.angles,
                                                    k).hex()
                 checked += 1
+
+
+ALL_LABELS = (*SIDE_LABELS, *POINT_LABELS)
+
+
+def outcome(f, *args):
+    """f(*args) in comparable form: a float by float.hex, a triplet by its
+    three, a bool or None as is, and an exception by its type."""
+    try:
+        out = f(*args)
+    except Exception as exc:
+        return type(exc)
+    if isinstance(out, float):
+        return out.hex()
+    if isinstance(out, SolutionTriplet):
+        return tuple(x.hex() for x in out.values)
+    return out
+
+
+class TestLabelReference:
+    """sharing_residual, mate_condition and construct_mate bit for bit
+    against the per-kind reference functions, on every label."""
+
+    def assert_same(self, tri, angles, triplets):
+        """Compares every label on the triplets; returns the library's
+        (label, line_tol, mate outcome) of each mate."""
+        got = []
+        for label in ALL_LABELS:
+            assert outcome(mate_condition, tri, angles, label) \
+                == outcome(reference_mate_condition, tri, angles, label)
+            for t in triplets:
+                rp = RatioPair(u=t.s2 / t.s1, v=t.s3 / t.s1)
+                res = outcome(sharing_residual, rp, tri, angles, label)
+                assert res == outcome(reference_sharing_residual, rp, tri,
+                                      angles, label)
+                # math.inf lifts the line check, so off-line triplets also
+                # compare their reflections
+                for line_tol in (sharing.LINE_TOL, math.inf):
+                    args = (t, tri, angles, label, line_tol)
+                    mate = outcome(construct_mate, *args)
+                    assert mate == outcome(reference_construct_mate, *args)
+                    got.append((label, line_tol, mate))
+        return got
+
+    def test_locus_scenes(self):
+        on_line = {label: 0 for label in ALL_LABELS}
+        checked = 0
+        for t, rng in enumerate(_trial_rngs(91, 120)):
+            label = ALL_LABELS[t % 6]
+            scene = _locus_scene(rng, label)
+            sol = _solved(scene) if scene is not None else None
+            if sol is None:
+                continue
+            tri, angles = scene.triangle, scene.angles
+            triplets = [true_triplet(scene)] \
+                + [s.triplet for s in sol.solutions]
+            for lab, line_tol, mate in self.assert_same(tri, angles,
+                                                        triplets):
+                if line_tol == sharing.LINE_TOL \
+                        and mate is not NotOnConstraintLineError:
+                    on_line[lab] += 1
+            for k in range(3):
+                assert outcome(factorization_residual, tri, angles, k) \
+                    == outcome(reference_factorization, tri, angles, k)
+            checked += 1
+        assert checked >= 110
+        assert min(on_line.values()) >= 30
+
+    def test_off_line_triplets(self):
+        rng = np.random.default_rng(92)
+        for _ in range(60):
+            sc = random_scene(rng)
+            triplets = [SolutionTriplet(*rng.uniform(0.05, 4.0, 3).tolist())
+                        for _ in range(4)]
+            got = self.assert_same(sc.triangle, sc.angles, triplets)
+            assert all(mate is NotOnConstraintLineError
+                       for _, tol, mate in got if tol != math.inf)
+
+    def test_boundaries(self, eq1_triangle):
+        # subtended cosines equal to the interior ones (no label's mate
+        # condition holds), and reflections that land exactly on 0
+        tri = eq1_triangle
+        got = self.assert_same(tri, ViewAngles(*interior_angles(tri)), [])
+        assert got == []
+        assert not any(mate_condition(tri, ViewAngles(*interior_angles(tri)),
+                                      label) for label in ALL_LABELS)
+        got = self.assert_same(tri, ViewAngles(0.5, 0.5, 0.5),
+                               [SolutionTriplet(1.0, 1.0, 1.0)])
+        assert all(mate is None for _, tol, mate in got if tol == math.inf)
+
+    @pytest.mark.parametrize("cb, cg", [
+        *((x, 0.55) for x in (0.0, -0.0, 1e-11, -7e-12, 9.9e-11, 1.01e-10)),
+        *((0.45, x) for x in (0.0, -0.0, 1e-11, -7e-12, 9.9e-11, 1.01e-10)),
+        # both zero: SIDE_BC's residual is -0.0 * u - 0.0 * v = -0.0
+        (0.0, -0.0), (-7e-12, 1e-11)])
+    def test_right_angle_guard(self, eq1_triangle, cb, cg):
+        # cos beta or cos gamma near 0: a point line whose family divides
+        # by it raises, a side line and the factorization do not
+        angles = ViewAngles(0.3, cb, cg)
+        t = SolutionTriplet(1.0, 1.25, 0.75)
+        rp = RatioPair(u=1.25, v=0.75)
+        self.assert_same(eq1_triangle, angles, [t])
+        for label in ALL_LABELS:
+            _, cb_k, cg_k = cycle3(angles.cosines, label.shift)
+            if label.kind == "point" and min(abs(cb_k), abs(cg_k)) < 1e-10:
+                with pytest.raises(RightAngleDegeneracyError):
+                    sharing_residual(rp, eq1_triangle, angles, label)
+                with pytest.raises(RightAngleDegeneracyError):
+                    construct_mate(t, eq1_triangle, angles, label, math.inf)
+            else:
+                sharing_residual(rp, eq1_triangle, angles, label)
+        if cb != 0.0 and cg != 0.0:
+            for k in range(3):
+                fact = factorization_residual(eq1_triangle, angles, k)
+                assert fact.hex() \
+                    == reference_factorization(eq1_triangle, angles, k).hex()
 
 
 class TestClassificationMemo:

@@ -16,7 +16,7 @@ from p3pshare.errors import (DegenerateAngleError, DegenerateInputError,
                              DegeneratePencilError, InconsistentInputError,
                              InfeasibleRatioError, InfeasibleTripletError)
 from p3pshare.geometry import (ControlTriangle, RatioPair, SolutionTriplet,
-                               ViewAngles, _cross, view_angles_from_center)
+                               _cross, view_angles_from_center)
 from p3pshare.scenes import _locus_scene, _trial_rngs, random_scene
 from p3pshare.sharing import POINT_LABELS, SIDE_LABELS
 from p3pshare.solver import (Solution, constraint_residuals, recover_centers,
@@ -502,7 +502,6 @@ class TestSolveReference:
         assert inconsistent >= 5
 
     def test_hand_made_pairs(self):
-        pair = build_conics((1.0, 1.0, 1.0), ViewAngles(0.625, 0.625, 0.625))
         circle = Conic(1.0, 0.0, 1.0, 0.0, 0.0, -1.0)
         for C1, C2 in [
                 (circle, Conic(1.0, 0.0, 1.0, -4.0, 0.0, 3.0)),
@@ -511,7 +510,7 @@ class TestSolveReference:
                 (Conic(0.0, 1.0, 0.0, -1.0, 0.0, 0.0),
                  Conic(0.0, 1.0, 0.0, 1.0, 0.0, 0.0)),
                 (circle, Conic(2.0, 0.0, 2.0, 0.0, 0.0, -2.0))]:
-            bad = ConicPair(C1, C2, pair.sides, pair.angles)
+            bad = ConicPair(C1, C2)
             assert outcome(intersect_conics, bad) \
                 == outcome(ref_intersect_conics, bad)
 
@@ -579,8 +578,7 @@ class TestSolveReference:
                      (1.0, 0.0, 0.25, 0.0, 0.0, -1.0), 4, id="q_zero"),
     ])
     def test_rare_branches(self, C1, C2, all_real):
-        eq1 = build_conics((1.0, 1.0, 1.0), ViewAngles(0.625, 0.625, 0.625))
-        pair = ConicPair(Conic(*C1), Conic(*C2), eq1.sides, eq1.angles)
+        pair = ConicPair(Conic(*C1), Conic(*C2))
         got = outcome(intersect_conics, pair)
         assert got == outcome(ref_intersect_conics, pair)
         assert got[0] == all_real
