@@ -22,6 +22,24 @@ def _as_point(p) -> np.ndarray:
     return q
 
 
+def _record(cls, **fields):
+    """An instance of the frozen dataclass cls holding these field values.
+
+    Each value is stored straight into the instance's __dict__, where the
+    generated __init__ makes one object.__setattr__ call per field. The
+    dict stays a key-sharing one; dict.update would be faster still, but
+    it copies the keys into a table of the instance's own, ~30% more memory
+    per scene. Only for classes without __post_init__: ControlTriangle,
+    CanonicalFrame and scenes.Scene. The instance is what __init__ would
+    build: the same fields, repr, immutability and (eq=False) identity hash.
+    """
+    obj = object.__new__(cls)
+    d = obj.__dict__
+    for name, value in fields.items():
+        d[name] = value
+    return obj
+
+
 def _cross(p, q) -> tuple[float, float, float]:
     """p x q on float 3-sequences: the products and differences of np.cross,
     so bit-identical to it. Norms and dots stay numpy (see README)."""
@@ -53,37 +71,40 @@ class ControlTriangle:
     @classmethod
     def from_points(cls, A, B, C) -> "ControlTriangle":
         A, B, C = _as_point(A), _as_point(B), _as_point(C)
-        cb, ab = C - B, A - B
-        a, b, c = (math.sqrt(d.dot(d)) for d in (cb, C - A, ab))
+        cb, ab, ca = C - B, A - B, C - A
+        a = math.sqrt(cb.dot(cb))
+        b = math.sqrt(ca.dot(ca))
+        c = math.sqrt(ab.dot(ab))
         # a non-finite coordinate reaches two of the three sides
         if not math.isfinite(a + b + c):
             raise DegenerateInputError("non-finite control point coordinates")
-        scale = max(a, b, c)
-        if scale <= 0.0 or min(a, b, c) <= 0.0:
+        if a <= 0.0 or b <= 0.0 or c <= 0.0:
             raise DegenerateInputError("coincident control points")
         n = np.array(_cross(cb.tolist(), ab.tolist()))
         area2 = math.sqrt(n.dot(n))
+        scale = max(a, b, c)
         if area2 <= 1e-12 * scale * scale:
             raise DegenerateInputError("collinear control points")
         if a + b <= c or b + c <= a or c + a <= b:
             raise DegenerateInputError("triangle inequality violated")
-        cos_A = (b * b + c * c - a * a) / (2.0 * b * c)
-        cos_B = (a * a + c * c - b * b) / (2.0 * a * c)
-        cos_C = (a * a + b * b - c * c) / (2.0 * a * b)
-        return cls(A=A, B=B, C=C, a=a, b=b, c=c,
-                   cos_A=cos_A, cos_B=cos_B, cos_C=cos_C, area2=area2)
+        return _record(cls, A=A, B=B, C=C, a=a, b=b, c=c,
+                       cos_A=(b * b + c * c - a * a) / (2.0 * b * c),
+                       cos_B=(a * a + c * c - b * b) / (2.0 * a * c),
+                       cos_C=(a * a + b * b - c * c) / (2.0 * a * b),
+                       area2=area2)
 
     @cached_property
     def frame(self) -> "CanonicalFrame":
         """The canonical frame (see canonical_frame)."""
-        B = self.B
+        a, area2, B = self.a, self.area2, self.B
         cb, d = (self.C - B).tolist(), self.A - B
-        ex = [x / self.a for x in cb]
-        ez = [x / self.area2 for x in _cross(cb, d.tolist())]
+        ex = (cb[0] / a, cb[1] / a, cb[2] / a)
+        n0, n1, n2 = _cross(cb, d.tolist())
+        ez = (n0 / area2, n1 / area2, n2 / area2)
         rotation = np.array([ex, _cross(ez, ex), ez])
-        return CanonicalFrame(a=self.a, e=float(d.dot(rotation[0])),
-                              f=float(d.dot(rotation[1])), rotation=rotation,
-                              translation=(-rotation).dot(B))
+        return _record(CanonicalFrame, a=a, e=float(d.dot(rotation[0])),
+                       f=float(d.dot(rotation[1])), rotation=rotation,
+                       translation=(-rotation).dot(B))
 
     @property
     def sides(self) -> tuple[float, float, float]:
@@ -169,21 +190,17 @@ class ViewAngles:
 def view_angles_from_center(tri: ControlTriangle, O) -> ViewAngles:
     """Subtended-angle cosines seen from the optical center O."""
     O = _as_point(O)
-    rays = [tri.A - O, tri.B - O, tri.C - O]
-    norms = [math.sqrt(r.dot(r)) for r in rays]
-    if min(norms) <= 1e-15 * tri.scale:
+    rA, rB, rC = tri.A - O, tri.B - O, tri.C - O
+    nA, nB, nC = (math.sqrt(rA.dot(rA)), math.sqrt(rB.dot(rB)),
+                  math.sqrt(rC.dot(rC)))
+    if min(nA, nB, nC) <= 1e-15 * tri.scale:
         raise DegenerateInputError("optical center coincides with a control point")
-    rA, rB, rC = (r / n for r, n in zip(rays, norms))
-
-    def cosang(x, y):
-        c = float(x.dot(y))
-        if abs(c) >= 1.0 - 1e-12:
-            raise DegenerateAngleError("subtended angle at 0 or pi")
-        return c
-
-    return ViewAngles(cos_alpha=cosang(rB, rC),
-                      cos_beta=cosang(rA, rC),
-                      cos_gamma=cosang(rA, rB))
+    rA, rB, rC = rA / nA, rB / nB, rC / nC
+    ca, cb, cg = float(rB.dot(rC)), float(rA.dot(rC)), float(rA.dot(rB))
+    edge = 1.0 - 1e-12
+    if abs(ca) >= edge or abs(cb) >= edge or abs(cg) >= edge:
+        raise DegenerateAngleError("subtended angle at 0 or pi")
+    return ViewAngles(cos_alpha=ca, cos_beta=cb, cos_gamma=cg)
 
 
 def cocyclic_degeneracy(tri: ControlTriangle, O) -> float:
@@ -191,11 +208,10 @@ def cocyclic_degeneracy(tri: ControlTriangle, O) -> float:
 
     Zero iff O lies on the circumcircle within the base plane.
     """
-    frame = canonical_frame(tri)
-    x, y, z = frame.to_canonical(O)
+    frame = tri.frame
+    x, y, z = frame.to_canonical(O).tolist()
     cx, cy, r = circumcircle_2d(frame)
-    dr = math.hypot(x - cx, y - cy) - r
-    return math.hypot(dr, z)
+    return math.hypot(math.hypot(x - cx, y - cy) - r, z)
 
 
 @dataclass(frozen=True)

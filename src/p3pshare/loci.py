@@ -192,7 +192,9 @@ _DEN_TOL = 1e-8
 
 
 #: _sample_skew makes its first _SKEW_FIRST attempts one at a time, as most
-#: calls accept within them, then tests _SKEW_BLOCK attempts per block
+#: calls accept within them, then tests blocks of _SKEW_BLOCK attempts, each
+#: block twice the last, so a region with no admissible point runs out of
+#: its budget in a few blocks
 _SKEW_FIRST, _SKEW_BLOCK = 16, 64
 
 
@@ -200,14 +202,14 @@ def _sample_skew(surf: SkewedDangerCylinder, rng, region) -> np.ndarray:
     """Rejection sampling of (x, y) in the box, z from the surface.
 
     Each attempt draws x, then y, and, once accepted, the sign of z. After
-    the first few, the attempts are tested a block at a time: the
-    generator's state is saved, the block's 2 * _SKEW_BLOCK uniforms are
-    drawn at once (rng.random(k) gives the values and end state of k scalar
-    draws) and tested as arrays on the bits of the scalar test. Where
-    attempt i of a block is accepted, the state is restored, the 2 * i
-    uniforms before it are drawn again and the scalar attempt makes the
-    point. The points and the generator's end state are those of the
-    scalar loop, a failure too.
+    the first few, the attempts are tested a block at a time, in blocks of
+    64, 128, 256, ... attempts capped by those left: the generator's state
+    is saved, the block's 2 * m uniforms are drawn at once (rng.random(k)
+    gives the values and end state of k scalar draws) and tested as arrays
+    on the bits of the scalar test. Where attempt i of a block is accepted,
+    the state is restored, the 2 * i uniforms before it are drawn again and
+    the scalar attempt makes the point. The points and the generator's end
+    state are those of the scalar loop, a failure too.
     """
     a, e, f = surf.frame.a, surf.frame.e, surf.frame.f
     cyl = surf.cylinder
@@ -238,8 +240,10 @@ def _sample_skew(surf: SkewedDangerCylinder, rng, region) -> np.ndarray:
         p = attempt()
         if p is not None:
             return p
+    block = _SKEW_BLOCK
     while left > 0:
-        m = min(_SKEW_BLOCK, left)
+        m = min(block, left)
+        block *= 2
         state = rng.bit_generator.state
         u = rng.random(2 * m)
         x = (cx - h) + ((cx + h) - (cx - h)) * u[0::2]

@@ -14,7 +14,7 @@ from .errors import (DegenerateAngleError, DegenerateInputError,
                      DegeneratePencilError, GenerationFailureError,
                      SamplingFailureError)
 from .geometry import (ControlTriangle, RatioPair, SolutionTriplet, ViewAngles,
-                       canonical_frame, cocyclic_degeneracy,
+                       _record, canonical_frame, cocyclic_degeneracy,
                        interior_angles, view_angles_from_center)
 from .sharing import SharingLabel
 
@@ -47,8 +47,9 @@ class Scene:
 
 
 def scene_from_center(tri: ControlTriangle, O, seed=None) -> Scene:
-    return Scene(triangle=tri, center=np.asarray(O, dtype=float),
-                 angles=view_angles_from_center(tri, O), seed=seed)
+    O = np.asarray(O, dtype=float)
+    return _record(Scene, triangle=tri, center=O,
+                   angles=view_angles_from_center(tri, O), seed=seed)
 
 
 def _scene_at(tri: ControlTriangle, O, cfg: SceneConfig,
@@ -60,9 +61,9 @@ def _scene_at(tri: ControlTriangle, O, cfg: SceneConfig,
         scene = scene_from_center(tri, O, seed)
     except (DegenerateInputError, DegenerateAngleError):
         return None
-    cs = scene.angles.cosines
-    if any(abs(x) >= 1.0 - cfg.cos_margin for x in cs) \
-            or abs(cs[1]) <= cfg.cos_bg_min or abs(cs[2]) <= cfg.cos_bg_min:
+    va, edge, bg = scene.angles, 1.0 - cfg.cos_margin, cfg.cos_bg_min
+    ca, cb, cg = abs(va.cos_alpha), abs(va.cos_beta), abs(va.cos_gamma)
+    if ca >= edge or cb >= edge or cg >= edge or cb <= bg or cg <= bg:
         return None
     return scene
 
@@ -71,24 +72,26 @@ def random_scene(rng: np.random.Generator,
                  config: SceneConfig = SceneConfig(),
                  seed: int | None = None) -> Scene:
     """A non-degenerate scene; deterministic given the generator state."""
-    if config.z_range[0] >= config.z_range[1] \
-            or config.z_range[0] < config.cocyclic_min:
+    z0, z1 = config.z_range
+    if z0 >= z1 or z0 < config.cocyclic_min:
         raise GenerationFailureError("empty feasible region")
-    h = config.vertex_half_extent
+    h, xy = config.vertex_half_extent, config.center_xy
+    min_side, min_area = config.min_side, config.min_area
     for _ in range(config.max_rejects):
-        pts = rng.uniform(-h, h, size=(3, 2)).tolist()
+        (x0, y0), (x1, y1), (x2, y2) = rng.uniform(-h, h, size=(3, 2)).tolist()
         try:
-            tri = ControlTriangle.from_points(*((x, y, 0.0) for x, y in pts))
+            tri = ControlTriangle.from_points((x0, y0, 0.0), (x1, y1, 0.0),
+                                              (x2, y2, 0.0))
         except DegenerateInputError:
             continue
-        if min(tri.sides) < config.min_side \
-                or 0.5 * tri.area2 < config.min_area:
+        if tri.a < min_side or tri.b < min_side or tri.c < min_side \
+                or 0.5 * tri.area2 < min_area:
             continue
-        z = loci.uniform(rng, *config.z_range)
+        z = loci.uniform(rng, z0, z1)
         if rng.random() < 0.5:
             z = -z
-        O = np.array([loci.uniform(rng, -config.center_xy, config.center_xy),
-                      loci.uniform(rng, -config.center_xy, config.center_xy), z])
+        O = np.array([loci.uniform(rng, -xy, xy), loci.uniform(rng, -xy, xy),
+                      z])
         scene = None if abs(z) < 0.1 else _scene_at(tri, O, config, seed)
         if scene is not None:
             return scene

@@ -76,6 +76,10 @@ def relabel_triplet(t: SolutionTriplet, k: int) -> SolutionTriplet:
 
 
 def relabel_triangle(tri: ControlTriangle, k: int) -> ControlTriangle:
+    """The triangle with vertex k + 1 as A; tri itself (and its cached
+    frame) when k is 0 mod 3."""
+    if k % 3 == 0:
+        return tri
     A, B, C = cycle3(tri.points, k)
     return ControlTriangle.from_points(A, B, C)
 
@@ -85,11 +89,15 @@ def _line(tri: ControlTriangle, cosines: tuple[float, float, float],
     """(Lu, Lv, L1) of the kind's line Lu u + Lv v + L1 = 0, relabeled by k.
 
     SIDE_BC: (cos gamma, -cos beta, -0.0), the one zero that leaves every
-    sum unchanged. POINT_A: ((cosACB/cos gamma) b, (cosABC/cos beta) c, -a).
+    sum unchanged. POINT_A: ((cosACB/cos gamma) b, (cosABC/cos beta) c, -a),
+    which raises RightAngleDegeneracyError when the family's cos beta or
+    cos gamma nearly vanishes: the one right-angle guard of the module.
     """
     _, cb, cg = cycle3(cosines, k)
     if kind == "side":
         return cg, -cb, -0.0
+    if abs(cb) < 1e-10 or abs(cg) < 1e-10:
+        raise RightAngleDegeneracyError("denominator cosine vanishes")
     a, b, c = cycle3(tri.sides, k)
     _, cosB, cosC = cycle3(interior_angles(tri), k)
     return (cosC / cg) * b, (cosB / cb) * c, -a
@@ -100,15 +108,10 @@ def sharing_residual(rp: RatioPair, tri: ControlTriangle, angles: ViewAngles,
     """Value of the label's constraint line at the ratio point.
 
     A point line divides by its family's cos beta and cos gamma: it raises
-    RightAngleDegeneracyError when either nearly vanishes.
+    RightAngleDegeneracyError when either nearly vanishes (`_line`).
     """
     kind, k = label.value
-    cosines = angles.cosines
-    if kind == "point":
-        _, cb, cg = cycle3(cosines, k)
-        if abs(cb) < 1e-10 or abs(cg) < 1e-10:
-            raise RightAngleDegeneracyError("denominator cosine vanishes")
-    lu, lv, l1 = _line(tri, cosines, kind, k)
+    lu, lv, l1 = _line(tri, angles.cosines, kind, k)
     u, v = relabel_ratio(rp.u, rp.v, k)
     return lu * u + lv * v + l1
 
@@ -236,6 +239,7 @@ def factorization_residual(tri: ControlTriangle, angles: ViewAngles,
     Measured as the normalized cross product of the coefficient vectors,
     i.e. zero when they are proportional. The three dot products stay
     numpy calls: their BLAS rounding is what the golden reports hold.
+    Raises RightAngleDegeneracyError where the point line does (`_line`).
     """
     cosines = angles.cosines
     t1, t2 = conics.conic_terms(cycle3(tri.sides, k), cycle3(cosines, k))
@@ -277,6 +281,8 @@ def companion_check(sol_set: SolutionSet, tri: ControlTriangle,
     identity must vanish, and the conic difference must factor into the two
     constraint lines. After the caller's classify_solution_set on the same
     arguments (`p3pshare analyze`), the pairs are that memoised result.
+    Raises RightAngleDegeneracyError when a family with a pair has a cos
+    beta or cos gamma that nearly vanishes, as factorization_residual does.
     """
     cls = classify_solution_set(sol_set, tri, angles, tol=tol)
     found = {"side": ([], [], []), "point": ([], [], [])}

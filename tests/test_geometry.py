@@ -1,6 +1,9 @@
 """Core types: triangles, frames, viewing angles, degeneracy measures."""
 
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,9 @@ from p3pshare.geometry import (CanonicalFrame, ControlTriangle, SolutionTriplet,
                                ViewAngles, _cross, canonical_frame,
                                circumcircle_2d, cocyclic_degeneracy,
                                interior_angles, view_angles_from_center)
+from p3pshare.scenes import Scene, _trial_rngs, random_scene
+
+CORPUS = Path(__file__).parent / "data" / "scene_corpus.json"
 
 
 def random_triangle(rng: np.random.Generator) -> ControlTriangle:
@@ -181,3 +187,156 @@ class TestSolutionTriplet:
 
     def test_values(self):
         assert SolutionTriplet(1.0, 2.0, 3.0).values == (1.0, 2.0, 3.0)
+
+
+def _hex(xs) -> list:
+    return [float(x).hex() for x in xs]
+
+
+def triangle_record(tri: ControlTriangle) -> list:
+    """float.hex of every ControlTriangle field, then of the frame's a, e,
+    f, rotation (row-major) and translation."""
+    fr = tri.frame
+    return _hex([*tri.A, *tri.B, *tri.C, tri.a, tri.b, tri.c, tri.cos_A,
+                 tri.cos_B, tri.cos_C, tri.area2, fr.a, fr.e, fr.f,
+                 *fr.rotation.ravel(), *fr.translation])
+
+
+def outcome(record, fn, *args):
+    """(value, record(value)), or (None, [exception type, message]) where fn
+    raises a degeneracy error."""
+    try:
+        value = fn(*args)
+    except (DegenerateInputError, DegenerateAngleError) as exc:
+        return None, [type(exc).__name__, str(exc)]
+    return value, record(value)
+
+
+def view_record(tri, O) -> list:
+    """The triangle's record, then the view cosines from O (or the error)
+    and O's cocyclic degeneracy."""
+    tri, rec = outcome(triangle_record, ControlTriangle.from_points, *tri)
+    if tri is None:
+        return rec
+    _, cos = outcome(lambda va: _hex(va.cosines),
+                     view_angles_from_center, tri, O)
+    return [rec, cos, cocyclic_degeneracy(tri, O).hex()]
+
+
+#: hand-made inputs that reach the constructors' degeneracy errors, signed
+#: zeros and extreme magnitudes: each triangle is seen from one centre, and
+#: the unit right triangle from each centre
+_RIGHT = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+_HAND_TRIANGLES = [
+    [[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 0, 0], [0, 0, 0], [1, 1, 0]],
+    [[0.0, 0.0, math.nan], _RIGHT[1], _RIGHT[2]],
+    [_RIGHT[0], [1.0, math.inf, 0.0], _RIGHT[2]],
+    [_RIGHT[0], _RIGHT[1], [0.0, -math.inf, 0.0]],
+    [[0.0, 0.0], _RIGHT[1], _RIGHT[2]],
+    [[1e-300, 0.0, 0.0], [0.0, 1e-300, 0.0], [0.0, 0.0, 0.0]],
+    [[1e300, 0.0, 0.0], [0.0, 1e300, 0.0], [0.0, 0.0, 0.0]],
+    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1e-13, 0.0]],
+    [[-0.0, 0.0, -0.0], [1.0, -0.0, 0.0], [0.0, 1.0, -0.0]],
+]
+_HAND_CENTERS = [
+    [0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.25, 0.25, 0.0],
+    [2.0, 2.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1e-20], [0.3, 0.2, 1.0],
+    [0.0, 0.0, math.nan], [math.inf, 0.0, 1.0], [0.0, 0.0, 1e200],
+]
+
+
+def scene_corpus() -> dict:
+    """The constructors' outputs, bit for bit: random_scene on 200 trial
+    generators (with the generator's next draw and the scene's cocyclic
+    degeneracy), and from_points,
+    view_angles_from_center and cocyclic_degeneracy on unfiltered, sliver
+    and hand-made inputs, with the error type and message where they raise.
+    """
+    scenes = []
+    for rng in _trial_rngs(17, 200):
+        sc = random_scene(rng)
+        scenes.append(triangle_record(sc.triangle) + _hex(sc.angles.cosines)
+                      + _hex(sc.center) + [rng.random().hex(),
+                      cocyclic_degeneracy(sc.triangle, sc.center).hex()])
+    rng = np.random.default_rng(18)
+    unfiltered = []
+    for k in range(150):
+        # every third draw in the z = 0 plane, its centre in that plane too
+        flat = k % 3 == 0
+        pts = rng.uniform(-1.0, 1.0, (3, 3))
+        O = rng.uniform(-2.0, 2.0, 3)
+        if flat:
+            pts[:, 2] = O[2] = 0.0
+        unfiltered.append(view_record(list(pts), O))
+    rng = np.random.default_rng(19)
+    sliver = []
+    for _ in range(80):
+        a = 10.0 ** rng.uniform(-13.0, -1.0)
+        A = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.3, 1.0), 0.0])
+        sliver.append(view_record([A, np.zeros(3), np.array([a, 0.0, 0.0])],
+                                  rng.uniform(-2.0, 2.0, 3)))
+    # the extreme inputs overflow, or meet inf / inf, in the numpy calls
+    with np.errstate(over="ignore", invalid="ignore"):
+        hand = [view_record(pts, [0.3, 0.2, 1.0]) for pts in _HAND_TRIANGLES]
+        hand += [view_record(_RIGHT, O) for O in _HAND_CENTERS]
+    return dict(random_scene=scenes, unfiltered=unfiltered, sliver=sliver,
+                hand=hand)
+
+
+class TestSceneCorpus:
+    def test_matches_stored_bits(self):
+        want = json.loads(CORPUS.read_text())
+        got = scene_corpus()
+        for key in want:
+            assert got[key] == want[key], key
+        assert got.keys() == want.keys()
+
+
+def _twin(obj):
+    """obj rebuilt by its class's dataclass __init__ from its field values."""
+    return type(obj)(**{f.name: getattr(obj, f.name)
+                        for f in dataclasses.fields(obj)})
+
+
+class TestRecords:
+    """ControlTriangle, CanonicalFrame and Scene are built without their
+    dataclass __init__; each is what that __init__ would build."""
+
+    @pytest.fixture
+    def scene(self):
+        return random_scene(np.random.default_rng(3))
+
+    def records(self, scene):
+        return [scene.triangle, scene.triangle.frame, scene]
+
+    def test_twin_fields_and_repr(self, scene):
+        for obj in self.records(scene):
+            twin = _twin(obj)
+            for f in dataclasses.fields(obj):
+                got, want = getattr(obj, f.name), getattr(twin, f.name)
+                assert type(got) is type(want)
+                if isinstance(got, np.ndarray):
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert got is want
+            assert repr(obj) == repr(twin)
+            # the fields in __init__'s order, then the triangle's cached frame
+            assert [k for k in vars(obj) if k != "frame"] \
+                == [f.name for f in dataclasses.fields(obj)]
+
+    @pytest.mark.parametrize("name", ["a", "A", "rotation", "angles", "frame"])
+    def test_frozen(self, scene, name):
+        for obj in self.records(scene):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 1.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+
+    def test_identity_hash(self, scene):
+        tri = scene.triangle
+        twin = _twin(tri)
+        assert tri != twin and tri == tri
+        assert hash(tri) == object.__hash__(tri)
+        assert {tri: 1}.get(twin) is None
+        assert hash(scene) == object.__hash__(scene) and scene != _twin(scene)
+        assert type(scene) is Scene

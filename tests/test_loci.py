@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p3pshare import loci
 from p3pshare.geometry import canonical_frame, circumcircle_2d
 from p3pshare.errors import SamplingFailureError
 from p3pshare.loci import (_DEN_TOL, SampleRegion, SkewedDangerCylinder,
@@ -223,6 +224,33 @@ class TestSkewSampler:
         got = sample_run(sample_locus, surf, 7, region)
         assert got[0] == ["fail"]
         assert got == sample_run(scalar_sample_skew, surf, 7, region)
+
+    # the default budget, one that cuts the third block short, and one that
+    # ends inside the first scalar attempts
+    @pytest.mark.parametrize("budget", [10000, 16 + 64 + 128 + 7, 9])
+    def test_exhausted_end_state_is_scalar(self, sc1_triangle, budget):
+        surf = skewed_danger_cylinder(sc1_triangle, SharingLabel.POINT_B)
+        region = SampleRegion(min_abs_z=1.5, z_max=1.0, max_rejects=budget)
+        got = sample_run(sample_locus, surf, 11, region, count=1)
+        assert got[0] == ["fail"]
+        assert got == sample_run(scalar_sample_skew, surf, 11, region, count=1)
+
+    def test_blocks_grow(self, sc1_triangle, monkeypatch):
+        # an exhausted default budget: 16 scalar attempts, then blocks that
+        # double from 64, the last cut to the attempts left
+        sizes = []
+
+        def counted(surf, x, y, region, den_min):
+            sizes.append(len(x))
+            return skew_hits(surf, x, y, region, den_min)
+
+        skew_hits = loci._skew_hits
+        monkeypatch.setattr(loci, "_skew_hits", counted)
+        surf = skewed_danger_cylinder(sc1_triangle, SharingLabel.POINT_B)
+        with pytest.raises(SamplingFailureError):
+            sample_locus(surf, np.random.default_rng(7),
+                         SampleRegion(min_abs_z=1.5, z_max=1.0))
+        assert sizes == [64, 128, 256, 512, 1024, 2048, 4096, 1856]
 
     @pytest.mark.parametrize("k", [0, 1, 2, 127, 128, 1001])
     def test_block_draw_is_scalar_draws(self, k):

@@ -57,6 +57,11 @@ class TestRelabeling:
         np.testing.assert_allclose(t1.B, sc1_triangle.C)
         np.testing.assert_allclose(t1.C, sc1_triangle.A)
 
+    def test_relabel_triangle_shift_zero_is_the_triangle(self, sc1_triangle):
+        # a shift-0 locus reuses the triangle and its cached frame
+        assert relabel_triangle(sc1_triangle, 0) is sc1_triangle
+        assert relabel_triangle(sc1_triangle, 3) is sc1_triangle
+
 
 class TestShareResiduals:
     def test_side_line_holds_on_eq1_pair(self, eq1_triangle, eq1_angles):
@@ -554,7 +559,8 @@ class TestLabelReference:
         (0.0, -0.0), (-7e-12, 1e-11)])
     def test_right_angle_guard(self, eq1_triangle, cb, cg):
         # cos beta or cos gamma near 0: a point line whose family divides
-        # by it raises, a side line and the factorization do not
+        # by it raises, and so does that family's factorization; a side line
+        # does not
         angles = ViewAngles(0.3, cb, cg)
         t = SolutionTriplet(1.0, 1.25, 0.75)
         rp = RatioPair(u=1.25, v=0.75)
@@ -568,8 +574,12 @@ class TestLabelReference:
                     construct_mate(t, eq1_triangle, angles, label, math.inf)
             else:
                 sharing_residual(rp, eq1_triangle, angles, label)
-        if cb != 0.0 and cg != 0.0:
-            for k in range(3):
+        for k in range(3):
+            _, cb_k, cg_k = cycle3(angles.cosines, k)
+            if min(abs(cb_k), abs(cg_k)) < 1e-10:
+                with pytest.raises(RightAngleDegeneracyError):
+                    factorization_residual(eq1_triangle, angles, k)
+            else:
                 fact = factorization_residual(eq1_triangle, angles, k)
                 assert fact.hex() \
                     == reference_factorization(eq1_triangle, angles, k).hex()
