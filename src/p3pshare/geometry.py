@@ -75,8 +75,12 @@ class ControlTriangle:
         a = math.sqrt(cb.dot(cb))
         b = math.sqrt(ca.dot(ca))
         c = math.sqrt(ab.dot(ab))
-        # a non-finite coordinate reaches two of the three sides
+        # a non-finite coordinate reaches two of the three sides; finite
+        # ones of size ~1e154 or more overflow in a squared side
         if not math.isfinite(a + b + c):
+            if np.isfinite((A, B, C)).all():
+                raise DegenerateInputError(
+                    "control points too far apart: a squared side overflows")
             raise DegenerateInputError("non-finite control point coordinates")
         if a <= 0.0 or b <= 0.0 or c <= 0.0:
             raise DegenerateInputError("coincident control points")
@@ -193,6 +197,10 @@ def view_angles_from_center(tri: ControlTriangle, O) -> ViewAngles:
     rA, rB, rC = tri.A - O, tri.B - O, tri.C - O
     nA, nB, nC = (math.sqrt(rA.dot(rA)), math.sqrt(rB.dot(rB)),
                   math.sqrt(rC.dot(rC)))
+    # a nan or infinite centre, or one so far that a squared ray overflows
+    if not nA + nB + nC < math.inf:
+        raise DegenerateInputError("optical center not finite, or so far "
+                                   "that a squared ray length overflows")
     if min(nA, nB, nC) <= 1e-15 * tri.scale:
         raise DegenerateInputError("optical center coincides with a control point")
     rA, rB, rC = rA / nA, rB / nB, rC / nC

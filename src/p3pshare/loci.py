@@ -288,13 +288,14 @@ def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96):
     """Triangulated mesh of the skew surface over an (x, y) grid.
 
     Returns (vertices, faces) in canonical coordinates: a float (V, 3) array
-    (np.array([]) when empty) and 1-based index triples. The two sheets
-    z = +/- sqrt(RHS) meet at z = 0, where f*y*Q = 0: on the base line
-    y = 0 (side BC) or on the danger circle Q = 0. So every grid edge on
-    which f*y*Q changes sign gets its z = 0 vertex in closed form: y = 0,
-    or the circle's root x = cx +/- sqrt(r^2 - (y - cy)^2) (along x) or
-    y = cy +/- sqrt(r^2 - (x - cx)^2) (along y) nearest the edge, clipped
-    into it. Raises OverflowError where a grid coordinate's square
+    (np.array([]) when empty) and a C-contiguous int32 (F, 3) array of
+    1-based vertex indices, one row per triangle ((0, 3) when empty). The
+    two sheets z = +/- sqrt(RHS) meet at z = 0, where f*y*Q = 0: on the
+    base line y = 0 (side BC) or on the danger circle Q = 0. So every grid
+    edge on which f*y*Q changes sign gets its z = 0 vertex in closed form:
+    y = 0, or the circle's root x = cx +/- sqrt(r^2 - (y - cy)^2) (along x)
+    or y = cy +/- sqrt(r^2 - (x - cx)^2) (along y) nearest the edge,
+    clipped into it. Raises OverflowError where a grid coordinate's square
     overflows.
     """
     a, e, f = surf.frame.a, surf.frame.e, surf.frame.f
@@ -319,7 +320,7 @@ def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96):
     adm = (abs(den) >= den_min) & (z2 > 0.0)
     touched = adm[:-1, :-1] | adm[1:, :-1] | adm[:-1, 1:] | adm[1:, 1:]
     if not touched.any():
-        return np.array([]), []
+        return np.array([]), np.empty((0, 3), np.int32)
 
     # edges from an admissible to an inadmissible node, by flat node index:
     # ei go (i, j)-(i+1, j) and ej (i, j)-(i, j+1); ni of those kept are ei
@@ -370,12 +371,13 @@ def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96):
     seen = np.full(len(at) + 1, len(flat))
     np.minimum.at(seen, flat, np.arange(len(flat)))
     order = np.argsort(seen[1:])
-    ids = np.empty(len(at) + 1, object)  # the faces share one int a vertex
-    ids[1 + order] = np.arange(1, len(at) + 1)
+    ids = np.empty(len(at) + 1, np.int32)
+    ids[1 + order] = np.arange(1, len(at) + 1, dtype=np.int32)
     # each polygon is fanned as (p0, pt, pt+1) over its nonzero slots
     k = np.count_nonzero(nz.reshape(-1, 8), axis=1)
     first = np.repeat(np.cumsum(k) - k, k)
     q = np.flatnonzero((first[:-1] == first[1:])
                        & (first[:-1] < np.arange(len(flat) - 1)))
-    tri = np.stack((flat[first[q]], flat[q], flat[q + 1]))
-    return vertices[order], list(zip(*ids[tri].tolist()))
+    # (F, 3) rows, so the gather is C-contiguous (ids[tri.T] would not be)
+    tri = np.stack((flat[first[q]], flat[q], flat[q + 1]), axis=1)
+    return vertices[order], ids[tri]

@@ -95,11 +95,13 @@ def format_csv(header: list[str], rows) -> str:
 def write_obj(path: str, vertices: np.ndarray, faces) -> None:
     """Text mesh: 'v x y z' lines plus 1-based triangular 'f i j k' lines.
 
-    The text is built whole, one %-format per section, and written once.
+    faces is an integer (F, 3) array, as skew_mesh returns, or a sequence
+    of index triples. The text is built whole, one %-format per section,
+    and written once.
     """
     text = ("v %.17g %.17g %.17g\n" * len(vertices)) \
         % tuple(np.ravel(vertices).tolist()) \
-        + ("f %d %d %d\n" * len(faces)) % tuple(k for f in faces for k in f)
+        + ("f %d %d %d\n" * len(faces)) % tuple(np.ravel(faces).tolist())
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -114,6 +114,10 @@ _MERGE_TOL = 1e-5
 #: box sides, in grid cells, of the oracle's coarse-to-fine exclusion
 _BOX_CELLS = (128, 32, 8)
 
+#: float64's eps and smallest subnormal, for _one_signed's margin
+_EPS = float(np.finfo(float).eps)
+_ETA = float(np.finfo(float).smallest_subnormal)
+
 
 def _stacked(F1: conics.Conic, F2: conics.Conic, ndim: int) -> conics.Conic:
     """Both conics as one Conic whose coefficients are arrays of shape
@@ -131,10 +135,12 @@ def _centred(lo, hi):
     return c, np.nextafter(np.maximum(hi - c, c - lo), np.inf)
 
 
-def _one_signed(F: conics.Conic, ulo, uhi, vlo, vhi) -> np.ndarray:
+def _one_signed(F: conics.Conic, A: conics.Conic,
+                ulo, uhi, vlo, vhi) -> np.ndarray:
     """Mask of the boxes [ulo, uhi] x [vlo, vhi] (0 < lo < hi) on whose grid
-    nodes the float value F(u, v) keeps one strict sign. The coefficients
-    of F may be arrays that broadcast against the boxes.
+    nodes the float value F(u, v) keeps one strict sign. A is the Conic of
+    F's absolute coefficients. The coefficients of F and A may be arrays
+    that broadcast against the boxes.
 
     About a box's centre c = (cu, cv), exactly F(cu + du, cv + dv) = F(c)
     + F_u du + F_v dv + c_uu du^2 + c_uv du dv + c_vv dv^2, so where
@@ -172,13 +178,22 @@ def _one_signed(F: conics.Conic, ulo, uhi, vlo, vhi) -> np.ndarray:
     (cu, hu), (cv, hv) = _centred(ulo, uhi), _centred(vlo, vhi)
     fu = 2.0 * F.c_uu * cu + F.c_uv * cv + F.c_u
     fv = 2.0 * F.c_vv * cv + F.c_uv * cu + F.c_v
-    r = (abs(fu) * hu + abs(fv) * hv + abs(F.c_uu) * hu * hu
-         + abs(F.c_uv) * hu * hv + abs(F.c_vv) * hv * hv)
-    fi = np.finfo(float)
-    S = conics.Conic(*map(abs, F.terms))(uhi, vhi)
+    r = (abs(fu) * hu + abs(fv) * hv + A.c_uu * hu * hu
+         + A.c_uv * hu * hv + A.c_vv * hv * hv)
+    S = A(uhi, vhi)
     W = 1.0 + uhi + vhi
-    return abs(F(cu, cv)) - r > 8.0 * (fi.eps * S
-                                       + 2.0 * fi.smallest_subnormal * W)
+    return abs(F(cu, cv)) - r > 8.0 * (_EPS * S + 2.0 * _ETA * W)
+
+
+@lru_cache(maxsize=16)
+def _sub_boxes(side: int, nxt: int) -> np.ndarray:
+    """Offsets (di, dj), row-major, from a box's low node to those of the
+    boxes of nxt cells on a side that tile it (side cells on a side). Built
+    once per pair of sides and shared read-only."""
+    off = np.arange(0, side, nxt)
+    sub = np.stack([off.repeat(len(off)), np.tile(off, len(off))], 1)
+    sub.flags.writeable = False
+    return sub
 
 
 def _candidate_cells(F1: conics.Conic, F2: conics.Conic,
@@ -195,15 +210,15 @@ def _candidate_cells(F1: conics.Conic, F2: conics.Conic,
     m = len(t) - 1
     boxes, side = np.zeros((1, 2), dtype=np.intp), m
     F = _stacked(F1, F2, 1)
+    A = conics.Conic(*map(abs, F.terms))
     for nxt in _BOX_CELLS:
-        off = np.arange(0, side, nxt)
-        sub = np.stack([off.repeat(len(off)), np.tile(off, len(off))], 1)
-        boxes = (boxes[:, None] + sub).reshape(-1, 2)
+        boxes = (boxes[:, None] + _sub_boxes(side, nxt)).reshape(-1, 2)
         boxes = boxes[(boxes < m).all(axis=1)]
         side = nxt
-        ulo, vlo = t[boxes].T
-        uhi, vhi = t[np.minimum(boxes + side, m)].T
-        boxes = boxes[~_one_signed(F, ulo, uhi, vlo, vhi).any(axis=0)]
+        # the boxes' low and high node indices, the high ones clipped to m
+        ulo, vlo, uhi, vhi = t[np.minimum(
+            np.concatenate((boxes, boxes + side), axis=1), m)].T
+        boxes = boxes[~_one_signed(F, A, ulo, uhi, vlo, vhi).any(axis=0)]
     r = np.arange(side + 1)
     u = t[np.minimum(boxes[:, 0, None, None] + r[:, None], m)]  # (k, s+1, 1)
     v = t[np.minimum(boxes[:, 1, None, None] + r, m)]           # (k, 1, s+1)
@@ -238,10 +253,8 @@ def brute_force_solutions(sides, angles: ViewAngles,
     t = np.linspace(grid.u_max / grid.n, grid.u_max, grid.n)
     cells = _candidate_cells(F1, F2, t)
     found: list[tuple[float, float]] = []
-    t = t.tolist()
-    for i, j in cells.tolist():
-        u0 = 0.5 * (t[i] + t[i + 1])
-        v0 = 0.5 * (t[j] + t[j + 1])
+    # the cells' centres (u0, v0): the midpoints of their node spans
+    for u0, v0 in (0.5 * (t[cells] + t[cells + 1])).tolist():
         uu, vv, res = conics.newton_polish(F1, F2, u0, v0)
         if res > _REFINE_TOL * (1.0 + uu * uu + vv * vv):
             continue

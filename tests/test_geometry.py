@@ -68,6 +68,19 @@ class TestControlTriangle:
         with pytest.raises(DegenerateInputError, match="non-finite"):
             ControlTriangle.from_points(*pts)
 
+    def test_overflowing_side_named(self):
+        """Finite control points ~1e154 or more apart: the error names the
+        squared side that overflows, not a non-finite coordinate."""
+        pts = [[1e300, 0.0, 0.0], [0.0, 1e300, 0.0], [0.0, 0.0, 0.0]]
+        # the BLAS dots overflow, and numpy warns about it
+        with np.errstate(over="ignore"), pytest.raises(
+                DegenerateInputError, match="squared side overflows"):
+            ControlTriangle.from_points(*pts)
+        pts[2][2] = math.nan
+        with np.errstate(over="ignore"), pytest.raises(
+                DegenerateInputError, match="non-finite"):
+            ControlTriangle.from_points(*pts)
+
     def test_area2_is_twice_the_area(self, sc1_triangle):
         assert sc1_triangle.area2 == 6.0
 
@@ -164,6 +177,24 @@ class TestViewAngles:
     def test_center_on_vertex_rejected(self, eq1_triangle):
         with pytest.raises(DegenerateInputError):
             view_angles_from_center(eq1_triangle, eq1_triangle.A)
+
+    @pytest.mark.parametrize("O", [[0.0, 0.0, math.nan], [math.inf, 0.0, 1.0],
+                                   [0.0, -math.inf, 0.0]],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_center_rejected(self, eq1_triangle, O):
+        # raised before the unit rays divide inf by inf: no numpy warning
+        with pytest.raises(DegenerateInputError, match="not finite"):
+            view_angles_from_center(eq1_triangle, O)
+
+    def test_overflowing_center_rejected(self, eq1_triangle):
+        """At 1e200 the squared rays overflow: the unit rays would be 0 and
+        the cosines exactly 0, where a far centre sees them near 1."""
+        # the BLAS dots overflow, and numpy warns about it
+        with np.errstate(over="ignore"), pytest.raises(
+                DegenerateInputError, match="overflows"):
+            view_angles_from_center(eq1_triangle, [0.0, 0.0, 1e200])
+        va = view_angles_from_center(eq1_triangle, [0.0, 0.0, 1e4])
+        assert min(va.cosines) > 1.0 - 1e-7
 
 
 class TestCocyclicDegeneracy:

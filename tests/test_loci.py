@@ -38,14 +38,22 @@ def mesh_cases(tri):
     return cases
 
 
+def assert_face_array(faces):
+    """skew_mesh's face contract: a C-contiguous int32 (F, 3) array."""
+    assert isinstance(faces, np.ndarray) and faces.dtype == np.int32
+    assert faces.ndim == 2 and faces.shape[1] == 3
+    assert faces.flags.c_contiguous
+
+
 def mesh_record(surf, bounds, n) -> dict:
     """Sizes and sha256 digests of a mesh's vertex bytes and face list."""
     verts, faces = skew_mesh(surf, bounds=bounds, n=n)
+    assert_face_array(faces)
     return {"vertices": len(verts), "faces": len(faces),
             "vertex_sha256": hashlib.sha256(
                 np.ascontiguousarray(verts, dtype=float).tobytes()).hexdigest(),
             "face_sha256": hashlib.sha256(
-                json.dumps([list(f) for f in faces]).encode()).hexdigest()}
+                json.dumps(faces.tolist()).encode()).hexdigest()}
 
 
 class TestDangerCylinder:
@@ -479,17 +487,15 @@ def seam_errors(surf, verts, bounds, n) -> list[str]:
     return errors
 
 
-def assert_same_mesh(surf, bounds, n, check_types=False):
-    """skew_mesh equals scalar_skew_mesh: vertex bytes, shape and dtype, the
-    face list and, with check_types, every face's Python types."""
+def assert_same_mesh(surf, bounds, n):
+    """skew_mesh equals scalar_skew_mesh: vertex bytes, shape and dtype, and
+    every face index in order; the faces are an int32 (F, 3) array."""
     want_v, want_f = scalar_skew_mesh(surf, bounds=bounds, n=n)
     got_v, got_f = skew_mesh(surf, bounds=bounds, n=n)
     assert (got_v.shape, got_v.dtype) == (want_v.shape, want_v.dtype)
     assert got_v.tobytes() == want_v.tobytes()
-    assert type(got_f) is list and got_f == want_f
-    if check_types:
-        assert {type(t) for t in got_f} <= {tuple}
-        assert {type(k) for t in got_f for k in t} <= {int}
+    assert_face_array(got_f)
+    assert got_f.tolist() == [list(f) for f in want_f]
     return got_v, got_f
 
 
@@ -506,13 +512,13 @@ class TestSkewMeshReference:
                   (surf, (0.4, 0.4, -1.0, 1.0), 30),
                   (surf, (-1.0, 4.0, 0.5, 0.5), 30)]
         for surf, bounds, n in cases:
-            assert_same_mesh(surf, bounds, n, check_types=True)
+            assert_same_mesh(surf, bounds, n)
 
     def test_empty_region(self, sc1_triangle):
         surf = skewed_danger_cylinder(sc1_triangle, SharingLabel.POINT_A)
         verts, faces = assert_same_mesh(surf, (100.0, 101.0, 100.0, 101.0),
                                         10)
-        assert verts.shape == (0,) and faces == []
+        assert verts.shape == (0,) and faces.shape == (0, 3)
 
     def test_random_draws(self):
         """300 random triangle x label x n in [2, 120] x bounds draws."""

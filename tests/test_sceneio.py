@@ -146,6 +146,19 @@ class TestObj:
         np.testing.assert_array_equal(v2, verts)
         assert f2 == [[1, 2, 3]]
 
+    @pytest.mark.parametrize("rows", [[(1, 2, 3), (3, 2, 4), (70000, 1, 2)],
+                                      []], ids=["faces", "empty"])
+    def test_array_faces_write_list_bytes(self, tmp_path, rows):
+        """An int32 (F, 3) face array, as skew_mesh returns, writes the
+        bytes of the same faces as a list of index tuples."""
+        verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.25],
+                          [0.0, 1.0, -0.125], [0.1, 0.2, 0.3]])
+        faces = np.array(rows, np.int32).reshape(-1, 3)
+        write_obj(str(tmp_path / "a.obj"), verts, faces)
+        write_obj(str(tmp_path / "l.obj"), verts, rows)
+        assert (tmp_path / "a.obj").read_bytes() \
+            == (tmp_path / "l.obj").read_bytes()
+
     def test_full_precision_written(self, tmp_path):
         x = 0.28867513459481287
         path = tmp_path / "m.obj"
