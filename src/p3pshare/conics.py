@@ -24,14 +24,31 @@ from numpy.linalg import LinAlgError, _umath_linalg
 from .errors import DegeneratePencilError
 from .geometry import RatioPair, ViewAngles
 
-#: default acceptance residual for polished intersection points
+# The tolerances of the intersection (README "Numerical notes" has the
+# ledger). Residuals are those of the unit-max-norm conic rows.
+
+#: INTERSECT_TOL bounds a polished point's residual max(|F1|, |F2|), and a
+#: complex seed pair's 2 |a2| im^2, relative to 1 + u^2 + v^2; solve's default
+#: tol. Value unexplained: kept seeds reach 3.3e-16 on 2000 random scenes
+#: (seed 19) and 2.0e-15 on 700 locus scenes (seed 23), and it rejected none
+#: of their 7006 seeds, so it decides only how far apart two conics may pass
+#: and still touch. Mutants x10 and x0.1: caught by tests/test_tolerances.py.
 INTERSECT_TOL = 1e-9
-#: default clustering threshold deciding "repeated" (coefficient-scaled)
+#: CLUSTER_TOL bounds the gap in u and in v, relative to 1 + |u| and 1 + |v|,
+#: within which polished seeds merge into one point of summed multiplicity;
+#: solve's default cluster_tol. Value unexplained. On the 700 locus scenes
+#: the two seeds of a danger-cylinder double root lay up to 9.8e-8 apart (89
+#: merges) and the closest two returned points 1.2e-7, so it sits at the edge
+#: of the tangency split; danger_repeat merges at scenes._REPEAT_GAP.
+#: Mutants x10 and x0.1: caught by tests/test_tolerances.py.
 CLUSTER_TOL = 1e-7
-#: second-singular-value threshold for the degenerate-pencil test
+#: PENCIL_RANK_TOL bounds the second singular value of the two unit rows,
+#: absolute: below it the pair is proportional. Value unexplained. Scenes stay
+#: far above it (9.7e-3 at least, on the random and locus scenes and the
+#: side_nsc plan at seed 0); rows 1e-9 off proportional stay above it and
+#: rows 3e-11 off fall below it (TestPencilSigma2, which catches both
+#: mutants, x10 and x0.1).
 PENCIL_RANK_TOL = 1e-10
-#: u and v of a solution exceed this: positive depths, not zero up to rounding
-_MIN_RATIO = 1e-10
 
 
 @dataclass(frozen=True)
@@ -96,10 +113,18 @@ def build_conics(sides: tuple[float, float, float], angles: ViewAngles) -> Conic
     return ConicPair(Conic(*t1), Conic(*t2))
 
 
-def newton_polish(F1: Conic, F2: Conic, u: float, v: float,
-                  tol: float = 1e-13):
-    """Damped Newton on (F1, F2) = 0, 50 steps at most -> (u, v, residual)."""
-    return _polish(F1.terms, F2.terms, float(u), float(v), tol)
+#: NEWTON_STOP: newton_polish stops once max(|F1|, |F2|) is below it,
+#: absolute. Reason: at a simple root the residual falls from ~1e-8 to
+#: rounding in one step, so the stop matters at a tangency, where it falls
+#: fourfold per step; it sits 1000 times under the grid oracle's gate
+#: (scenes._REFINE_TOL), which a converged point must pass.
+NEWTON_STOP = 1e-13
+
+
+def newton_polish(F1: Conic, F2: Conic, u: float, v: float):
+    """Damped Newton on (F1, F2) = 0, 50 steps at most -> (u, v, residual);
+    it stops once the residual is below NEWTON_STOP."""
+    return _polish(F1.terms, F2.terms, float(u), float(v), NEWTON_STOP)
 
 
 def _polish(t1, t2, u: float, v: float, tol: float):
@@ -204,15 +229,14 @@ def _pencil_sigma2(x, y) -> float:
     return math.sqrt(w) / norms / math.sqrt(1.0 + abs(dot))
 
 
-def intersect_conics(pair: ConicPair, tol: float = INTERSECT_TOL,
-                     cluster_tol: float = CLUSTER_TOL) -> IntersectionSet:
+def intersect_conics(pair: ConicPair) -> IntersectionSet:
     """All real intersections of the pair, with root multiplicities: polished
-    seeds that pass the tol gate merge within cluster_tol.
+    seeds that pass the INTERSECT_TOL gate merge within CLUSTER_TOL.
 
     Raises DegeneratePencilError when the conics are proportional or share a
     component (every member of the pencil is degenerate).
     """
-    return _intersect(pair.C1.terms, pair.C2.terms, tol, cluster_tol)
+    return _intersect(pair.C1.terms, pair.C2.terms, INTERSECT_TOL, CLUSTER_TOL)
 
 
 def _isolated_root(roots) -> float:
@@ -221,6 +245,22 @@ def _isolated_root(roots) -> float:
         return min(abs(roots[k] - z) for j, z in enumerate(roots) if j != k)
     real = [k for k, z in enumerate(roots) if z.imag == 0.0]
     return roots[max(real, key=isolation) if len(real) > 1 else real[0]].real
+
+
+#: SHARED_COMPONENT_TOL bounds the four coefficients of det(A + lam B) of the
+#: unit rows, absolute: all below it, the conics share a component. Value
+#: unexplained. Scenes stay far above it (the largest coefficient is 4.0e-8 at
+#: least on the scenes of INTERSECT_TOL and the side_nsc plan); triangles with
+#: one side between 1e-5 and 1e-3 of the others fall under it on 181 of 200
+#: draws. Mutants x10 and x0.1: caught by tests/test_tolerances.py.
+SHARED_COMPONENT_TOL = 1e-14
+#: _SEED_STOP: _intersect's polish of a seed stops once max(|F1|, |F2|) is
+#: below it, absolute. Reason: about 4.5 eps, the rounding floor of unit rows
+#: at |u|, |v| <= 1; 97-98% of the seeds of INTERSECT_TOL's scenes reach it,
+#: and the rest stop when no backtracked step lowers the residual. x10
+#: breaks TestSolveUnfiltered; x0.1 is slack: below the floor every seed
+#: stops when no step helps, which moves points only in their last bits.
+_SEED_STOP = 1e-15
 
 
 def _intersect(t1, t2, tol: float, cluster_tol: float) -> IntersectionSet:
@@ -267,7 +307,7 @@ def _intersect(t1, t2, tol: float, cluster_tol: float) -> IntersectionSet:
         (a00, a01, a02, a11, a12, a22, b00, b01, b02, b11, b12, b22) = (
             b00, b01, b02, b11, b12, b22, a00, a01, a02, a11, a12, a22)
         c0, c1, c2, c3 = c3, c2, c1, c0
-    if max(abs(c0), abs(c1), abs(c2), abs(c3)) < 1e-14:
+    if max(abs(c0), abs(c1), abs(c2), abs(c3)) < SHARED_COMPONENT_TOL:
         raise DegeneratePencilError("conics share a component")
 
     # the real root farthest from the other two is simple even at a
@@ -385,7 +425,7 @@ def _intersect(t1, t2, tol: float, cluster_tol: float) -> IntersectionSet:
             u0, v0 = 0.0 + x, t + x * s
             if flip:
                 u0, v0 = v0, u0
-            u, v, res = _polish(t1, t2, u0, v0, 1e-15)
+            u, v, res = _polish(t1, t2, u0, v0, _SEED_STOP)
             if not res <= tol * (1.0 + u * u + v * v):
                 continue
             for p in points:
@@ -398,6 +438,13 @@ def _intersect(t1, t2, tol: float, cluster_tol: float) -> IntersectionSet:
     points.sort(key=lambda p: (p[0], p[1]))
     return IntersectionSet(points=tuple([RatioPair(*p) for p in points]),
                            all_real=sum(p[2] for p in points))
+
+
+#: _MIN_RATIO bounds u and v of a kept point from below, absolute: positive
+#: depths, not zero up to rounding. Value unexplained: the smallest u or v of
+#: a solution of the 2000 random and 700 locus scenes is 1.8e-3. Mutants
+#: x10 and x0.1: caught by tests/test_tolerances.py.
+_MIN_RATIO = 1e-10
 
 
 def quadrant_one_filter(inter: IntersectionSet) -> list[RatioPair]:

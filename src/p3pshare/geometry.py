@@ -47,6 +47,14 @@ def _cross(p, q) -> tuple[float, float, float]:
             p[0] * q[1] - p[1] * q[0])
 
 
+#: _COLLINEAR_TOL bounds twice the triangle's area from below, relative to its
+#: largest side squared. Reason: the computed area of an exactly collinear
+#: triple is a few eps scale^2, some 4500 times under it; between it and ~1e-8
+#: the rounded sides fail the triangle inequality anyway, so it rejects the
+#: triples whose rounded sides pass that test and names the degeneracy.
+_COLLINEAR_TOL = 1e-12
+
+
 @dataclass(frozen=True, eq=False)
 class ControlTriangle:
     """The three control points with side lengths and interior-angle cosines.
@@ -87,7 +95,7 @@ class ControlTriangle:
         n = np.array(_cross(cb.tolist(), ab.tolist()))
         area2 = math.sqrt(n.dot(n))
         scale = max(a, b, c)
-        if area2 <= 1e-12 * scale * scale:
+        if area2 <= _COLLINEAR_TOL * scale * scale:
             raise DegenerateInputError("collinear control points")
         if a + b <= c or b + c <= a or c + a <= b:
             raise DegenerateInputError("triangle inequality violated")
@@ -191,6 +199,18 @@ class ViewAngles:
         return (self.cos_alpha, self.cos_beta, self.cos_gamma)
 
 
+#: _COINCIDENT_TOL bounds the distance from the optical center to each
+#: control point from below, relative to scale. Reason: O - P rounds by up to
+#: eps / 2 of the coordinates' size, so for coordinates of size scale a ray
+#: below 1e-15 scale (4.5 eps) is wrong by a tenth or more of its length.
+_COINCIDENT_TOL = 1e-15
+#: _MAX_ABS_COS bounds each subtended-angle cosine in size, absolute: an angle
+#: within 1.4e-6 rad of 0 or pi is degenerate. Value unexplained; mutants x10
+#: and x0.1 (of the 1e-12): caught by tests/test_tolerances.py and the scene
+#: corpus.
+_MAX_ABS_COS = 1.0 - 1e-12
+
+
 def view_angles_from_center(tri: ControlTriangle, O) -> ViewAngles:
     """Subtended-angle cosines seen from the optical center O."""
     O = _as_point(O)
@@ -201,12 +221,12 @@ def view_angles_from_center(tri: ControlTriangle, O) -> ViewAngles:
     if not nA + nB + nC < math.inf:
         raise DegenerateInputError("optical center not finite, or so far "
                                    "that a squared ray length overflows")
-    if min(nA, nB, nC) <= 1e-15 * tri.scale:
+    if min(nA, nB, nC) <= _COINCIDENT_TOL * tri.scale:
         raise DegenerateInputError("optical center coincides with a control point")
     rA, rB, rC = rA / nA, rB / nB, rC / nC
     ca, cb, cg = float(rB.dot(rC)), float(rA.dot(rC)), float(rA.dot(rB))
-    edge = 1.0 - 1e-12
-    if abs(ca) >= edge or abs(cb) >= edge or abs(cg) >= edge:
+    if (abs(ca) >= _MAX_ABS_COS or abs(cb) >= _MAX_ABS_COS
+            or abs(cg) >= _MAX_ABS_COS):
         raise DegenerateAngleError("subtended angle at 0 or pi")
     return ViewAngles(cos_alpha=ca, cos_beta=cb, cos_gamma=cg)
 

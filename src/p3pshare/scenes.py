@@ -28,10 +28,22 @@ class SceneConfig:
     min_side: float = 0.4
     center_xy: float = 2.0
     z_range: tuple[float, float] = (0.15, 2.5)
+    # the three clearances: values unexplained, and tests/test_tolerances.py
+    # catches each at x10 and x0.1
+    #: |cos| of every subtended angle below 1 - cos_margin, absolute: angles
+    #: 1.4e-3 rad or more from 0 and pi
     cos_margin: float = 1e-6
+    #: |cos beta| and |cos gamma| above it, absolute: the point lines divide
+    #: by them
     cos_bg_min: float = 1e-3
+    #: O at least this far from the control points' circumcircle, an absolute
+    #: length: on it the conic pencil is degenerate
     cocyclic_min: float = 1e-3
     max_rejects: int = 2000
+
+
+#: the one configuration that random_scene and the campaigns read
+_CONFIG = SceneConfig()
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,32 +64,31 @@ def scene_from_center(tri: ControlTriangle, O, seed=None) -> Scene:
                    angles=view_angles_from_center(tri, O), seed=seed)
 
 
-def _scene_at(tri: ControlTriangle, O, cfg: SceneConfig,
+def _scene_at(tri: ControlTriangle, O,
               seed: int | None = None) -> Scene | None:
-    """The scene seen from O; None inside a degeneracy clearance of cfg."""
-    if cocyclic_degeneracy(tri, O) < cfg.cocyclic_min:
+    """The scene seen from O; None inside a degeneracy clearance of
+    SceneConfig()."""
+    if cocyclic_degeneracy(tri, O) < _CONFIG.cocyclic_min:
         return None
     try:
         scene = scene_from_center(tri, O, seed)
     except (DegenerateInputError, DegenerateAngleError):
         return None
-    va, edge, bg = scene.angles, 1.0 - cfg.cos_margin, cfg.cos_bg_min
+    va, edge, bg = scene.angles, 1.0 - _CONFIG.cos_margin, _CONFIG.cos_bg_min
     ca, cb, cg = abs(va.cos_alpha), abs(va.cos_beta), abs(va.cos_gamma)
     if ca >= edge or cb >= edge or cg >= edge or cb <= bg or cg <= bg:
         return None
     return scene
 
 
-def random_scene(rng: np.random.Generator,
-                 config: SceneConfig = SceneConfig(),
+def random_scene(rng: np.random.Generator, *,
                  seed: int | None = None) -> Scene:
-    """A non-degenerate scene; deterministic given the generator state."""
-    z0, z1 = config.z_range
-    if z0 >= z1 or z0 < config.cocyclic_min:
-        raise GenerationFailureError("empty feasible region")
-    h, xy = config.vertex_half_extent, config.center_xy
-    min_side, min_area = config.min_side, config.min_area
-    for _ in range(config.max_rejects):
+    """A non-degenerate scene within the bounds and clearances of
+    SceneConfig(); deterministic given the generator state."""
+    z0, z1 = _CONFIG.z_range
+    h, xy = _CONFIG.vertex_half_extent, _CONFIG.center_xy
+    min_side, min_area = _CONFIG.min_side, _CONFIG.min_area
+    for _ in range(_CONFIG.max_rejects):
         (x0, y0), (x1, y1), (x2, y2) = rng.uniform(-h, h, size=(3, 2)).tolist()
         try:
             tri = ControlTriangle.from_points((x0, y0, 0.0), (x1, y1, 0.0),
@@ -92,7 +103,7 @@ def random_scene(rng: np.random.Generator,
             z = -z
         O = np.array([loci.uniform(rng, -xy, xy), loci.uniform(rng, -xy, xy),
                       z])
-        scene = None if abs(z) < 0.1 else _scene_at(tri, O, config, seed)
+        scene = _scene_at(tri, O, seed)
         if scene is not None:
             return scene
     raise GenerationFailureError("rejection budget exceeded")
@@ -106,9 +117,14 @@ class GridConfig:
     n: int = 2000
 
 
-#: the oracle's Newton residual gate, relative to 1 + u^2 + v^2
+#: the oracle's Newton residual gate, relative to 1 + u^2 + v^2. Value
+#: unexplained: 1000 times above conics.NEWTON_STOP, where a converged seed
+#: stops. Mutants x10 and x0.1: caught by tests/test_tolerances.py
 _REFINE_TOL = 1e-10
-#: relative distance within which two oracle points merge: far below a cell
+#: distance, relative to 1 + |u| and 1 + |v|, within which two oracle points
+#: merge: far below a cell (0.01 at GridConfig()). Value unexplained; at x0.1
+#: the golden oracle points split a danger-cylinder tangency found from two
+#: cells. Mutants x10 and x0.1: caught by tests/test_tolerances.py
 _MERGE_TOL = 1e-5
 
 #: box sides, in grid cells, of the oracle's coarse-to-fine exclusion
@@ -320,13 +336,22 @@ def _trial_rngs(seed: int, n: int):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-_CYL_CLEARANCE = 1e-2  # relative band around the danger cylinder (Sun's lines)
-#: relative distance within which a center counts as on a sharing locus
+#: _CYL_CLEARANCE bounds a sharing-locus center's distance from the danger
+#: cylinder (Sun's lines) from below, relative to scale. Value unexplained: at
+#: seed 0 it rejects 47 of 1765 side_nsc and 32 of 2929 point_nsc draws; x10
+#: and x0.1 change which scenes are drawn (the golden reports), and every
+#: campaign still passes. Slack on both sides: the campaigns draw their own
+#: scenes, so no hand-made input reaches it.
+_CYL_CLEARANCE = 1e-2
+#: distance, relative to scale, within which a center counts as on a sharing
+#: locus. Value unexplained: the recovered centers of the side_nsc and
+#: point_nsc pairs lie within 9.2e-12 and 2.0e-10 of scale at seed 0, and no
+#: converse scan has found a pair; the campaign draws its own scenes, so no
+#: hand-made input reaches it. Mutants x10 and x0.1: not caught.
 _LOCUS_TOL = 1e-6
 
 
 def _locus_scene(rng, label: SharingLabel | None,
-                 cfg: SceneConfig = SceneConfig(),
                  require_condition: bool = True,
                  require_positive_mate: bool = False) -> Scene | None:
     """Scene with the center sampled on the plane/skew locus of the label,
@@ -338,7 +363,7 @@ def _locus_scene(rng, label: SharingLabel | None,
     solution. None when the rejection budget runs out.
     """
     for _ in range(200):
-        tri = random_scene(rng, cfg).triangle
+        tri = random_scene(rng).triangle
         cyl = loci.danger_cylinder(canonical_frame(tri))
         z_clear = 0.15 if label is None else 0.1
         region = loci.SampleRegion(xy_half_extent=1.5 * tri.scale,
@@ -352,7 +377,7 @@ def _locus_scene(rng, label: SharingLabel | None,
         if label is not None and abs(loci.cylinder_membership(cyl, O)) \
                 < _CYL_CLEARANCE * tri.scale:
             continue
-        scene = _scene_at(tri, O, cfg)
+        scene = _scene_at(tri, O)
         if scene is None or label is not None and (
                 (require_condition
                  and not sharing.mate_condition(tri, scene.angles, label))
@@ -454,6 +479,23 @@ def _campaign_sharing_nsc(labels, rep: CampaignReport, tol: float, seed: int,
     _converse(rep, seed, nconv, offenders)
 
 
+#: _REPEAT_GAP: the danger_repeat campaign's cluster_tol (relative to 1 + |u|
+#: and 1 + |v|) and the gap within which _distinct_quartic_roots merges the
+#: unit-norm eliminant's complex roots (absolute). Measured: the two points of
+#: a double root of analyze_locus seed 733 (input cylinder#790) lie 9.4e-5
+#: apart, which only this gap merges (CHANGES.md); the campaign's merges reach
+#: 1.1e-6 at seed 0. Mutants: x10 fails criterion 6, x0.1
+#: test_danger_repeat_root_sharing_u_with_another.
+_REPEAT_GAP = 1e-4
+#: _OFF_CYLINDER_TOL bounds the distance from the danger cylinder of a scene
+#: with a repeated root in the converse scan, relative to scale (random scenes
+#: span scale 0.4-4.2). Value unexplained: no converse scan has found a
+#: repeated root (the plan at seed 0, the golden reports), so no run reaches
+#: it; the campaign draws its own scenes, so no hand-made input does.
+#: Mutants x10 and x0.1: not caught.
+_OFF_CYLINDER_TOL = 1e-4
+
+
 def _distinct_quartic_roots(scene: Scene, gap: float) -> int:
     """Number of distinct complex roots of the eliminant, clustered at gap.
 
@@ -479,27 +521,36 @@ def _distinct_quartic_roots(scene: Scene, gap: float) -> int:
 
 def _campaign_danger_repeat(rep: CampaignReport, tol: float, seed: int,
                             nconv: int):
-    gap = 1e-4  # root-gap band deciding "repeated" near the cylinder
     for t, _, scene, sol in _trials(rep, seed, (None,), _locus_scene,
-                                    cluster_tol=gap):
+                                    cluster_tol=_REPEAT_GAP):
         has_double = any(s.repeated for s in sol.solutions)
         # one coincidence degenerates the quartic's 4 roots to 3 distinct
         # (over the complex numbers: the untouched pair may be conjugate)
-        n_distinct = _distinct_quartic_roots(scene, gap)
+        n_distinct = _distinct_quartic_roots(scene, _REPEAT_GAP)
         rep.record(has_double and n_distinct == 3, t,
                    f"distinct_roots={n_distinct} double={has_double}")
 
     def offenders(scene):
-        sol = _solved(scene, cluster_tol=gap)
+        sol = _solved(scene, cluster_tol=_REPEAT_GAP)
         if sol is None:
             return None
         if not any(s.repeated for s in sol.solutions):
             return []
         cyl = loci.danger_cylinder(canonical_frame(scene.triangle))
-        off = abs(loci.cylinder_membership(cyl, scene.center)) > 1e-4
+        off = abs(loci.cylinder_membership(cyl, scene.center)) \
+            > _OFF_CYLINDER_TOL * scene.scale
         return ["repeated root off cylinder" if off else ""]
 
     _converse(rep, seed, nconv, offenders, found="repeated")
+
+
+#: _COMPANION_TOL: the companion campaign's line tolerance for its pairs and
+#: its bound on each family's identity and factorization residuals, both
+#: normalized. Value unexplained: the plan (seed 0, 1185 four-solution scenes)
+#: finds no pair; criterion 8's 50 conditioned scenes reach 4.6e-16 in those
+#: residuals and 2.6e-13 in the line's, under its own 1e-9. The campaign
+#: draws its own scenes. Mutants x10 and x0.1: not caught.
+_COMPANION_TOL = 1e-9
 
 
 def _campaign_companion(rep: CampaignReport, tol: float, seed: int,
@@ -512,7 +563,7 @@ def _campaign_companion(rep: CampaignReport, tol: float, seed: int,
             continue
         four += 1
         report = sharing.companion_check(sol, scene.triangle, scene.angles,
-                                         tol=1e-9)
+                                         tol=_COMPANION_TOL)
         active = [f for f in report.families if f.side_pairs or f.point_pairs]
         if not active:
             rep.passes += 1
@@ -520,17 +571,25 @@ def _campaign_companion(rep: CampaignReport, tol: float, seed: int,
         with_pairs += 1
         worst = max(max(f.identity_residual, f.factorization_residual)
                     for f in active)
-        rep.record(report.companion_ok and worst <= 1e-9, t,
+        rep.record(report.companion_ok and worst <= _COMPANION_TOL, t,
                    "companion structure violated", residual=worst)
     rep.details.update(four_solution_scenes=four, scenes_with_pairs=with_pairs)
+
+
+#: _MATE_INVERSE_TOL bounds the gap between s and the mate of its mate,
+#: relative to scale. Value unexplained: both construct campaigns reach
+#: 3.1e-16 at seed 0; the campaign draws its own scenes. Mutants x10 and
+#: x0.1: not caught.
+_MATE_INVERSE_TOL = 1e-12
 
 
 def _mate_check(scene: Scene, s: SolutionTriplet, mate: SolutionTriplet,
                 label: SharingLabel, tol: float) -> tuple[float, str]:
     """(constraint residual, failure reason or "") of the mate of s.
 
-    The mate must solve the scene (residual 1e-9), map back to s under the
-    same construction (1e-12 of scale) and lie on the label's line (tol).
+    The mate must solve the scene (solver.CONSTRAINT_TOL), map back to s
+    under the same construction (_MATE_INVERSE_TOL of scale) and lie on the
+    label's line (tol).
     """
     tri, angles = scene.triangle, scene.angles
     res = max(abs(r) for r in solver.constraint_residuals(mate, tri.sides,
@@ -540,7 +599,8 @@ def _mate_check(scene: Scene, s: SolutionTriplet, mate: SolutionTriplet,
               for x, y in zip(back.values, s.values)) if back else math.inf
     rp = RatioPair(u=mate.s2 / mate.s1, v=mate.s3 / mate.s1)
     on_line = abs(sharing.sharing_residual(rp, tri, angles, label))
-    ok = res <= 1e-9 and inv <= 1e-12 and on_line <= tol
+    ok = (res <= solver.CONSTRAINT_TOL and inv <= _MATE_INVERSE_TOL
+          and on_line <= tol)
     return res, "" if ok else f"res={res:g} inv={inv:g} line={on_line:g}"
 
 
@@ -566,6 +626,14 @@ def _campaign_construct_side(rep: CampaignReport, tol: float, seed: int,
     rep.details.update(angle_condition_without_mate=angle_cond_no_mate)
 
 
+#: _DEAD_BAND: the construct_point campaign skips an on-line solution whose
+#: s1 is within it of b or c, relative to scale. Value unexplained: the 460
+#: on-line solutions of the plan (seed 0) lie 3.5e-4 of scale or more from
+#: both, so no run reaches it, and the campaign draws its own scenes.
+#: Mutants x10 and x0.1: not caught.
+_DEAD_BAND = 1e-9
+
+
 def _campaign_construct_point(rep: CampaignReport, tol: float, seed: int,
                               nconv: int):
     equiv_checked = componentwise_mismatch = 0
@@ -587,7 +655,7 @@ def _campaign_construct_point(rep: CampaignReport, tol: float, seed: int,
                 continue
             s1 = sharing.relabel_triplet(s.triplet, k).s1
             # dead band against boundary float noise
-            if min(abs(s1 - b_k), abs(s1 - c_k)) < 1e-9 * scene.scale:
+            if min(abs(s1 - b_k), abs(s1 - c_k)) < _DEAD_BAND * scene.scale:
                 continue
             equiv_checked += 1
             if (cb > cosB and cg > cosC) != (s1 > c_k and s1 > b_k):

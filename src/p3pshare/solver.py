@@ -47,10 +47,21 @@ def constraint_residuals(t: SolutionTriplet, sides, angles: ViewAngles):
     return (r_c, r_b, r_a)
 
 
-def triplet_from_ratio(rp: RatioPair, sides, angles: ViewAngles,
-                       tol: float = 1e-9) -> SolutionTriplet:
-    """Recover (s1, s2, s3) from a quadrant-I ratio point."""
-    return _triplet(rp.u, rp.v, sides, angles, tol)
+#: CONSTRAINT_TOL bounds a recovered triplet's basic-constraint residuals
+#: (constraint_residuals, each per its side squared): the floor of solve's
+#: gate and the bound on a constructed mate. Value unexplained: solutions
+#: reach 7.6e-14 on 2000 random and 700 locus scenes (seeds 19 and 23), and
+#: mates 3.8e-14 in the construct campaigns (seed 0); with one side 1e-4 of
+#: the others the true triplet itself fails it (README "Numerical notes").
+#: Mutants x10 and x0.1: caught by tests/test_tolerances.py.
+CONSTRAINT_TOL = 1e-9
+
+
+def triplet_from_ratio(rp: RatioPair, sides,
+                       angles: ViewAngles) -> SolutionTriplet:
+    """Recover (s1, s2, s3) from a quadrant-I ratio point; its basic-constraint
+    residuals must be within CONSTRAINT_TOL."""
+    return _triplet(rp.u, rp.v, sides, angles, CONSTRAINT_TOL)
 
 
 def _triplet(u: float, v: float, sides, angles: ViewAngles, tol: float):
@@ -71,12 +82,18 @@ def solve(tri: ControlTriangle, angles: ViewAngles,
           cluster_tol: float = conics.CLUSTER_TOL) -> SolutionSet:
     """Enumerate all distinct positive solutions of the scene.
 
+    tol and cluster_tol are the intersection's residual gate and merge gap
+    (conics.INTERSECT_TOL and conics.CLUSTER_TOL by default); a recovered
+    triplet's basic-constraint residuals must be within the larger of tol
+    and CONSTRAINT_TOL.
+
     Raises:
-        DegeneratePencilError: the two conics are proportional or share a
-            component: cocyclic configurations (O near the circumcircle of
-            the control points, in their plane), and most sliver triangles
-            with one side below 1e-3 of the others, whose cubic falls under
-            the absolute 1e-14 gate.
+        DegeneratePencilError: the two conics are proportional
+            (conics.PENCIL_RANK_TOL) or share a component: cocyclic
+            configurations (O near the circumcircle of the control points,
+            in their plane), and most sliver triangles with one side below
+            1e-3 of the others, whose cubic falls under
+            conics.SHARED_COMPONENT_TOL.
         InconsistentInputError: a quadrant-I ratio point fails the
             basic-constraint residual gate; sliver triangles, whose
             residuals divide by a tiny side squared, reach it.
@@ -89,7 +106,7 @@ def solve(tri: ControlTriangle, angles: ViewAngles,
     sides = tri.sides
     inter = conics._intersect(*conics.conic_terms(sides, angles.cosines),
                               tol, cluster_tol)
-    gate = max(tol, 1e-9)
+    gate = max(tol, CONSTRAINT_TOL)
     sols = []
     for rp in conics.quadrant_one_filter(inter):
         try:
@@ -99,6 +116,14 @@ def solve(tri: ControlTriangle, angles: ViewAngles,
         sols.append(Solution(t, rp, rp.multiplicity >= 2))
     sols.sort(key=lambda s: (s.triplet.s1, s.triplet.s2))
     return SolutionSet(tri, angles, tuple(sols))
+
+
+#: _Z2_SLACK bounds how far below 0 a trilaterated z^2 may fall and still give
+#: the in-plane center, relative to scale^2. Value unexplained: the centers of
+#: the solutions of 2000 random and 700 locus scenes (seeds 19 and 23) have
+#: z^2 >= 3.8e-8 scale^2, as those scenes keep O off the base plane.
+#: Mutants x10 and x0.1: caught by tests/test_tolerances.py.
+_Z2_SLACK = 1e-9
 
 
 def recover_centers(t: SolutionTriplet, tri: ControlTriangle):
@@ -112,7 +137,7 @@ def recover_centers(t: SolutionTriplet, tri: ControlTriangle):
     x = (s2 * s2 - s3 * s3 + a * a) / (2.0 * a)
     y = (s2 * s2 - 2.0 * e * x + e * e + f * f - s1 * s1) / (2.0 * f)
     z2 = s2 * s2 - x * x - y * y
-    if z2 < -1e-9 * tri.scale ** 2:
+    if z2 < -_Z2_SLACK * tri.scale ** 2:
         raise InfeasibleTripletError("distances admit no real center")
     z = math.sqrt(max(z2, 0.0))
     up = frame.to_world(np.array([x, y, z]))

@@ -87,7 +87,7 @@ class TestSolve:
     def test_csv_output(self, eq1_scene_path, tmp_path, capsys):
         out_csv = str(tmp_path / "sol.csv")
         assert main(["solve", eq1_scene_path, "--out", out_csv]) == EXIT_OK
-        lines = open(out_csv).read().splitlines()
+        lines = Path(out_csv).read_text().splitlines()
         assert lines[0].startswith("s1,s2,s3,u,v")
         assert len(lines) == 5
 
@@ -187,7 +187,7 @@ class TestVerify:
         out_csv = str(tmp_path / "rep.csv")
         assert main(["verify", "construct_side", "--trials", "2",
                      "--seed", "5", "--out", out_csv]) == EXIT_OK
-        lines = open(out_csv).read().splitlines()
+        lines = Path(out_csv).read_text().splitlines()
         assert lines[0].startswith("theorem,trials,passes")
 
     def test_all_writes_one_row_per_id(self, tmp_path, capsys):

@@ -84,7 +84,7 @@ class TestRandomScene:
         cfg = SceneConfig()
         rng = np.random.default_rng(0)
         for _ in range(20):
-            sc = random_scene(rng, cfg)
+            sc = random_scene(rng)
             assert min(sc.triangle.sides) >= cfg.min_side
             assert abs(sc.center[2]) >= 0.1
             assert cfg.z_range[0] <= abs(sc.center[2]) <= cfg.z_range[1]
