@@ -22,7 +22,7 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DegeneratePencilError
-from .geometry import RatioPair, ViewAngles
+from .geometry import RatioPair, ViewAngles, _new_ratio
 
 # The tolerances of the intersection (README "Numerical notes" has the
 # ledger). Residuals are those of the unit-max-norm conic rows.
@@ -236,7 +236,10 @@ def intersect_conics(pair: ConicPair) -> IntersectionSet:
     Raises DegeneratePencilError when the conics are proportional or share a
     component (every member of the pencil is degenerate).
     """
-    return _intersect(pair.C1.terms, pair.C2.terms, INTERSECT_TOL, CLUSTER_TOL)
+    points = _intersect(pair.C1.terms, pair.C2.terms, INTERSECT_TOL,
+                        CLUSTER_TOL)
+    return IntersectionSet(points=tuple([_new_ratio(*p) for p in points]),
+                           all_real=sum([p[2] for p in points]))
 
 
 def _isolated_root(roots) -> float:
@@ -263,8 +266,9 @@ SHARED_COMPONENT_TOL = 1e-14
 _SEED_STOP = 1e-15
 
 
-def _intersect(t1, t2, tol: float, cluster_tol: float) -> IntersectionSet:
-    """intersect_conics on the two conics' `Conic.terms` rows.
+def _intersect(t1, t2, tol: float, cluster_tol: float) -> list[list]:
+    """intersect_conics on the two conics' `Conic.terms` rows, as plain
+    [u, v, multiplicity] lists sorted by (u, v).
 
     Straight-line float code: A and B are the symmetric matrices of the unit
     rows (F = x^T M x for x = (u, v, 1)), held as their six upper entries;
@@ -368,7 +372,7 @@ def _intersect(t1, t2, tol: float, cluster_tol: float) -> IntersectionSet:
     if abs(q22) > abs(qii):
         qii, qi = q22, (q02, q12, q22)
     if qii > 0.0:
-        return IntersectionSet(points=(), all_real=0)
+        return []
     beta = math.sqrt(-qii)
     p0, p1, p2 = ((qi[0] / beta, qi[1] / beta, qi[2] / beta) if beta
                   else (0.0, 0.0, 0.0))
@@ -435,9 +439,11 @@ def _intersect(t1, t2, tol: float, cluster_tol: float) -> IntersectionSet:
                     break
             else:
                 points.append([u, v, 1])
-    points.sort(key=lambda p: (p[0], p[1]))
-    return IntersectionSet(points=tuple([RatioPair(*p) for p in points]),
-                           all_real=sum(p[2] for p in points))
+    # by (u, v), as the lists compare: two points of equal u and v are kept
+    # only under a cluster_tol that merges nothing (negative or nan), so
+    # both have multiplicity 1
+    points.sort()
+    return points
 
 
 #: _MIN_RATIO bounds u and v of a kept point from below, absolute: positive
@@ -448,5 +454,6 @@ _MIN_RATIO = 1e-10
 
 
 def quadrant_one_filter(inter: IntersectionSet) -> list[RatioPair]:
-    """Points with u and v above _MIN_RATIO."""
+    """Points with u and v above _MIN_RATIO; solve keeps the same points of
+    the kernel's plain ones."""
     return [p for p in inter.points if p.u > _MIN_RATIO and p.v > _MIN_RATIO]

@@ -7,7 +7,7 @@ primitives throughout; angles in radians/degrees appear only in reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -22,22 +22,35 @@ def _as_point(p) -> np.ndarray:
     return q
 
 
-def _record(cls, **fields):
-    """An instance of the frozen dataclass cls holding these field values.
+def _record(cls):
+    """A builder of instances of the frozen dataclass cls without its __init__.
 
-    Each value is stored straight into the instance's __dict__, where the
-    generated __init__ makes one object.__setattr__ call per field. The
-    dict stays a key-sharing one; dict.update would be faster still, but
-    it copies the keys into a table of the instance's own, ~30% more memory
-    per scene. Only for classes without __post_init__: ControlTriangle,
-    CanonicalFrame and scenes.Scene. The instance is what __init__ would
-    build: the same fields, repr, immutability and (eq=False) identity hash.
+    The builder takes every field, by position or keyword, and stores each
+    value straight into the new instance's __dict__, where the generated
+    __init__ makes one object.__setattr__ call per field; then it runs
+    cls.__post_init__, if there is one, as __init__ does. Like __init__, its
+    code is generated once per class, so a build costs one call and one
+    store per field. The dict stays a key-sharing one; dict.update would
+    skip the stores, but it copies the keys into a table of the instance's
+    own, ~30% more memory per scene. It builds ControlTriangle,
+    CanonicalFrame, scenes.Scene, RatioPair, SolutionTriplet and the
+    solver's Solution and SolutionSet. Only SolutionTriplet has a
+    __post_init__: its positivity check runs on the stored fields before the
+    builder returns, so a triplet that fails it is never handed out. The
+    instance is what __init__ would build: the same fields, repr,
+    immutability, eq and hash.
     """
-    obj = object.__new__(cls)
-    d = obj.__dict__
-    for name, value in fields.items():
-        d[name] = value
-    return obj
+    names = [f.name for f in fields(cls)]
+    code = (f"def build({', '.join(names)}):\n"
+            "    _obj = _new(_cls)\n"
+            "    _dict = _obj.__dict__\n"
+            + "".join(f"    _dict[{n!r}] = {n}\n" for n in names)
+            + ("    _obj.__post_init__()\n"
+               if hasattr(cls, "__post_init__") else "")
+            + "    return _obj\n")
+    namespace = {"_new": object.__new__, "_cls": cls}
+    exec(code, namespace)
+    return namespace["build"]
 
 
 def _cross(p, q) -> tuple[float, float, float]:
@@ -99,11 +112,11 @@ class ControlTriangle:
             raise DegenerateInputError("collinear control points")
         if a + b <= c or b + c <= a or c + a <= b:
             raise DegenerateInputError("triangle inequality violated")
-        return _record(cls, A=A, B=B, C=C, a=a, b=b, c=c,
-                       cos_A=(b * b + c * c - a * a) / (2.0 * b * c),
-                       cos_B=(a * a + c * c - b * b) / (2.0 * a * c),
-                       cos_C=(a * a + b * b - c * c) / (2.0 * a * b),
-                       area2=area2)
+        return _new_triangle(A=A, B=B, C=C, a=a, b=b, c=c,
+                             cos_A=(b * b + c * c - a * a) / (2.0 * b * c),
+                             cos_B=(a * a + c * c - b * b) / (2.0 * a * c),
+                             cos_C=(a * a + b * b - c * c) / (2.0 * a * b),
+                             area2=area2)
 
     @cached_property
     def frame(self) -> "CanonicalFrame":
@@ -114,9 +127,9 @@ class ControlTriangle:
         n0, n1, n2 = _cross(cb, d.tolist())
         ez = (n0 / area2, n1 / area2, n2 / area2)
         rotation = np.array([ex, _cross(ez, ex), ez])
-        return _record(CanonicalFrame, a=a, e=float(d.dot(rotation[0])),
-                       f=float(d.dot(rotation[1])), rotation=rotation,
-                       translation=(-rotation).dot(B))
+        return _new_frame(a=a, e=float(d.dot(rotation[0])),
+                          f=float(d.dot(rotation[1])), rotation=rotation,
+                          translation=(-rotation).dot(B))
 
     @property
     def sides(self) -> tuple[float, float, float]:
@@ -129,6 +142,9 @@ class ControlTriangle:
     @property
     def points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.A, self.B, self.C)
+
+
+_new_triangle = _record(ControlTriangle)
 
 
 def interior_angles(tri: ControlTriangle) -> tuple[float, float, float]:
@@ -154,6 +170,9 @@ class CanonicalFrame:
 
     def to_world(self, p) -> np.ndarray:
         return self.rotation.T.dot(_as_point(p) - self.translation)
+
+
+_new_frame = _record(CanonicalFrame)
 
 
 def canonical_frame(tri: ControlTriangle) -> CanonicalFrame:
@@ -259,6 +278,9 @@ class SolutionTriplet:
         return (self.s1, self.s2, self.s3)
 
 
+_new_triplet = _record(SolutionTriplet)
+
+
 @dataclass(frozen=True)
 class RatioPair:
     """A candidate conic intersection (u, v) = (s2/s1, s3/s1)."""
@@ -266,3 +288,6 @@ class RatioPair:
     u: float
     v: float
     multiplicity: int = 1
+
+
+_new_ratio = _record(RatioPair)

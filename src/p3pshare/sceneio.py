@@ -17,13 +17,19 @@ from .geometry import ControlTriangle, ViewAngles
 
 
 def _finite_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """value as a float array of the given shape with finite entries."""
+    """value as a float array of the given shape with finite entries, each a
+    JSON number: numpy would also convert numeric strings and booleans."""
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SceneParseError(f"{what} must be numeric: {exc}") from exc
     if arr.shape != shape or not np.isfinite(arr).all():
         raise SceneParseError(f"{what} must be finite numbers of shape {shape}")
+    # the shape holds, so value is nested lists of exactly arr.size entries
+    for x in value if len(shape) == 1 else [x for row in value for x in row]:
+        if type(x) is not float and type(x) is not int:  # bool is an int
+            raise SceneParseError(f"{what} must be numeric: {x!r} is not "
+                                  "a number")
     return arr
 
 

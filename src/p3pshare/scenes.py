@@ -58,10 +58,13 @@ class Scene:
         return self.triangle.scale
 
 
+_new_scene = _record(Scene)
+
+
 def scene_from_center(tri: ControlTriangle, O, seed=None) -> Scene:
     O = np.asarray(O, dtype=float)
-    return _record(Scene, triangle=tri, center=O,
-                   angles=view_angles_from_center(tri, O), seed=seed)
+    return _new_scene(triangle=tri, center=O,
+                      angles=view_angles_from_center(tri, O), seed=seed)
 
 
 def _scene_at(tri: ControlTriangle, O,

@@ -11,7 +11,7 @@ from . import conics
 from .errors import (InconsistentInputError, InfeasibleRatioError,
                      InfeasibleTripletError)
 from .geometry import (ControlTriangle, RatioPair, SolutionTriplet, ViewAngles,
-                       canonical_frame)
+                       _new_ratio, _new_triplet, _record, canonical_frame)
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,15 @@ class SolutionSet:
         return [s.repeated for s in self.solutions]
 
 
+_new_solution = _record(Solution)
+_new_solution_set = _record(SolutionSet)
+
+
 def constraint_residuals(t: SolutionTriplet, sides, angles: ViewAngles):
     """The three basic-constraint residuals, normalized by (c^2, b^2, a^2)."""
     a, b, c = sides
-    ca, cb, cg = angles.cosines
-    s1, s2, s3 = t.values
+    ca, cb, cg = angles.cos_alpha, angles.cos_beta, angles.cos_gamma
+    s1, s2, s3 = t.s1, t.s2, t.s3
     r_c = (s1 * s1 + s2 * s2 - 2.0 * cg * s1 * s2 - c * c) / (c * c)
     r_b = (s1 * s1 + s3 * s3 - 2.0 * cb * s1 * s3 - b * b) / (b * b)
     r_a = (s2 * s2 + s3 * s3 - 2.0 * ca * s2 * s3 - a * a) / (a * a)
@@ -71,7 +75,7 @@ def _triplet(u: float, v: float, sides, angles: ViewAngles, tol: float):
     if rad <= 0.0:
         raise InfeasibleRatioError("non-positive base-distance radicand")
     s1 = sides[0] / math.sqrt(rad)
-    t = SolutionTriplet(s1=s1, s2=u * s1, s3=v * s1)
+    t = _new_triplet(s1, u * s1, v * s1)  # raises unless all three are > 0
     if max(map(abs, constraint_residuals(t, sides, angles))) > tol:
         raise InconsistentInputError("ratio point violates the basic constraints")
     return t
@@ -94,6 +98,10 @@ def solve(tri: ControlTriangle, angles: ViewAngles,
             in their plane), and most sliver triangles with one side below
             1e-3 of the others, whose cubic falls under
             conics.SHARED_COMPONENT_TOL.
+        DegenerateInputError: a quadrant-I ratio point gives a triplet
+            that is not positive, checked before the residual gate; a ratio
+            so large that the radicand overflows does (s1 becomes 0 or nan).
+            No scene of the tests or campaigns reaches it.
         InconsistentInputError: a quadrant-I ratio point fails the
             basic-constraint residual gate; sliver triangles, whose
             residuals divide by a tiny side squared, reach it.
@@ -104,18 +112,24 @@ def solve(tri: ControlTriangle, angles: ViewAngles,
             tests or campaigns reaches them.
     """
     sides = tri.sides
-    inter = conics._intersect(*conics.conic_terms(sides, angles.cosines),
-                              tol, cluster_tol)
     gate = max(tol, CONSTRAINT_TOL)
+    min_ratio = conics._MIN_RATIO
     sols = []
-    for rp in conics.quadrant_one_filter(inter):
+    for u, v, m in conics._intersect(
+            *conics.conic_terms(sides, angles.cosines), tol, cluster_tol):
+        if not (u > min_ratio and v > min_ratio):  # quadrant_one_filter
+            continue
         try:
-            t = _triplet(rp.u, rp.v, sides, angles, gate)
+            t = _triplet(u, v, sides, angles, gate)
         except InfeasibleRatioError:
             continue
-        sols.append(Solution(t, rp, rp.multiplicity >= 2))
-    sols.sort(key=lambda s: (s.triplet.s1, s.triplet.s2))
-    return SolutionSet(tri, angles, tuple(sols))
+        sols.append(_new_solution(t, _new_ratio(u, v, m), m >= 2))
+    sols.sort(key=_distances)  # stable: ties keep the kernel's order
+    return _new_solution_set(tri, angles, tuple(sols))
+
+
+def _distances(s: Solution) -> tuple[float, float]:
+    return (s.triplet.s1, s.triplet.s2)
 
 
 #: _Z2_SLACK bounds how far below 0 a trilaterated z^2 may fall and still give

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,9 @@ from p3pshare.geometry import (CanonicalFrame, ControlTriangle, SolutionTriplet,
                                ViewAngles, _cross, canonical_frame,
                                circumcircle_2d, cocyclic_degeneracy,
                                interior_angles, view_angles_from_center)
-from p3pshare.scenes import Scene, _trial_rngs, random_scene
+from p3pshare.conics import build_conics, intersect_conics
+from p3pshare.scenes import Scene, _locus_scene, _trial_rngs, random_scene
+from p3pshare.solver import SolutionSet, solve
 
 CORPUS = Path(__file__).parent / "data" / "scene_corpus.json"
 
@@ -331,7 +334,8 @@ def _twin(obj):
 
 class TestRecords:
     """ControlTriangle, CanonicalFrame and Scene are built without their
-    dataclass __init__; each is what that __init__ would build."""
+    dataclass __init__ (geometry._record); each is what that __init__ would
+    build."""
 
     @pytest.fixture
     def scene(self):
@@ -371,3 +375,68 @@ class TestRecords:
         assert {tri: 1}.get(twin) is None
         assert hash(scene) == object.__hash__(scene) and scene != _twin(scene)
         assert type(scene) is Scene
+
+
+class TestSolveRecords:
+    """The SolutionSet, Solutions, SolutionTriplets and RatioPairs that solve
+    returns, and the RatioPairs of intersect_conics, are built by
+    geometry._record; each is what its dataclass __init__ would build."""
+
+    @pytest.fixture
+    def scenes(self, eq1_triangle, eq1_angles):
+        """The equilateral fixture, random scenes, and danger-cylinder
+        scenes, whose double root is a point of multiplicity 2."""
+        out = [(eq1_triangle, eq1_angles)]
+        for rng in _trial_rngs(41, 30):
+            sc = random_scene(rng)
+            out.append((sc.triangle, sc.angles))
+        for rng in _trial_rngs(43, 5):
+            sc = _locus_scene(rng, None)
+            out.append((sc.triangle, sc.angles))
+        return out
+
+    @staticmethod
+    def records(tri, angles):
+        ss = solve(tri, angles)
+        out = [ss]
+        for s in ss.solutions:
+            out += [s, s.triplet, s.ratio]
+        return out + list(intersect_conics(build_conics(tri.sides,
+                                                        angles)).points)
+
+    def test_records_match_their_twins(self, scenes):
+        kinds = set()
+        for tri, angles in scenes:
+            for obj in self.records(tri, angles):
+                kinds.add(type(obj).__name__)
+                twin = _twin(obj)
+                names = [f.name for f in dataclasses.fields(obj)]
+                for f in dataclasses.fields(obj):
+                    got, want = getattr(obj, f.name), getattr(twin, f.name)
+                    assert type(got) is type(want) and got is want
+                    if f.type in ("float", "int", "bool"):
+                        assert type(got).__name__ == f.type
+                assert repr(obj) == repr(twin)
+                assert list(vars(obj)) == names
+                # the class's key-sharing dict, as __init__ leaves it
+                assert sys.getsizeof(vars(obj)) == sys.getsizeof(vars(twin))
+                if isinstance(obj, SolutionSet):  # eq=False: identity
+                    assert obj != twin and obj == obj
+                    assert hash(obj) == object.__hash__(obj)
+                else:
+                    assert obj == twin and hash(obj) == hash(twin)
+                for name in names:
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(obj, name, 1.0)
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        delattr(obj, name)
+        assert kinds == {"SolutionSet", "Solution", "SolutionTriplet",
+                         "RatioPair"}
+
+    def test_all_real_counts_multiplicities(self, scenes):
+        mults = []
+        for tri, angles in scenes:
+            inter = intersect_conics(build_conics(tri.sides, angles))
+            mults += [p.multiplicity for p in inter.points]
+            assert inter.all_real == sum(p.multiplicity for p in inter.points)
+        assert 2 in mults

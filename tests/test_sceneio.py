@@ -45,6 +45,14 @@ MALFORMED_SCENES = {
     "string_cosine": '{' + _PTS + ', "subtendedAngleCosines": ["x", 0.5, 0.5]}',
     "nan_cosine": '{' + _PTS + ', "subtendedAngleCosines": [NaN, 0.5, 0.5]}',
     "string_cosines": '{' + _PTS + ', "subtendedAngleCosines": "abc"}',
+    # numpy converts these to floats; a JSON number is neither
+    "numeric_string_point": '{"controlPoints": [["1","2","0"],[0,0,0],'
+                            '[1,0,0]], "opticalCenter": ["1.5","0.5","2"]}',
+    "bool_center": '{' + _PTS + ', "opticalCenter": [1, 2.5, true]}',
+    "bool_cosine": '{' + _PTS + ', "subtendedAngleCosines": [0.5, false, 0.5]}',
+    # an integer beyond the float range
+    "overflowing_int_center": '{' + _PTS + ', "opticalCenter": [0, 0, 1'
+                              + '0' * 400 + ']}',
 }
 
 
@@ -89,6 +97,11 @@ class TestParseScene:
     def test_non_numeric_or_non_finite_rejected(self, doc):
         with pytest.raises(SceneParseError):
             parse_scene(doc)
+
+    def test_large_integers_parse(self):
+        _, center, _, _ = parse_scene('{' + _PTS + ', "opticalCenter": '
+                                      '[0, 100000000000000000000000, 1]}')
+        assert center.tolist() == [0.0, 1e23, 1.0]
 
 
 class TestSerializeScene:

@@ -160,6 +160,37 @@ class TestSolverGates:
                 with pytest.raises(InconsistentInputError):
                     triplet_from_ratio(moved, eq1_triangle.sides, eq1_angles)
 
+    #: ratio points whose radicand u^2 + v^2 - 2 cos(alpha) u v overflows:
+    #: inf - inf is nan at (1e200, 1e200), and s1 = a / sqrt(inf) is 0 at
+    #: (1e200, 1), so neither triplet is positive
+    OVERFLOWING_RATIOS = ((1e200, 1e200), (1e200, 1.0))
+
+    def test_triplet_positivity(self, eq1_angles):
+        for u, v in self.OVERFLOWING_RATIOS:
+            with pytest.raises(DegenerateInputError,
+                               match="^solution triplet must be positive$"):
+                triplet_from_ratio(RatioPair(u, v), (1.0, 1.0, 1.0),
+                                   eq1_angles)
+
+    def test_solve_positivity(self, eq1_triangle, eq1_angles, monkeypatch):
+        """The same points handed to solve in place of the kernel's: the
+        positivity check raises before the residual gate."""
+        for u, v in self.OVERFLOWING_RATIOS:
+            monkeypatch.setattr(conics, "_intersect",
+                                lambda *args: [[u, v, 1]])
+            with pytest.raises(DegenerateInputError,
+                               match="^solution triplet must be positive$"):
+                solve(eq1_triangle, eq1_angles)
+
+    def test_solve_min_ratio(self, eq1_triangle, eq1_angles, monkeypatch):
+        """solve applies quadrant_one_filter's _MIN_RATIO to the kernel's
+        points: (5e-11, 1) gets no triplet, which would fail the residual
+        gate, and the equilateral fixture's (1, 1) is kept."""
+        monkeypatch.setattr(conics, "_intersect",
+                            lambda *args: [[5e-11, 1.0, 1], [1.0, 1.0, 1]])
+        (sol,) = solve(eq1_triangle, eq1_angles).solutions
+        assert sol.ratio == RatioPair(1.0, 1.0, 1)
+
     def test_recover_centers_z2_slack(self, eq1_triangle):
         """Distances from an in-plane point, each squared short by
         delta scale^2, trilaterate to z^2 = -delta scale^2."""
