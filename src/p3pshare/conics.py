@@ -5,9 +5,9 @@ cubic det(A + lam B) gives a degenerate member, a pair of lines through the
 common points. Each line meets the other conic in one quadratic, whose
 roots seed damped Newton on the bivariate system; a double root of that
 quadratic is a tangency, and its two seeds merge into one point of
-multiplicity 2. All but one eigenvalue call is straight-line arithmetic on
-float locals, as numpy's per-call cost dominates; sums fold left to right
-(see README).
+multiplicity 2. The kernel is straight-line arithmetic on float locals, the
+cubic's root in closed form included, as numpy's per-call cost dominates;
+sums fold left to right (see README).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from itertools import combinations
 from operator import add, mul
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DegeneratePencilError
 from .geometry import RatioPair, ViewAngles, _new_ratio
@@ -39,7 +38,10 @@ INTERSECT_TOL = 1e-9
 #: solve's default cluster_tol. Value unexplained. On the 700 locus scenes
 #: the two seeds of a danger-cylinder double root lay up to 9.8e-8 apart (89
 #: merges) and the closest two returned points 1.2e-7, so it sits at the edge
-#: of the tangency split; danger_repeat merges at scenes._REPEAT_GAP.
+#: of the tangency split; danger_repeat merges at scenes._REPEAT_GAP. The
+#: switch from LAPACK's cubic root to the closed form moved 32 of 600
+#: danger-cylinder scenes (seed 23) across it, both ways (15 pairs merged,
+#: 17 doubles split; 515 -> 513 doubles), and none at _REPEAT_GAP.
 #: Mutants x10 and x0.1: caught by tests/test_tolerances.py.
 CLUSTER_TOL = 1e-7
 #: PENCIL_RANK_TOL bounds the second singular value of the two unit rows,
@@ -49,6 +51,12 @@ CLUSTER_TOL = 1e-7
 #: rows 3e-11 off fall below it (TestPencilSigma2, which catches both
 #: mutants, x10 and x0.1).
 PENCIL_RANK_TOL = 1e-10
+#: _PENCIL_BAND bounds (x.y)^2 / (|x|^2 |y|^2) of the two unit rows, the
+#: squared cosine between them: only above it does _intersect evaluate the
+#: 15-term sigma2. Derivation: below it, sigma2 = sqrt(1 - |cos|) >=
+#: sqrt(1 - sqrt(0.999)) = 0.022, far above PENCIL_RANK_TOL, so the band
+#: saves work and changes no decision (TestPencilGateBand).
+_PENCIL_BAND = 0.999
 
 
 @dataclass(frozen=True)
@@ -194,28 +202,31 @@ def resultant_in_u(F1: Conic, F2: Conic) -> np.ndarray:
                      p2 * p2 - q1 * r3])
 
 
-def _no_convergence(err, flag):
-    raise LinAlgError("Eigenvalues did not converge")
+def farthest_real_root(a: float, b: float, c: float) -> float:
+    """The real root of x^3 + a x^2 + b x + c farthest from the other two.
 
-
-#: np.linalg.eigvals' LAPACK gufunc under its errstate, built once
-_eigvals = np.errstate(call=_no_convergence, invalid="call", over="ignore",
-                       divide="ignore", under="ignore")(_umath_linalg.eigvals)
-
-
-def companion_roots(r) -> list:
-    """Complex roots of the polynomial with low-first coefficients r (nonzero
-    leading one): np.linalg.eigvals of numpy's polycompanion, unwrapped."""
-    n = len(r) - 1
-    if n < 2:
-        return [-r[0] / r[1]] if n == 1 else []
-    m = [[0.0] * (n - 1) + [-c / r[n]] for c in r[:n]]
-    if not all(math.isfinite(row[-1]) for row in m):
-        raise LinAlgError("Array must not contain infs or NaNs")
-    for i in range(1, n):
-        m[i][i - 1] = 1.0
-    z = _eigvals(m, signature="d->D").tolist()
-    return [w.real for w in z] if all(w.imag == 0.0 for w in z) else z
+    Of three real roots that is the outer one with the larger gap to the
+    middle one, from the trigonometric form; of one, that root, from
+    Cardano's form with the cube root taken where no cancellation occurs.
+    The cubic is first scaled to x = 2^k y with |a|, |b|, |c| below 2^k,
+    4^k, 8^k: exact, and it keeps p^3 and q^2 from overflow and underflow."""
+    k = math.frexp(max(abs(a), math.sqrt(abs(b)), abs(c) ** (1.0 / 3.0)))[1]
+    a, b, c = math.ldexp(a, -k), math.ldexp(b, -2 * k), math.ldexp(c, -3 * k)
+    # y = t - a/3 leaves t^3 + p t + q, with h = q/2 and n = p/3
+    a3 = a / 3.0
+    n = (b - a * a3) / 3.0
+    h = 0.5 * ((2.0 * a3 * a3 - b) * a3 + c)
+    disc = h * h + n * n * n
+    if disc < 0.0:
+        # t = 2 m cos(phi), cos(3 phi) = -h / m^3: the root of the larger
+        # gap is the top one when h < 0 and the bottom one when h > 0
+        m = math.sqrt(-n)
+        t = 2.0 * m * math.cos(math.acos(min(1.0, abs(h) / (m * m * m))) / 3.0)
+        t = math.copysign(t, -h)
+    else:
+        w = -math.copysign((abs(h) + math.sqrt(disc)) ** (1.0 / 3.0), h)
+        t = w - n / w if w else 0.0
+    return math.ldexp(t - a3, k)
 
 
 def _pencil_sigma2(x, y) -> float:
@@ -240,14 +251,6 @@ def intersect_conics(pair: ConicPair) -> IntersectionSet:
                         CLUSTER_TOL)
     return IntersectionSet(points=tuple([_new_ratio(*p) for p in points]),
                            all_real=sum([p[2] for p in points]))
-
-
-def _isolated_root(roots) -> float:
-    """The real root farthest from the others, first on ties."""
-    def isolation(k):
-        return min(abs(roots[k] - z) for j, z in enumerate(roots) if j != k)
-    real = [k for k, z in enumerate(roots) if z.imag == 0.0]
-    return roots[max(real, key=isolation) if len(real) > 1 else real[0]].real
 
 
 #: SHARED_COMPONENT_TOL bounds the four coefficients of det(A + lam B) of the
@@ -277,13 +280,11 @@ def _intersect(t1, t2, tol: float, cluster_tol: float) -> list[list]:
     `TestSolveReference` pins bit for bit."""
     x0, x1, x2, x3, x4, x5 = t1 = _unit(t1)
     y0, y1, y2, y3, y4, y5 = t2 = _unit(t2)
-    # sigma2 needs its 15-term wedge only where (x.y)^2 > 0.999 |x|^2 |y|^2:
-    # outside, |cos| <= sqrt(0.999) between the rows, so
-    # sigma2 = sqrt(1 - |cos|) >= 0.022, far above PENCIL_RANK_TOL
+    # sigma2 needs its 15-term wedge only inside _PENCIL_BAND
     xx = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4 + x5 * x5
     yy = y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3 + y4 * y4 + y5 * y5
     xy = x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3 + x4 * y4 + x5 * y5
-    if (xy * xy > 0.999 * xx * yy
+    if (xy * xy > _PENCIL_BAND * xx * yy
             and _pencil_sigma2(t1, t2) < PENCIL_RANK_TOL):
         raise DegeneratePencilError("proportional conic pair")
 
@@ -300,10 +301,10 @@ def _intersect(t1, t2, tol: float, cluster_tol: float) -> list[list]:
                      b00 * b11 - b01 * b01)
     # det(A + lam B) = c0 + c1 lam + c2 lam^2 + c3 lam^3
     c0 = a00 * e00 + a01 * e01 + a02 * e02
-    c1 = (0.0 + (e00 * b00 + e01 * b01 + e02 * b02)
+    c1 = ((e00 * b00 + e01 * b01 + e02 * b02)
           + (e01 * b01 + e11 * b11 + e12 * b12)
           + (e02 * b02 + e12 * b12 + e22 * b22))
-    c2 = (0.0 + (a00 * f00 + a01 * f01 + a02 * f02)
+    c2 = ((a00 * f00 + a01 * f01 + a02 * f02)
           + (a01 * f01 + a11 * f11 + a12 * f12)
           + (a02 * f02 + a12 * f12 + a22 * f22))
     c3 = b00 * f00 + b01 * f01 + b02 * f02
@@ -315,32 +316,15 @@ def _intersect(t1, t2, tol: float, cluster_tol: float) -> list[list]:
         raise DegeneratePencilError("conics share a component")
 
     # the real root farthest from the other two is simple even at a
-    # tangency, where the two members through the tangent point coincide
-    if c3 != 0.0:
-        m0, m1, m2 = -c0 / c3, -c1 / c3, -c2 / c3
-        if not (math.isfinite(m0) and math.isfinite(m1)
-                and math.isfinite(m2)):
-            raise LinAlgError("Array must not contain infs or NaNs")
-        z = _eigvals(((0.0, 0.0, m0), (1.0, 0.0, m1), (0.0, 1.0, m2)),
-                     signature="d->D").tolist()
-        real = [w.real for w in z if w.imag == 0.0]
-        if len(real) == 3:
-            r0, r1, r2 = real
-            d01, d02, d12 = abs(r0 - r1), abs(r0 - r2), abs(r1 - r2)
-            lam, best = r0, min(d01, d02)
-            if min(d01, d12) > best:
-                lam, best = r1, min(d01, d12)
-            if min(d02, d12) > best:
-                lam = r2
-        elif len(real) == 1:
-            lam = real[0]
-        else:
-            lam = _isolated_root(z)
-    else:  # both conics are line pairs: det A = det B = 0
-        r = [c0, c1, c2]
-        while r[-1] == 0.0:
-            r.pop()
-        lam = _isolated_root(companion_roots(r))
+    # tangency, where the two members through the tangent point coincide.
+    # c3 = 0 (both conics are line pairs) makes c0 = 0 by the swap, so
+    # lam = 0 is a root; a c3 so small that a ratio to it is not finite
+    # keeps lam = 0 too, next to the root -c0 / c1
+    lam = 0.0
+    if c3:
+        m2, m1, m0 = c2 / c3, c1 / c3, c0 / c3
+        if math.isfinite(m2) and math.isfinite(m1) and math.isfinite(m0):
+            lam = farthest_real_root(m2, m1, m0)
     if abs(lam) > 1.0:
         # the same member as B + A / lam: swap the roles so that |lam| <= 1
         (a00, a01, a02, a11, a12, a22, b00, b01, b02, b11, b12, b22) = (

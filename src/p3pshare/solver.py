@@ -105,11 +105,6 @@ def solve(tri: ControlTriangle, angles: ViewAngles,
         InconsistentInputError: a quadrant-I ratio point fails the
             basic-constraint residual gate; sliver triangles, whose
             residuals divide by a tiny side squared, reach it.
-        numpy.linalg.LinAlgError: the eigenvalue guards (those of
-            `conics.companion_roots`) fire, on a non-finite companion matrix
-            (a leading cubic coefficient so small that a ratio to it
-            overflows) or when LAPACK does not converge. No scene of the
-            tests or campaigns reaches them.
     """
     sides = tri.sides
     gate = max(tol, CONSTRAINT_TOL)

@@ -130,7 +130,7 @@ ANALYZE_STDOUT_SHA256 = {
     "equilateral":
         "0c2bcc7e8748739418ce65e8abab863db0fd1ead7411f569d782e42dc3c9af74",
     "locus":
-        "a1034bc951b2f20ca64552f6ba4b55c6947f73595bdaa545be3b00f011f34c5a",
+        "37bcda988bffc8d821754c4e21677568db59797edcfb559ecca785c08af397e7",
 }
 
 

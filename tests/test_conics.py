@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from p3pshare import conics, solver
+from p3pshare import conics, scenes, solver
 from p3pshare.conics import (PENCIL_RANK_TOL, Conic, ConicPair,
-                             _pencil_sigma2, build_conics, companion_roots,
-                             intersect_conics, newton_polish,
-                             quadrant_one_filter, resultant_in_u)
+                             _pencil_sigma2, build_conics, intersect_conics,
+                             newton_polish, quadrant_one_filter,
+                             resultant_in_u)
 from p3pshare.errors import DegeneratePencilError, GenerationFailureError
 from p3pshare.geometry import ViewAngles
 from p3pshare.scenes import _trial_rngs, random_scene
@@ -130,60 +130,169 @@ class TestResultant:
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-class TestCompanionRoots:
-    @settings(max_examples=100, deadline=None)
-    @given(coef=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=5))
-    def test_matches_polyroots(self, coef):
-        if abs(coef[-1]) < 1e-3:
-            coef[-1] = 1.0
-        got = np.sort_complex(np.array(companion_roots(coef), dtype=complex))
-        ref = np.sort_complex(P.polyroots(coef).astype(complex))
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+def farthest_of(roots) -> float:
+    """The real one of three roots farthest from the other two, the first
+    on ties."""
+    z = [complex(w) for w in roots]
+    real = [k for k, w in enumerate(z) if w.imag == 0.0]
 
-    def test_low_degrees(self):
-        assert companion_roots([3.0]) == []
-        assert companion_roots([3.0, -2.0]) == [1.5]
+    def isolation(k):
+        return min(abs(z[k] - w) for j, w in enumerate(z) if j != k)
+    return z[max(real, key=isolation) if len(real) > 1 else real[0]].real
 
-    @pytest.mark.parametrize("coef", [
-        [3.0, -2.0],
-        [2.0, -3.0, 1.0],                     # (x - 1)(x - 2)
-        [1.0, 0.0, 1.0],                      # x^2 + 1
-        [-6.0, 11.0, -6.0, 1.0],              # (x - 1)(x - 2)(x - 3)
-        [-1.0, 0.0, 0.0, 1.0],                # x^3 - 1: one real root
-        [24.0, -50.0, 35.0, -10.0, 1.0],      # roots 1, 2, 3, 4
-        [-1.0, 0.0, 0.0, 0.0, 1.0],           # x^4 - 1
-        [5.0, 0.0, 6.0, 0.0, 1.0],            # (x^2 + 1)(x^2 + 5)
+
+def np_roots_pick(a: float, b: float, c: float) -> float:
+    """farthest_of the roots of x^3 + a x^2 + b x + c from np.roots."""
+    return farthest_of(np.roots([1.0, a, b, c]).tolist())
+
+
+def cubic_newton(a: float, b: float, c: float, lam: float) -> float:
+    """The kernel's two Newton steps, on the monic cubic's values."""
+    for _ in range(2):
+        df = b + (2.0 * a + 3.0 * lam) * lam
+        if df:
+            lam -= (((lam + a) * lam + b) * lam + c) / df
+    return lam
+
+
+class TestFarthestRealRoot:
+    @pytest.mark.parametrize("roots", [
+        (4.0, 2.0, 1.0),                 # three distinct real roots
+        (-3.0, 0.5, 0.75),
+        (2.0, complex(-1.0, 1.0)),       # one real root and a complex pair
+        (-0.25, complex(3.0, 1e-3)),
+        (3.0, 1.0, 1.0),                 # a double root beside a simple one
+        (-5.0, 0.5, 0.5),
+        (2.0, 2.0, 2.0),                 # a triple root
     ])
-    def test_bitwise_equals_numpy_eigvals(self, coef):
-        """The unwrapped LAPACK gufunc gives np.linalg.eigvals' bits and
-        Python types: floats when every root is real, else complex."""
-        def bits(roots):
-            return [(type(z), z.real.hex(), z.imag.hex()) for z in roots]
+    def test_hand_made_cubics(self, roots):
+        if len(roots) == 2:  # a real root and a conjugate pair
+            roots = (roots[0], roots[1], roots[1].conjugate())
+        a, b, c = np.real(np.poly(roots)[1:]).tolist()
+        got = conics.farthest_real_root(a, b, c)
+        assert got == pytest.approx(roots[0], rel=1e-12)
+        if roots[1] != roots[2]:  # np.roots splits a double root
+            assert got == pytest.approx(np_roots_pick(a, b, c), rel=1e-12)
 
-        def reference(r):
-            n = len(r) - 1
-            m = np.eye(n, k=-1)
-            m[:, -1] = [-c / r[n] for c in r[:n]]
-            return np.linalg.eigvals(m).tolist()
+    def test_equal_gaps(self):
+        """root_tie's cubic x^3 - 4/3 x: the roots 0 and +-2/sqrt(3) have
+        equal gaps, and either outer root is as far from the others as any
+        root; np.roots picks the first of them."""
+        a, b, c = 0.0, -4.0 / 3.0, 0.0
+        got = conics.farthest_real_root(a, b, c)
+        outer = 2.0 / math.sqrt(3.0)
+        assert abs(got) == pytest.approx(outer, rel=1e-15)
+        assert abs(np_roots_pick(a, b, c)) == pytest.approx(outer, rel=1e-15)
 
-        assert bits(companion_roots(coef)) == bits(reference(coef))
-        rng = np.random.default_rng(len(coef))
-        kinds = set()
-        for _ in range(500):
-            r = rng.standard_normal(len(coef)).tolist()
-            got = companion_roots(r)
-            assert bits(got) == bits(reference(r))
-            kinds.add(type(got[0]))
-        assert kinds == ({float} if len(coef) == 2 else {float, complex})
+    @pytest.mark.parametrize("c3", [5e-324, 2.5e-320, 1e-310])
+    def test_subnormal_c3(self, c3):
+        """The kernel's monic coefficients c_i / c3 for a subnormal det B:
+        finite here, with one root near -c2 / c3 of 1e13 to 2e23."""
+        c0, c1, c2 = -0.5 * c3, 1e-300, -1e-300
+        a, b, c = c2 / c3, c1 / c3, c0 / c3
+        want = np_roots_pick(a, b, c)
+        assert want == pytest.approx(-a, rel=1e-9)
+        assert conics.farthest_real_root(a, b, c) \
+            == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("coef", [
-        [math.inf, 1.0, 1.0], [math.nan, 0.0, 1.0], [1.0, -math.inf, 0.0, 2.0],
-        # the companion entry 1e300 / 1e-300 overflows to inf
-        [1e300, 0.0, 1e-300],
-    ])
-    def test_non_finite_companion_raises(self, coef):
-        with pytest.raises(np.linalg.LinAlgError):
-            companion_roots(coef)
+    def test_no_overflow(self):
+        """Coefficients whose p^3 or q^2 would overflow unscaled."""
+        assert conics.farthest_real_root(1e200, 1.0, 0.5) \
+            == pytest.approx(-1e200, rel=1e-15)
+        assert conics.farthest_real_root(1e-300, 0.0, 0.0) \
+            == pytest.approx(-1e-300, rel=1e-15)
+        assert conics.farthest_real_root(0.0, 0.0, 0.0) == 0.0
+
+    def test_random_cubics(self):
+        """600 cubics with coefficients over six decades: within 1e-13 of
+        np.roots' pick relative to max(1, |lam|) before Newton, where a small
+        root loses relative accuracy to the shift by a/3 (up to 3e-8 of
+        |lam|); within 1e-12 of |lam| after the kernel's two Newton steps."""
+        rng = np.random.default_rng(11)
+        for _ in range(600):
+            a, b, c = (rng.standard_normal(3)
+                       * 10.0 ** rng.uniform(-3.0, 3.0, 3)).tolist()
+            want = np_roots_pick(a, b, c)
+            got = conics.farthest_real_root(a, b, c)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+            assert abs(cubic_newton(a, b, c, got) - want) <= 1e-12 * abs(want)
+
+    def test_scene_cubics(self, monkeypatch):
+        """On the kernel's own cubics (the first 300 criterion-2 scenes), the
+        root against the public np.linalg.eigvals of the companion matrix,
+        relative to max(1, |lam|)."""
+        seen = []
+        root = conics.farthest_real_root
+
+        def spy(a, b, c):
+            seen.append((a, b, c, root(a, b, c)))
+            return seen[-1][-1]
+        monkeypatch.setattr(conics, "farthest_real_root", spy)
+        for rng in _trial_rngs(101, 300):
+            sc = random_scene(rng)
+            solver.solve(sc.triangle, sc.angles)
+        assert len(seen) == 300
+        for a, b, c, got in seen:
+            want = farthest_of(np.linalg.eigvals(
+                [[0.0, 0.0, -c], [1.0, 0.0, -b], [0.0, 1.0, -a]]).tolist())
+            assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
+
+
+class TestKernelLambda:
+    @pytest.mark.parametrize("eps", [5e-324, 1e-320, 1e-200, 1e-3])
+    def test_tiny_det_b(self, eps):
+        """The lines u = +-v (det A = 0) and the conic u^2 + eps v^2 = 1,
+        det B = -eps: det(A + lam B) = lam (1 + lam) (1 - eps lam). A
+        subnormal eps overflows c2 / c3, so the kernel takes lam = 0, the
+        line pair itself; eps = 1e-200 overflows p^3 unless the cubic is
+        scaled. Each finds the four points (+-1, +-1) / sqrt(1 + eps)."""
+        pair = ConicPair(Conic(-1.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+                         Conic(eps, 0.0, 1.0, 0.0, 0.0, -1.0))
+        inter = intersect_conics(pair)
+        w = 1.0 / math.sqrt(1.0 + eps)
+        assert [(p.u, p.v, p.multiplicity) for p in inter.points] == [
+            pytest.approx((su * w, sv * w, 1), rel=1e-15)
+            for su in (-1.0, 1.0) for sv in (-1.0, 1.0)]
+
+
+class TestDistinctQuarticRoots:
+    """The danger_repeat campaign's independent root count, against np.roots
+    of the same unit-norm eliminant clustered at the same gap."""
+
+    @staticmethod
+    def np_roots_count(scene, gap: float) -> int:
+        pair = build_conics(scene.triangle.sides, scene.angles)
+        F1, F2 = pair.C1.scaled(), pair.C2.scaled()
+        for _ in range(2):
+            r = resultant_in_u(F1, F2)
+            clusters = []
+            for z in sorted(np.roots(r[::-1] / np.max(np.abs(r))).tolist(),
+                            key=lambda w: (w.real, w.imag)):
+                if not any(abs(z - c) <= gap for c in clusters):
+                    clusters.append(z)
+            if len(clusters) >= 3:
+                break
+            F1, F2 = (Conic(F.c_uu, F.c_uv, F.c_vv, F.c_v, F.c_u, F.c_1)
+                      for F in (F1, F2))
+        return len(clusters)
+
+    def test_random_scenes_have_four(self):
+        for rng in _trial_rngs(17, 40):
+            sc = random_scene(rng)
+            assert scenes._distinct_quartic_roots(sc, scenes._REPEAT_GAP) \
+                == self.np_roots_count(sc, scenes._REPEAT_GAP) == 4
+
+    def test_danger_cylinder_scenes(self):
+        counts = []
+        for rng in _trial_rngs(505, 12):
+            sc = scenes._locus_scene(rng, None)
+            if sc is None:
+                continue
+            got = scenes._distinct_quartic_roots(sc, scenes._REPEAT_GAP)
+            assert got == self.np_roots_count(sc, scenes._REPEAT_GAP)
+            counts.append(got)
+        # a center on the danger cylinder makes the truth a double root
+        assert len(counts) >= 10 and counts.count(3) >= len(counts) - 1
 
 
 class TestPencilSigma2:

@@ -88,6 +88,70 @@ def f(x, tol=1e-13):
         (17, "1e-10")]
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_numpy_names(source: str) -> list[tuple[int, str]]:
+    """(line, dotted name) of each private numpy name the source imports, and
+    of each private attribute it reads on a name bound to numpy or to one of
+    its modules; private means one leading underscore, not a dunder."""
+    tree = ast.parse(source)
+    numpy_names, hits = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "numpy":
+                    numpy_names.add(alias.asname or "numpy")
+                    if any(map(_is_private, parts)):
+                        hits.append((node.lineno, alias.name))
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "numpy"):
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                numpy_names.add(alias.asname or alias.name)
+                if any(map(_is_private, name.split("."))):
+                    hits.append((node.lineno, name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            chain, base = [node.attr], node.value
+            while isinstance(base, ast.Attribute):
+                chain.append(base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in numpy_names:
+                hits.append((node.lineno, ".".join([base.id, *chain[::-1]])))
+    return sorted(hits)
+
+
+def test_no_private_numpy_name_in_src():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    hits = {f.name: found for f in files
+            if (found := private_numpy_names(f.read_text()))}
+    assert not hits, f"private numpy names: {hits}"
+
+
+def test_the_private_name_scan_sees_what_it_must():
+    source = '''import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
+import numpy._core.umath
+from numpy import linalg as la
+from . import _private_sibling
+import math._no_numpy
+
+
+def f(x):
+    from numpy.lib import _function_base_impl as fb
+    y = np.linalg._umath_linalg.eigvals(x) + la._umath_linalg.det(x)
+    return np.__version__, x._private, math._private, fb.angle, y
+'''
+    assert private_numpy_names(source) == [
+        (2, "numpy.linalg._umath_linalg"), (3, "numpy._core.umath"),
+        (10, "numpy.lib._function_base_impl"),
+        (11, "la._umath_linalg"), (11, "np.linalg._umath_linalg")]
+
+
 # ---------------------------------------------------------------------------
 # Hand-made inputs at each ledger gate that no other test reaches: each input
 # sits a few times inside or outside the gate, so a tolerance ten times
