@@ -135,12 +135,12 @@ def newton_polish(F1: Conic, F2: Conic, u: float, v: float):
     return _polish(F1.terms, F2.terms, float(u), float(v), NEWTON_STOP)
 
 
-def _polish(t1, t2, u: float, v: float, tol: float):
+def _polish(t1, t2, u: float, v: float, tol: float, steps: int = 50):
     (p_vv, p_uv, p_uu, p_u, p_v, p_1), (q_vv, q_uv, q_uu, q_u, q_v, q_1) = t1, t2
     f1 = p_vv * v * v + p_uv * u * v + p_uu * u * u + p_u * u + p_v * v + p_1
     f2 = q_vv * v * v + q_uv * u * v + q_uu * u * u + q_u * u + q_v * v + q_1
     best_r = max(abs(f1), abs(f2))
-    for _ in range(50):
+    for _ in range(steps):
         if best_r < tol:
             break
         # Jacobian [[a, b], [c, d]] from the two gradients, solved by LU with
@@ -175,6 +175,135 @@ def _polish(t1, t2, u: float, v: float, tol: float):
         else:
             break
     return u, v, best_r
+
+
+#: _LANE_MIN: _polish_lanes takes vector steps, and vector halvings, while
+#: at least this many lanes take them, and hands the rest to scalar _polish.
+#: It sets the speed only: every lane has _polish's bits at any value
+#: (tests/test_scenes.py TestOracleNewton, and the golden oracle points at 1
+#: and 10**9). Measured break-even: on the Newton seeds of the 114 of the
+#: 216 oracle_mesh scenes of seeds 1, 5, 7, 13, 19 and 25 with 8 or more
+#: cells (Intel Xeon, 2 shared vCPUs, numpy 2.4), the lanes took 0.65 of the
+#: all-scalar time at 32 and at 48, 0.67 at 64 and 0.77 at 96; at 32,
+#: scenes of 32 to 64 seeds ran up to 1.27 times slower than all-scalar,
+#: at 48 none by more than the +-10% spread between runs: below about 48
+#: lanes a vector step costs more than the scalar steps it replaces.
+_LANE_MIN = 48
+
+
+def _polish_lanes(t1, t2, u, v, tol: float):
+    """_polish from every seed (u[i], v[i]) at once -> (u, v, residual)
+    float arrays, each lane bit for bit _polish's result.
+
+    Vector steps (_lane_steps) run while at least _LANE_MIN lanes take
+    them. A lane left over, or with an exactly zero pivot (_polish's lstsq
+    branch), finishes in scalar _polish with the steps left from the start
+    of its step: _polish recomputes f1, f2 and the residual from (u, v) by
+    the expressions that gave the lane's own, so the restart is exact.
+    """
+    out = np.empty((3, len(u)))  # rows u, v, residual
+    out[0], out[1] = u, v
+    if len(u) < _LANE_MIN:
+        scalar = [(np.arange(len(u)), 50)]
+    else:
+        with np.errstate(all="ignore"):  # Python floats raise no flag either
+            scalar = _lane_steps(t1, t2, out, tol)
+    for lanes, steps in scalar:
+        out[:, lanes] = np.array(
+            [_polish(t1, t2, x, y, tol, steps)
+             for x, y in out[:2, lanes].T.tolist()]).reshape(-1, 3).T
+    return out[0], out[1], out[2]
+
+
+def _lane_steps(t1, t2, out: np.ndarray, tol: float) -> list:
+    """_polish's steps on every lane (u, v) = out[:2, i] at once. A lane
+    that stops gets its (u, v, residual) in out; a lane handed to scalar
+    _polish gets the (u, v) its step starts from, and the handed lanes are
+    returned as [(lanes, steps left)].
+
+    Each lane makes _polish's float operations in its order: the row swap,
+    the LU step, then lam = 1 and up to 7 halvings lam = 0.5**h; Python's
+    max(x, y) is where(y > x, y, x), which keeps x beside a nan y. A step
+    that is not finite needs no test of its own: every trial point is then
+    inf or nan, none lowers the residual, and the lane stops as it stands,
+    where _polish stops it. An exactly zero pivot makes the step not finite
+    (a = 0 forces c = 0, so l is nan; u22 = 0 divides by 0), so such a lane
+    is among those whose full step fails, and is handed to scalar _polish
+    for its lstsq branch. The halvings run while at least _LANE_MIN lanes
+    take them.
+    """
+    # row k of P_*: the coefficient of both conics, as a (2, 1) column, so
+    # that one expression on (2, n) arrays gives F1's values over F2's; K_*
+    # stack the gradients' coefficients the same way, du part over dv part
+    P_vv, P_uv, P_uu, P_u, P_v, P_1 = np.array([t1, t2]).T[:, :, None]
+    K_v, K_u, K_1 = (np.stack((P_uv, 2.0 * P_vv)), np.stack((2.0 * P_uu, P_uv)),
+                     np.stack((P_u, P_v)))
+
+    def point(x, y):
+        """Rows x, y, max(|F1|, |F2|), F1, F2 of the points (x, y)."""
+        X = np.empty((5, len(x)))
+        X[0], X[1] = x, y
+        G = np.add(P_vv * y * y + P_uv * x * y + P_uu * x * x + P_u * x
+                   + P_v * y, P_1, out=X[3:])
+        A = np.abs(G)
+        X[2] = np.where(A[1] > A[0], A[1], A[0])
+        return X
+
+    def hand(lanes):
+        """Hand lanes to scalar _polish, from the start of step k."""
+        i = lane[lanes]
+        if len(i):
+            out[:2, i] = S[:2, lanes]
+            scalar.append((i, 50 - k))
+
+    scalar = []
+    lane = np.arange(out.shape[1])
+    S = point(out[0], out[1])  # the active lanes' rows u, v, best, f1, f2
+    live = ~(S[2] < tol)
+    for k in range(50):
+        if not live.all():  # the lanes that stop, as they stand
+            out[:, lane[~live]] = S[:3, ~live]
+            lane, S = lane[live], S[:, live]
+        if len(lane) < _LANE_MIN:
+            hand(slice(None))
+            return scalar
+        u, v, best = S[:3]
+        # the Jacobian's columns (a, c) and (b, d), and (f1, f2): the rows
+        # swapped where |c| > |a|
+        J = np.empty((3, 2, len(lane)))
+        np.add(K_v * v + K_u * u, K_1, out=J[:2])
+        J[2] = S[3:]
+        (a, c), (b, d), (f1, f2) = np.where(np.abs(J[0, 1]) > np.abs(J[0, 0]),
+                                            J[:, ::-1], J)
+        l = c / a
+        u22 = d - l * b
+        dv = (l * f1 - f2) / u22
+        du = (-f1 - b * dv) / a
+        # lam = 1 (1.0 * du is du), then the halvings of the lanes in p
+        X = point(u + du, v + dv)
+        ok = X[2] < best
+        S = np.where(ok, X, S)
+        p = (~ok).nonzero()[0]
+        lstsq = p[:0]
+        if len(p) >= _LANE_MIN:  # else hand() below takes the zero pivots
+            zero = (a[p] == 0.0) | (u22[p] == 0.0)
+            lstsq, p = p[zero], p[~zero]
+            hand(lstsq)
+        for h in range(1, 8):
+            if len(p) < _LANE_MIN:
+                hand(p)
+                break
+            lam = 0.5 ** h
+            X = point(S[0, p] + lam * du[p], S[1, p] + lam * dv[p])
+            ok = X[2] < S[2, p]
+            S[:, p[ok]] = X[:, ok]
+            p = p[~ok]
+        live = ~(S[2] < tol)
+        live[lstsq] = False
+        live[p] = False  # handed, or no halving lowered best
+    # after 50 steps every lane stops as it stands
+    out[:, lane] = S[:3]
+    return scalar
 
 
 def resultant_in_u(F1: Conic, F2: Conic) -> np.ndarray:

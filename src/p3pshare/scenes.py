@@ -155,11 +155,12 @@ def _centred(lo, hi):
 
 
 def _one_signed(F: conics.Conic, A: conics.Conic,
-                ulo, uhi, vlo, vhi) -> np.ndarray:
+                cu, cv, hu, hv, uhi, vhi) -> np.ndarray:
     """Mask of the boxes [ulo, uhi] x [vlo, vhi] (0 < lo < hi) on whose grid
-    nodes the float value F(u, v) keeps one strict sign. A is the Conic of
-    F's absolute coefficients. The coefficients of F and A may be arrays
-    that broadcast against the boxes.
+    nodes the float value F(u, v) keeps one strict sign, given each box's
+    (cu, hu) = _centred(ulo, uhi), (cv, hv) = _centred(vlo, vhi) and high
+    ends. A is the Conic of F's absolute coefficients. The coefficients of
+    F and A may be arrays that broadcast against the boxes.
 
     About a box's centre c = (cu, cv), exactly F(cu + du, cv + dv) = F(c)
     + F_u du + F_v dv + c_uu du^2 + c_uv du dv + c_vv dv^2, so where
@@ -194,7 +195,6 @@ def _one_signed(F: conics.Conic, A: conics.Conic,
         eta / 2, which the factor 8 makes 8 eta at most, and
         15/2 W eta + 8 eta <= 16 W eta.
     """
-    (cu, hu), (cv, hv) = _centred(ulo, uhi), _centred(vlo, vhi)
     fu = 2.0 * F.c_uu * cu + F.c_uv * cv + F.c_u
     fv = 2.0 * F.c_vv * cv + F.c_uv * cu + F.c_v
     r = (abs(fu) * hu + abs(fv) * hv + A.c_uu * hu * hu
@@ -215,8 +215,38 @@ def _sub_boxes(side: int, nxt: int) -> np.ndarray:
     return sub
 
 
+def _box_tables(t: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The quantities of the box scan that depend on the grid alone, by a
+    box's low node i (0 <= i < m = len(t) - 1), high nodes clipped to t[m]:
+      - per side of _BOX_CELLS, a (3, m) table whose column i is the (c, h,
+        hi) of the box of side cells on a side: (c, h) = _centred(t[i], hi),
+        hi = t[i + side];
+      - a (m, s + 1) table whose row i is the nodes t[i], ..., t[i + s] of
+        a box of the last side s, which the scan visits node by node.
+    Each is read-only."""
+    m = len(t) - 1
+    i = np.arange(max(m, 0))
+    levels = []
+    for side in _BOX_CELLS:
+        hi = t[np.minimum(i + side, m)]
+        levels.append(np.stack((*_centred(t[i], hi), hi)))
+    nodes = t[np.minimum(i[:, None] + np.arange(_BOX_CELLS[-1] + 1), m)]
+    for table in (*levels, nodes):
+        table.flags.writeable = False
+    return tuple(levels), nodes
+
+
+@lru_cache(maxsize=8)
+def _grid_tables(grid: GridConfig):
+    """The grid's nodes t and its _box_tables, built once per grid and
+    shared read-only."""
+    t = np.linspace(grid.u_max / grid.n, grid.u_max, grid.n)
+    t.flags.writeable = False
+    return t, _box_tables(t)
+
+
 def _candidate_cells(F1: conics.Conic, F2: conics.Conic,
-                     t: np.ndarray) -> np.ndarray:
+                     t: np.ndarray, tables=None) -> np.ndarray:
     """Cells (i, j), spanning nodes t[i], t[i + 1] in u and t[j], t[j + 1]
     in v, where both conics change sign among the four corners; row-major.
 
@@ -224,31 +254,52 @@ def _candidate_cells(F1: conics.Conic, F2: conics.Conic,
     is dropped when either conic keeps one strict sign on all its nodes
     (_one_signed), and survivors split into boxes of the next size. The last
     survivors are scanned node by node, so the cells are exactly those of
-    the sign scan of the full grid.
+    the sign scan of the full grid. Each box's bounds and nodes are read
+    from tables, t's _box_tables, built here when not given.
     """
     m = len(t) - 1
+    levels, nodes = _box_tables(t) if tables is None else tables
     boxes, side = np.zeros((1, 2), dtype=np.intp), m
     F = _stacked(F1, F2, 1)
     A = conics.Conic(*map(abs, F.terms))
-    for nxt in _BOX_CELLS:
+    for nxt, table in zip(_BOX_CELLS, levels):
         boxes = (boxes[:, None] + _sub_boxes(side, nxt)).reshape(-1, 2)
-        boxes = boxes[(boxes < m).all(axis=1)]
+        boxes = boxes[(boxes[:, 0] < m) & (boxes[:, 1] < m)]
         side = nxt
-        # the boxes' low and high node indices, the high ones clipped to m
-        ulo, vlo, uhi, vhi = t[np.minimum(
-            np.concatenate((boxes, boxes + side), axis=1), m)].T
-        boxes = boxes[~_one_signed(F, A, ulo, uhi, vlo, vhi).any(axis=0)]
-    r = np.arange(side + 1)
-    u = t[np.minimum(boxes[:, 0, None, None] + r[:, None], m)]  # (k, s+1, 1)
-    v = t[np.minimum(boxes[:, 1, None, None] + r, m)]           # (k, 1, s+1)
-    S = _stacked(F1, F2, 3)(u, v) > 0.0                     # (2, k, s+1, s+1)
-    mixed = ~((S[..., :-1, :-1] == S[..., 1:, :-1])
-              & (S[..., :-1, :-1] == S[..., :-1, 1:])
-              & (S[..., :-1, :-1] == S[..., 1:, 1:]))
-    k, di, dj = np.nonzero(mixed.all(axis=0))
+        # rows cu, cv, hu, hv, uhi, vhi: the columns of the boxes' low nodes
+        bounds = table.take(boxes.T, axis=1).reshape(6, -1)
+        signed = _one_signed(F, A, *bounds)
+        boxes = boxes[~(signed[0] | signed[1])]
+    u = nodes.take(boxes[:, 0], axis=0)[:, :, None]     # (k, s+1, 1)
+    v = nodes.take(boxes[:, 1], axis=0)[:, None, :]     # (k, 1, s+1)
+    S = _stacked(F1, F2, 3)(u, v) > 0.0                 # (2, k, s+1, s+1)
+    S00 = S[..., :-1, :-1]
+    mixed = ((S00 != S[..., 1:, :-1]) | (S00 != S[..., :-1, 1:])
+             | (S00 != S[..., 1:, 1:]))
+    k, di, dj = np.nonzero(mixed[0] & mixed[1])
     cells = boxes[k] + np.stack([di, dj], axis=1)
-    cells = cells[(cells < m).all(axis=1)]
+    cells = cells[(cells[:, 0] < m) & (cells[:, 1] < m)]
     return cells[np.lexsort((cells[:, 1], cells[:, 0]))]
+
+
+def _merge(u: np.ndarray, v: np.ndarray) -> list[tuple[float, float]]:
+    """The points (u, v) in (u, v) order, each dropped that lies within
+    _MERGE_TOL of a point kept before it, relative to the kept point: keep
+    the first, drop every point near it, repeat. The same points as the
+    list loop over sorted (u, v) tuples that checks each against all kept
+    so far, since a point drops there exactly when it is near a kept point
+    before it."""
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    out = []
+    while len(u):
+        u0, v0 = u.item(0), v.item(0)
+        out.append((u0, v0))
+        far = ~((np.abs(u - u0) <= _MERGE_TOL * (1.0 + abs(u0)))
+                & (np.abs(v - v0) <= _MERGE_TOL * (1.0 + abs(v0))))
+        far[0] = False  # a nan point is not near itself
+        u, v = u[far], v[far]
+    return out
 
 
 def brute_force_solutions(sides, angles: ViewAngles,
@@ -258,8 +309,11 @@ def brute_force_solutions(sides, angles: ViewAngles,
     Independent of the pencil method of intersect_conics: candidate cells
     of the n x n grid are those where both conics change sign among the four
     corners, found by coarse-to-fine exclusion of boxes on which a conic
-    provably keeps one sign (_candidate_cells); each is refined by Newton
-    iteration and gated on residual.
+    provably keeps one sign (_candidate_cells, from the grid's cached box
+    tables). Newton runs from every cell's centre at once, each lane bit for
+    bit newton_polish (conics._polish_lanes); points whose residual passes
+    _REFINE_TOL in quadrant I are sorted by (u, v) and merged within
+    _MERGE_TOL (_merge).
 
     The grid's first nodes are at u, v = u_max / n, so a root with u or v
     below that lies in no cell and is not found: 0.01 at the defaults,
@@ -269,25 +323,16 @@ def brute_force_solutions(sides, angles: ViewAngles,
     pair = conics.build_conics(sides, angles)
     F1 = pair.C1.scaled()
     F2 = pair.C2.scaled()
-    t = np.linspace(grid.u_max / grid.n, grid.u_max, grid.n)
-    cells = _candidate_cells(F1, F2, t)
-    found: list[tuple[float, float]] = []
+    t, tables = _grid_tables(grid)
+    cells = _candidate_cells(F1, F2, t, tables)
     # the cells' centres (u0, v0): the midpoints of their node spans
-    for u0, v0 in (0.5 * (t[cells] + t[cells + 1])).tolist():
-        uu, vv, res = conics.newton_polish(F1, F2, u0, v0)
-        if res > _REFINE_TOL * (1.0 + uu * uu + vv * vv):
-            continue
-        if uu <= 0.0 or vv <= 0.0:
-            continue
-        found.append((uu, vv))
-    out: list[RatioPair] = []
-    for uu, vv in sorted(found):
-        if any(abs(uu - p.u) <= _MERGE_TOL * (1.0 + abs(p.u))
-               and abs(vv - p.v) <= _MERGE_TOL * (1.0 + abs(p.v))
-               for p in out):
-            continue
-        out.append(RatioPair(u=uu, v=vv))
-    return out
+    u0, v0 = 0.5 * (t[cells] + t[cells + 1]).T
+    u, v, res = conics._polish_lanes(F1.terms, F2.terms, u0, v0,
+                                     conics.NEWTON_STOP)
+    # the scalar gates' negations, so that a nan passes as it did there
+    keep = (~(res > _REFINE_TOL * (1.0 + u * u + v * v))
+            & ~(u <= 0.0) & ~(v <= 0.0))
+    return [RatioPair(u=uu, v=vv) for uu, vv in _merge(u[keep], v[keep])]
 
 
 def true_triplet(scene: Scene) -> SolutionTriplet:

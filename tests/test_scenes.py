@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from p3pshare.conics import Conic, build_conics
+from p3pshare import conics
+from p3pshare.conics import NEWTON_STOP, Conic, build_conics
 from p3pshare.geometry import ViewAngles
-from p3pshare.scenes import (GridConfig, SceneConfig, _candidate_cells,
-                             _centred, _locus_scene, _trial_rngs,
+from p3pshare.scenes import (_BOX_CELLS, _MERGE_TOL, GridConfig, SceneConfig,
+                             _box_tables, _candidate_cells, _centred,
+                             _grid_tables, _locus_scene, _merge, _trial_rngs,
                              brute_force_solutions, random_scene,
                              scene_from_center, true_triplet, verify_theorem,
                              THEOREM_IDS)
@@ -111,6 +113,13 @@ class TestGridOracle:
                for name, sides, angles, grid in oracle_cases()}
         assert got == want
 
+    @pytest.mark.parametrize("lane_min", [1, 10**9])
+    def test_lane_min_changes_speed_only(self, monkeypatch, lane_min):
+        """All lanes in vector steps, or all in scalar _polish: the same
+        golden points."""
+        monkeypatch.setattr(conics, "_LANE_MIN", lane_min)
+        self.test_golden_points()
+
     def test_agrees_with_pencil_path(self):
         rng = np.random.default_rng(21)
         grid = GridConfig()
@@ -124,6 +133,168 @@ class TestGridOracle:
             for u, v in fast:
                 best = min(abs(u - p.u) + abs(v - p.v) for p in oracle)
                 assert best < 1e-6
+
+
+def oracle_seeds(sides, angles, grid):
+    """The scaled conics' Conic.terms rows and the oracle's Newton seeds,
+    the centres of its candidate cells."""
+    pair = build_conics(sides, angles)
+    F1, F2 = pair.C1.scaled(), pair.C2.scaled()
+    t = np.linspace(grid.u_max / grid.n, grid.u_max, grid.n)
+    cells = _candidate_cells(F1, F2, t)
+    u0, v0 = (0.5 * (t[cells] + t[cells + 1])).T
+    return F1.terms, F2.terms, u0, v0
+
+
+def assert_lanes_are_polish(t1, t2, u, v, tol=NEWTON_STOP):
+    """Every lane of _polish_lanes is scalar _polish's (u, v, residual),
+    bit for bit (float.hex tells -0.0 and each nan apart from the rest)."""
+    got = [tuple(map(float.hex, r)) for r in zip(
+        *(x.tolist() for x in conics._polish_lanes(t1, t2, u, v, tol)))]
+    want = [tuple(map(float.hex, conics._polish(t1, t2, a, b, tol)))
+            for a, b in zip(np.asarray(u, float).tolist(),
+                            np.asarray(v, float).tolist())]
+    assert got == want
+
+
+#: (t1, t2, u, v) of one seed on each rare branch of _polish, on hand-made
+#: Conic.terms rows (c_vv, c_uv, c_uu, c_u, c_v, c_1)
+RARE_LANES = {
+    # u^2 - 1, v^2 - 1 from u = 0: a = 0, the lstsq branch, then no
+    # halving lowers |F1| = 1
+    "zero_a": ((0.0, 0.0, 1.0, 0.0, 0.0, -1.0), (1.0, 0.0, 0.0, 0.0, 0.0, -1.0),
+               0.0, 2.0),
+    # u + v - 2, (u + v)^2 - 4 at u + v = 1: rows [1, 1], [2, 2] swap and
+    # u22 = 1 - 0.5 * 2 = 0, the lstsq branch at every step
+    "zero_u22": ((0.0, 0.0, 0.0, 1.0, 1.0, -2.0), (1.0, 2.0, 1.0, 0.0, 0.0, -4.0),
+                 0.5, 0.5),
+    # u^2 - 1 at u = 1e200 is inf, and the step 0 * inf is nan
+    "not_finite": ((0.0, 0.0, 1.0, 0.0, 0.0, -1.0), (0.0, 0.0, 0.0, 0.0, 1.0, -1.0),
+                   1e200, 1.0),
+    # u^2 + 1 has no root: near u = 0 all 8 halvings fail
+    "failed_halvings": ((0.0, 0.0, 1.0, 0.0, 0.0, 1.0),
+                        (0.0, 0.0, 0.0, 0.0, 1.0, -1.0), 0.5, 1.0),
+    # a root: the residual is 0, below NEWTON_STOP before any step
+    "below_stop": ((0.0, 0.0, 0.0, 1.0, 0.0, -1.0), (0.0, 0.0, 0.0, 0.0, 1.0, -2.0),
+                   1.0, 2.0),
+    # u - v is 0 and u^2 - 4 v^2 is inf - inf = nan: max(0, nan) is 0
+    "nan_g2": ((0.0, 0.0, 0.0, 1.0, -1.0, 0.0), (-4.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+               1e200, 1e200),
+    # the same rows swapped: max(nan, 0) is nan, and a step is taken
+    "nan_g1": ((-4.0, 0.0, 1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0, -1.0, 0.0),
+               1e200, 1e200),
+}
+
+
+class TestOracleNewton:
+    """conics._polish_lanes, the oracle's Newton, against scalar _polish."""
+
+    @pytest.mark.parametrize("lane_min", [1, None], ids=["vector", "default"])
+    def test_golden_scenes(self, monkeypatch, lane_min):
+        """Every seed of every golden oracle scene."""
+        if lane_min is not None:
+            monkeypatch.setattr(conics, "_LANE_MIN", lane_min)
+        for _, sides, angles, grid in oracle_cases():
+            assert_lanes_are_polish(*oracle_seeds(sides, angles, grid))
+
+    @pytest.mark.parametrize("name", sorted(RARE_LANES))
+    def test_rare_branch(self, monkeypatch, name):
+        """The rare seed alone in a vector step, and among 2 * _LANE_MIN
+        ordinary seeds on the same conics at the default _LANE_MIN."""
+        t1, t2, u, v = RARE_LANES[name]
+        n = 2 * conics._LANE_MIN
+        us = np.insert(np.linspace(0.3, 3.0, n), n // 2, u)
+        vs = np.insert(np.linspace(0.4, 2.5, n), n // 2, v)
+        assert_lanes_are_polish(t1, t2, us, vs)
+        monkeypatch.setattr(conics, "_LANE_MIN", 1)
+        assert_lanes_are_polish(t1, t2, [u], [v])
+        assert_lanes_are_polish(t1, t2, us, vs)
+
+    def test_step_budget(self, monkeypatch):
+        """Lanes handed to scalar _polish after k vector steps get 50 - k:
+        on u^2 = 0, v = 1 each step halves u, and with tol 0 only the step
+        budget stops a lane. The lane at the root (a zero pivot) leaves
+        after the first step, and the other four then fall below
+        _LANE_MIN."""
+        monkeypatch.setattr(conics, "_LANE_MIN", 5)
+        t1, t2 = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 1.0, -1.0)
+        assert_lanes_are_polish(t1, t2, [1.0, 0.75, 0.5, 0.3, 0.0], [1.0] * 5,
+                                tol=0.0)
+
+    def test_lane_counts_about_lane_min(self):
+        """Below, at and above _LANE_MIN, from the golden scene with the
+        most seeds; an empty set of seeds gives empty arrays."""
+        t1, t2, u, v = max((oracle_seeds(*case[1:]) for case in oracle_cases()),
+                           key=lambda s: len(s[2]))
+        k = conics._LANE_MIN
+        assert len(u) > k + 1
+        for n in (k - 1, k, k + 1, len(u)):
+            assert_lanes_are_polish(t1, t2, u[:n], v[:n])
+        assert [x.shape for x in conics._polish_lanes(t1, t2, u[:0], v[:0],
+                                                      NEWTON_STOP)] == [(0,)] * 3
+
+
+def reference_merge(found):
+    """The oracle's merge as the list loop it replaced: (u, v) tuples in
+    sorted order, each dropped when near a point kept before it."""
+    out = []
+    for uu, vv in sorted(found):
+        if any(abs(uu - pu) <= _MERGE_TOL * (1.0 + abs(pu))
+               and abs(vv - pv) <= _MERGE_TOL * (1.0 + abs(pv))
+               for pu, pv in out):
+            continue
+        out.append((uu, vv))
+    return out
+
+
+class TestMerge:
+    def clustered(self, rng):
+        """Points in a few clusters a few _MERGE_TOL wide, chains along u or
+        v whose neighbours are 0.9 tolerance apart (a-b and b-c near, a-c
+        not), and exact duplicates; shuffled."""
+        pts = []
+        for _ in range(int(rng.integers(1, 6))):
+            cu, cv = rng.uniform(0.01, 20.0, 2)
+            du, dv = _MERGE_TOL * (1.0 + cu), _MERGE_TOL * (1.0 + cv)
+            for _ in range(int(rng.integers(1, 30))):
+                pts.append((cu + du * rng.uniform(-2.0, 2.0),
+                            cv + dv * rng.uniform(-2.0, 2.0)))
+            for j in range(int(rng.integers(2, 6))):
+                if rng.random() < 0.5:
+                    pts.append((cu + 0.9 * j * du, cv))
+                else:
+                    pts.append((cu, cv + 0.9 * j * dv))
+        pts += [pts[i] for i in rng.integers(0, len(pts), len(pts) // 3)]
+        return [pts[i] for i in rng.permutation(len(pts))]
+
+    def test_against_list_loop(self):
+        rng = np.random.default_rng(2203)
+        for _ in range(300):
+            pts = self.clustered(rng)
+            u, v = np.array(pts).T
+            got = _merge(u, v)
+            assert got == reference_merge(pts)
+            assert all(type(x) is float for p in got for x in p)
+
+    def test_chain(self):
+        """a-b and b-c near, a-c not: a and c are kept."""
+        d = 0.9 * _MERGE_TOL * (1.0 + 5.0)
+        pts = [(5.0 + 2 * d, 3.0), (5.0, 3.0), (5.0 + d, 3.0)]
+        u, v = np.array(pts).T
+        assert _merge(u, v) == reference_merge(pts) == [pts[1], pts[0]]
+
+    def test_near_relative_to_kept(self):
+        """The gap is weighed against the kept point's 1 + |u|, 1 + |v|: a
+        u gap of 6.00002e-5 exceeds _MERGE_TOL (1 + 5) but not _MERGE_TOL
+        (1 + 5.00006), and a v gap of 3.99998e-5 is within _MERGE_TOL
+        (1 + 3) but not _MERGE_TOL (1 + 2.99996)."""
+        for pts, want in (([(5.0, 3.0), (5.0000600002, 3.0)], 2),
+                          ([(5.0, 3.0), (5.0000000001, 2.9999600002)], 1)):
+            u, v = np.array(pts).T
+            assert _merge(u, v) == reference_merge(pts) == pts[:want]
+
+    def test_empty(self):
+        assert _merge(np.array([]), np.array([])) == []
 
 
 def full_grid_cells(F1, F2, t):
@@ -262,6 +433,39 @@ class TestCandidateCells:
         F = _circle(1.0, 1.0, 0.5)
         for t in (np.array([]), np.array([1.0])):
             assert _candidate_cells(F, F, t).shape == (0, 2)
+
+
+class TestBoxTables:
+    @pytest.mark.parametrize("t", [
+        *(np.linspace(20.0 / n, 20.0, n) for n in (1, 2, 3, 129, 200, 2000)),
+        np.geomspace(1e-3, 1e3, 300),
+        np.cumsum(np.random.default_rng(1104).uniform(1e-3, 1.0, 777)),
+    ], ids=["n1", "n2", "n3", "n129", "n200", "n2000", "geometric", "random"])
+    def test_tables_are_centred_box_ends(self, t):
+        """Column i of a level's table is _centred of the box ends t[i] and
+        t[min(i + side, m)], and that high end; row i of the node table is
+        t[min(i + r, m)] for r = 0, ..., last side."""
+        m = len(t) - 1
+        levels, nodes = _box_tables(t)
+        i = np.arange(max(m, 0))
+        for side, table in zip(_BOX_CELLS, levels):
+            hi = t[np.minimum(i + side, m)]
+            c, h = _centred(t[i], hi)
+            assert table.shape == (3, max(m, 0))
+            assert table.tobytes() == np.stack([c, h, hi]).tobytes()
+        r = np.arange(_BOX_CELLS[-1] + 1)
+        assert nodes.tobytes() == t[np.minimum(i[:, None] + r, m)].tobytes()
+        assert not any(x.flags.writeable for x in (*levels, nodes))
+
+    def test_grid_tables_cached(self):
+        grid = GridConfig(n=200)
+        t, (levels, nodes) = _grid_tables(grid)
+        assert t.tobytes() == np.linspace(0.1, 20.0, 200).tobytes()
+        want, want_nodes = _box_tables(t)
+        assert [x.tobytes() for x in levels] == [x.tobytes() for x in want]
+        assert nodes.tobytes() == want_nodes.tobytes()
+        assert _grid_tables(GridConfig(n=200))[1][1] is nodes
+        assert not t.flags.writeable
 
 
 class TestVerifyTheorem:
