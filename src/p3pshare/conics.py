@@ -407,8 +407,15 @@ def _intersect(t1, t2, tol: float, cluster_tol: float) -> list[list]:
     adjugates are the cross products of matrix rows, each subtraction in
     `geometry._cross` order, and sums fold left in the order that
     `TestSolveReference` pins bit for bit."""
-    x0, x1, x2, x3, x4, x5 = t1 = _unit(t1)
-    y0, y1, y2, y3, y4, y5 = t2 = _unit(t2)
+    # the unit rows, as _unit makes them
+    m = max(map(abs, t1))
+    if m == 0.0:
+        raise DegeneratePencilError("zero conic")
+    x0, x1, x2, x3, x4, x5 = t1 = tuple([c / m for c in t1])
+    m = max(map(abs, t2))
+    if m == 0.0:
+        raise DegeneratePencilError("zero conic")
+    y0, y1, y2, y3, y4, y5 = t2 = tuple([c / m for c in t2])
     # sigma2 needs its 15-term wedge only inside _PENCIL_BAND
     xx = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4 + x5 * x5
     yy = y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3 + y4 * y4 + y5 * y5
@@ -499,7 +506,7 @@ def _intersect(t1, t2, tol: float, cluster_tol: float) -> list[list]:
     # (a2 = d.Bd, a1 = 2 o.Bd, a0 = o.Bo), with d = (1, s, 0) and
     # o = (0, t, 1) when |l1| >= |l0|; otherwise u and v trade places
     # (flip). The * 0.0 products stay: they set signed zeros and turn an
-    # infinity into NaN. A complex pair x0 +- i im gives the seeds x0 +- im
+    # infinity into NaN. A complex pair xr +- i im gives the seeds xr +- im
     # when B there, 2 |a2| im^2, passes the tol gate: a tangency that
     # rounding pushed off the real axis.
     points: list[list] = []  # [u, v, multiplicity]
@@ -522,14 +529,14 @@ def _intersect(t1, t2, tol: float, cluster_tol: float) -> list[list]:
               + (g02 * 0.0 + g12 * t + b22))
         disc = a1 * a1 - 4.0 * a2 * a0
         if disc < 0.0:
-            x0 = -0.5 * a1 / a2
+            xr = -0.5 * a1 / a2
             im = math.sqrt(-disc) / (2.0 * abs(a2))
-            u0, v0 = 0.0 + x0, t + x0 * s
+            u0, v0 = 0.0 + xr, t + xr * s
             if flip:
                 u0, v0 = v0, u0
             if 2.0 * abs(a2) * im * im > tol * (1.0 + u0 * u0 + v0 * v0):
                 continue
-            xs = (x0 - im, x0 + im)
+            xs = (xr - im, xr + im)
         else:
             # the stable pair q / a2, a0 / q; a2 = 0 leaves the one root
             # a0 / q, and q = 0 means a1 = 0 and a2 a0 = 0
@@ -539,10 +546,16 @@ def _intersect(t1, t2, tol: float, cluster_tol: float) -> list[list]:
             else:
                 xs = (q / a2, a0 / q) if a2 else (a0 / q,)
         for x in xs:
-            u0, v0 = 0.0 + x, t + x * s
+            u, v = 0.0 + x, t + x * s
             if flip:
-                u0, v0 = v0, u0
-            u, v, res = _polish(t1, t2, u0, v0, _SEED_STOP)
+                u, v = v, u
+            # _polish's first residual: a seed below _SEED_STOP takes no step
+            res = max(abs(x0 * v * v + x1 * u * v + x2 * u * u + x3 * u
+                          + x4 * v + x5),
+                      abs(y0 * v * v + y1 * u * v + y2 * u * u + y3 * u
+                          + y4 * v + y5))
+            if not res < _SEED_STOP:
+                u, v, res = _polish(t1, t2, u, v, _SEED_STOP)
             if not res <= tol * (1.0 + u * u + v * v):
                 continue
             for p in points:

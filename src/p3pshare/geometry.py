@@ -33,10 +33,11 @@ def _record(cls):
     store per field. The dict stays a key-sharing one; dict.update would
     skip the stores, but it copies the keys into a table of the instance's
     own, ~30% more memory per scene. It builds ControlTriangle,
-    CanonicalFrame, scenes.Scene, RatioPair, SolutionTriplet and the
-    solver's Solution and SolutionSet. Only SolutionTriplet has a
-    __post_init__: its positivity check runs on the stored fields before the
-    builder returns, so a triplet that fails it is never handed out. The
+    CanonicalFrame, ViewAngles, scenes.Scene, RatioPair, SolutionTriplet, the
+    solver's Solution and SolutionSet, and sharing's PairClassification,
+    FamilyReport and CompanionReport. ViewAngles and SolutionTriplet have a
+    __post_init__: its checks run on the stored fields before the builder
+    returns, so a record that fails them is never handed out. The
     instance is what __init__ would build: the same fields, repr,
     immutability, eq and hash.
     """
@@ -51,6 +52,17 @@ def _record(cls):
     namespace = {"_new": object.__new__, "_cls": cls}
     exec(code, namespace)
     return namespace["build"]
+
+
+#: _DOT_SAFE bounds every coordinate difference in size from above before a
+#: BLAS dot squares it, absolute. Reason: a float of at most 2**254 squares
+#: to at most 2**508, a cross product of two such differences has entries
+#: of at most 2**509, and a sum of three squares of those is at most
+#: 3 * 2**1018, finite; so below it no dot overflows, and numpy has nothing
+#: to warn about. Above it, or with a nan or inf, the same squared lengths
+#: run with the overflow warning off, as the test after them raises the
+#: documented error on an overflow: it decides no outcome and no bit.
+_DOT_SAFE = 2.0 ** 254
 
 
 def _cross(p, q) -> tuple[float, float, float]:
@@ -93,9 +105,16 @@ class ControlTriangle:
     def from_points(cls, A, B, C) -> "ControlTriangle":
         A, B, C = _as_point(A), _as_point(B), _as_point(C)
         cb, ab, ca = C - B, A - B, C - A
-        a = math.sqrt(cb.dot(cb))
-        b = math.sqrt(ca.dot(ca))
-        c = math.sqrt(ab.dot(ab))
+        cbl, abl = cb.tolist(), ab.tolist()
+        (x0, x1, x2), (y0, y1, y2), h = cbl, abl, 0.5 * _DOT_SAFE
+        # C - A = (C - B) - (A - B): below _DOT_SAFE when these are below h
+        if (-h < x0 < h and -h < x1 < h and -h < x2 < h
+                and -h < y0 < h and -h < y1 < h and -h < y2 < h):
+            a2, b2, c2 = cb.dot(cb), ca.dot(ca), ab.dot(ab)
+        else:  # a nan, an inf, or a square that may overflow
+            with np.errstate(over="ignore"):  # which the next test names
+                a2, b2, c2 = cb.dot(cb), ca.dot(ca), ab.dot(ab)
+        a, b, c = math.sqrt(a2), math.sqrt(b2), math.sqrt(c2)
         # a non-finite coordinate reaches two of the three sides; finite
         # ones of size ~1e154 or more overflow in a squared side
         if not math.isfinite(a + b + c):
@@ -105,7 +124,7 @@ class ControlTriangle:
             raise DegenerateInputError("non-finite control point coordinates")
         if a <= 0.0 or b <= 0.0 or c <= 0.0:
             raise DegenerateInputError("coincident control points")
-        n = np.array(_cross(cb.tolist(), ab.tolist()))
+        n = np.array(_cross(cbl, abl))
         area2 = math.sqrt(n.dot(n))
         scale = max(a, b, c)
         if area2 <= _COLLINEAR_TOL * scale * scale:
@@ -203,11 +222,11 @@ class ViewAngles:
     cos_gamma: float
 
     def __post_init__(self):
-        cos = (self.cos_alpha, self.cos_beta, self.cos_gamma)
-        for x in cos:
+        ca, cb, cg = self.cos_alpha, self.cos_beta, self.cos_gamma
+        for x in (ca, cb, cg):
             if not -1.0 < x < 1.0:
                 raise DegenerateAngleError(f"cosine {x} outside (-1, 1)")
-        al, be, ga = (math.acos(x) for x in cos)
+        al, be, ga = math.acos(ca), math.acos(cb), math.acos(cg)
         if al + be + ga >= 2.0 * math.pi:
             raise DegenerateAngleError("angle sum >= 2*pi")
         if al >= be + ga or be >= al + ga or ga >= al + be:
@@ -216,6 +235,9 @@ class ViewAngles:
     @property
     def cosines(self) -> tuple[float, float, float]:
         return (self.cos_alpha, self.cos_beta, self.cos_gamma)
+
+
+_new_view_angles = _record(ViewAngles)
 
 
 #: _COINCIDENT_TOL bounds the distance from the optical center to each
@@ -234,20 +256,28 @@ def view_angles_from_center(tri: ControlTriangle, O) -> ViewAngles:
     """Subtended-angle cosines seen from the optical center O."""
     O = _as_point(O)
     rA, rB, rC = tri.A - O, tri.B - O, tri.C - O
-    nA, nB, nC = (math.sqrt(rA.dot(rA)), math.sqrt(rB.dot(rB)),
-                  math.sqrt(rC.dot(rC)))
+    scale = tri.scale
+    # every entry of rA and rC is within a side of rB's, so all are below
+    # _DOT_SAFE when rB's are below h, as in ControlTriangle.from_points
+    (x0, x1, x2), h = rB.tolist(), _DOT_SAFE - scale
+    if -h < x0 < h and -h < x1 < h and -h < x2 < h:
+        nA2, nB2, nC2 = rA.dot(rA), rB.dot(rB), rC.dot(rC)
+    else:
+        with np.errstate(over="ignore"):
+            nA2, nB2, nC2 = rA.dot(rA), rB.dot(rB), rC.dot(rC)
+    nA, nB, nC = math.sqrt(nA2), math.sqrt(nB2), math.sqrt(nC2)
     # a nan or infinite centre, or one so far that a squared ray overflows
     if not nA + nB + nC < math.inf:
         raise DegenerateInputError("optical center not finite, or so far "
                                    "that a squared ray length overflows")
-    if min(nA, nB, nC) <= _COINCIDENT_TOL * tri.scale:
+    if min(nA, nB, nC) <= _COINCIDENT_TOL * scale:
         raise DegenerateInputError("optical center coincides with a control point")
     rA, rB, rC = rA / nA, rB / nB, rC / nC
     ca, cb, cg = float(rB.dot(rC)), float(rA.dot(rC)), float(rA.dot(rB))
     if (abs(ca) >= _MAX_ABS_COS or abs(cb) >= _MAX_ABS_COS
             or abs(cg) >= _MAX_ABS_COS):
         raise DegenerateAngleError("subtended angle at 0 or pi")
-    return ViewAngles(cos_alpha=ca, cos_beta=cb, cos_gamma=cg)
+    return _new_view_angles(ca, cb, cg)
 
 
 def cocyclic_degeneracy(tri: ControlTriangle, O) -> float:

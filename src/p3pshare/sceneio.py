@@ -9,11 +9,31 @@ from __future__ import annotations
 import csv
 import io
 import json
+from math import isfinite
 
 import numpy as np
 
 from .errors import SceneParseError
 from .geometry import ControlTriangle, ViewAngles
+
+
+def _finite_floats(value, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """value as _finite_array returns it, in one Python pass when value is
+    nested lists of the shape with a finite float at every entry, as
+    serialize_scene writes them: np.array then makes the array that
+    np.asarray(value, dtype=float) makes. Any other value goes to
+    _finite_array, which raises its errors."""
+    if type(value) is list and len(value) == shape[0]:
+        flat = [] if len(shape) == 2 else value
+        for row in value if len(shape) == 2 else ():
+            if type(row) is not list or len(row) != shape[1]:
+                return _finite_array(value, shape, what)
+            flat += row
+        for x in flat:
+            if type(x) is not float or not isfinite(x):
+                return _finite_array(value, shape, what)
+        return np.array(value)
+    return _finite_array(value, shape, what)
 
 
 def _finite_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -49,7 +69,7 @@ def parse_scene(text: str):
         pts = doc["controlPoints"]
     except KeyError:
         raise SceneParseError("missing controlPoints")
-    pts = _finite_array(pts, (3, 3), "controlPoints")
+    pts = _finite_floats(pts, (3, 3), "controlPoints")
     has_center = "opticalCenter" in doc
     has_cos = "subtendedAngleCosines" in doc
     if has_center == has_cos:
@@ -59,10 +79,10 @@ def parse_scene(text: str):
     center = None
     angles = None
     if has_center:
-        center = _finite_array(doc["opticalCenter"], (3,), "opticalCenter")
+        center = _finite_floats(doc["opticalCenter"], (3,), "opticalCenter")
     else:
-        cs = _finite_array(doc["subtendedAngleCosines"], (3,),
-                           "subtendedAngleCosines")
+        cs = _finite_floats(doc["subtendedAngleCosines"], (3,),
+                            "subtendedAngleCosines")
         angles = ViewAngles(*cs.tolist())
     return tri, center, angles, doc.get("label")
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import conics
 from .errors import NotOnConstraintLineError, RightAngleDegeneracyError
 from .geometry import (ControlTriangle, RatioPair, SolutionTriplet, ViewAngles,
-                       interior_angles)
+                       _record, interior_angles)
 from .solver import SolutionSet
 
 
@@ -170,6 +170,9 @@ class PairClassification:
     repeated_indices: tuple[int, ...]
 
 
+_new_classification = _record(PairClassification)
+
+
 #: the label whose pairs agree in exactly these of (s1, s2, s3): a side label
 #: in the two off its shift, a point label in the one at it
 _LABEL_OF_SIGNATURE = {tuple((i != label.shift) == (label.kind == "side")
@@ -192,7 +195,8 @@ def classify_solution_set(sol_set: SolutionSet, tri: ControlTriangle,
 
     A label is reported only when the distance-level signature agrees AND
     both members lie on the constraint line (within tol). A signature names
-    at most one label, so only that label's line is evaluated.
+    at most one label, so only that label's line is evaluated: `_line` once
+    per pair, at both members, by sharing_residual's arithmetic.
 
     The last call is memoised on its four arguments (tol as passed; by
     keyword in companion_check). Safe: SolutionSet and ControlTriangle are
@@ -203,6 +207,7 @@ def classify_solution_set(sol_set: SolutionSet, tri: ControlTriangle,
     repeated = tuple(i for i, s in enumerate(sols) if s.repeated)
     kept = [i for i, s in enumerate(sols) if not s.repeated]
     values = [s.triplet.values for s in sols]
+    cosines = angles.cosines
     pairs = []
     for i, j in itertools.combinations(kept, 2):
         si, sj = values[i], values[j]
@@ -212,15 +217,36 @@ def classify_solution_set(sol_set: SolutionSet, tri: ControlTriangle,
                                          abs(si[2] - sj[2]) <= same_tol))
         if label is None:
             continue
+        kind, k = label.value
         try:
-            resid = max(abs(sharing_residual(sols[i].ratio, tri, angles, label)),
-                        abs(sharing_residual(sols[j].ratio, tri, angles, label)))
+            lu, lv, l1 = _line(tri, cosines, kind, k)
         except RightAngleDegeneracyError:
             continue
+        ri, rj = sols[i].ratio, sols[j].ratio
+        ui, vi = relabel_ratio(ri.u, ri.v, k)
+        uj, vj = relabel_ratio(rj.u, rj.v, k)
+        resid = max(abs(lu * ui + lv * vi + l1), abs(lu * uj + lv * vj + l1))
         if resid > tol:
             continue
         pairs.append((i, j, label, resid))
-    return PairClassification(pairs=tuple(pairs), repeated_indices=repeated)
+    return _new_classification(tuple(pairs), repeated)
+
+
+def _identity_residuals(sides, cosines) -> tuple[float, float, float]:
+    """companion_identity_residual of the families 0, 1 and 2, in one pass:
+    the squares once, each family's terms in its own cyclic order."""
+    a, b, c = sides
+    squares = (a * a, b * b, c * c) * 2
+    cosines = cosines * 2
+    out = []
+    for k in range(3):
+        a2, b2, c2 = squares[k:k + 3]
+        ca, cb, cg = cosines[k:k + 3]
+        t1 = 2.0 * (b2 - c2) * ca * cb * cg
+        t2 = -cg * cg * (b2 - a2 - c2)
+        t3 = cb * cb * (c2 - a2 - b2)
+        out.append((t1 + t2 + t3) / max(abs(t1), abs(t2), abs(t3), a2))
+    return tuple(out)
 
 
 def companion_identity_residual(tri: ControlTriangle, angles: ViewAngles,
@@ -230,14 +256,7 @@ def companion_identity_residual(tri: ControlTriangle, angles: ViewAngles,
     2(b^2-c^2) ca cb cg - cg^2 (b^2-a^2-c^2) + cb^2 (c^2-a^2-b^2) = 0
     must hold whenever the family-k lines each carry a solution pair.
     """
-    a, b, c = cycle3(tri.sides, k)
-    ca, cb, cg = cycle3(angles.cosines, k)
-    a2, b2, c2 = a * a, b * b, c * c
-    t1 = 2.0 * (b2 - c2) * ca * cb * cg
-    t2 = -cg * cg * (b2 - a2 - c2)
-    t3 = cb * cb * (c2 - a2 - b2)
-    norm = max(abs(t1), abs(t2), abs(t3), a2)
-    return (t1 + t2 + t3) / norm
+    return _identity_residuals(tri.sides, angles.cosines)[k % 3]
 
 
 def _line_product_terms(tri: ControlTriangle, cosines: tuple[float, ...],
@@ -253,8 +272,9 @@ def factorization_residual(tri: ControlTriangle, angles: ViewAngles,
     """Deviation of the conic difference from the product of the two lines.
 
     Measured as the normalized cross product of the coefficient vectors,
-    i.e. zero when they are proportional. The three dot products stay
-    numpy calls: their BLAS rounding is what the golden reports hold.
+    i.e. zero when they are proportional. The four dot products (d.d, p.p,
+    d.p and r.r) stay numpy calls: their BLAS rounding is what the golden
+    reports hold.
     Raises RightAngleDegeneracyError where the point line does (`_line`).
     """
     cosines = angles.cosines
@@ -288,6 +308,15 @@ class CompanionReport:
         return all(checks) if checks else True
 
 
+_new_family = _record(FamilyReport)
+_new_companion = _record(CompanionReport)
+
+
+#: the pair of the other two of four solutions, for each pair (i, j), i < j
+_COMPLEMENT = {p: tuple(sorted({0, 1, 2, 3} - set(p)))
+               for p in itertools.combinations(range(4), 2)}
+
+
 def companion_check(sol_set: SolutionSet, tri: ControlTriangle,
                     angles: ViewAngles, tol: float = LINE_TOL) -> CompanionReport:
     """Verify the companion-pair structure of a solved scene.
@@ -303,28 +332,19 @@ def companion_check(sol_set: SolutionSet, tri: ControlTriangle,
     cls = classify_solution_set(sol_set, tri, angles, tol=tol)
     found = {"side": ([], [], []), "point": ([], [], [])}
     for i, j, label, _ in cls.pairs:
-        found[label.kind][label.shift].append((i, j))
-    applicable = sol_set.count >= 3
+        kind, k = label.value
+        found[kind][k].append((i, j))
+    four = sol_set.count == 4
+    idents = _identity_residuals(tri.sides, angles.cosines)
     families = []
     for k in range(3):
         side, point = tuple(found["side"][k]), tuple(found["point"][k])
         ok: bool | None = None
-        if sol_set.count == 4 and (side or point):
-            ok = True
-            all_idx = set(range(4))
-            for (i, j) in side:
-                rest = tuple(sorted(all_idx - {i, j}))
-                if rest not in point:
-                    ok = False
-            for (i, j) in point:
-                rest = tuple(sorted(all_idx - {i, j}))
-                if rest not in side:
-                    ok = False
-        ident = abs(companion_identity_residual(tri, angles, k))
-        fact = (factorization_residual(tri, angles, k) if side or point
-                else float("nan"))
-        families.append(FamilyReport(shift=k, side_pairs=side, point_pairs=point,
-                                     identity_residual=ident,
-                                     factorization_residual=fact,
-                                     companion_ok=ok))
-    return CompanionReport(applicable=applicable, families=tuple(families))
+        fact = math.nan
+        if side or point:
+            if four:
+                ok = (all(_COMPLEMENT[p] in point for p in side)
+                      and all(_COMPLEMENT[p] in side for p in point))
+            fact = factorization_residual(tri, angles, k)
+        families.append(_new_family(k, side, point, abs(idents[k]), fact, ok))
+    return _new_companion(sol_set.count >= 3, tuple(families))

@@ -71,12 +71,19 @@ def triplet_from_ratio(rp: RatioPair, sides,
 def _triplet(u: float, v: float, sides, angles: ViewAngles, tol: float):
     if not (u > 0.0 and v > 0.0):
         raise InfeasibleRatioError("ratio point outside quadrant I")
-    rad = u * u + v * v - 2.0 * angles.cos_alpha * u * v
+    ca, cb, cg = angles.cos_alpha, angles.cos_beta, angles.cos_gamma
+    rad = u * u + v * v - 2.0 * ca * u * v
     if rad <= 0.0:
         raise InfeasibleRatioError("non-positive base-distance radicand")
-    s1 = sides[0] / math.sqrt(rad)
-    t = _new_triplet(s1, u * s1, v * s1)  # raises unless all three are > 0
-    if max(map(abs, constraint_residuals(t, sides, angles))) > tol:
+    a, b, c = sides
+    s1 = a / math.sqrt(rad)
+    s2, s3 = u * s1, v * s1
+    t = _new_triplet(s1, s2, s3)  # raises unless all three are > 0
+    # max(map(abs, constraint_residuals(t, sides, angles))), inline
+    if max(abs((s1 * s1 + s2 * s2 - 2.0 * cg * s1 * s2 - c * c) / (c * c)),
+           abs((s1 * s1 + s3 * s3 - 2.0 * cb * s1 * s3 - b * b) / (b * b)),
+           abs((s2 * s2 + s3 * s3 - 2.0 * ca * s2 * s3 - a * a) / (a * a))
+           ) > tol:
         raise InconsistentInputError("ratio point violates the basic constraints")
     return t
 

@@ -28,6 +28,8 @@ EQUILATERAL = str(ROOT / "scenes" / "equilateral.json")
 #: O on the circumcircle of (0,0,0), (1,0,0), (0.3,0.8,0), lifted 1e-8: valid
 #: view angles whose conic pencil is degenerate
 COCYCLIC_LIFTED = str(ROOT / "scenes" / "cocyclic_lifted.json")
+#: a danger-cylinder viewpoint on which solve reports a repeated root
+DANGER_CYLINDER = str(ROOT / "scenes" / "danger_cylinder.json")
 
 
 @pytest.fixture
@@ -131,6 +133,8 @@ ANALYZE_STDOUT_SHA256 = {
         "0c2bcc7e8748739418ce65e8abab863db0fd1ead7411f569d782e42dc3c9af74",
     "locus":
         "37bcda988bffc8d821754c4e21677568db59797edcfb559ecca785c08af397e7",
+    "danger_cylinder":
+        "148be17040755c85e572392dbca5c4eb37e919b152b3c3a334ee08e8475e1a35",
 }
 
 
@@ -155,19 +159,23 @@ class TestAnalyze:
         assert_pencil_degenerate("analyze", capsys)
 
     def test_stdout_bytes(self, tmp_path, capsys):
-        """The full report, byte for byte, on the equilateral scene and on a
+        """The full report, byte for byte, on the equilateral scene, on a
         four-solution SIDE_AB locus scene whose family 2 carries a companion
-        pair."""
+        pair, and on a danger-cylinder scene with a repeated root."""
         scene = scenes._locus_scene(scenes._trial_rngs(5, 1)[0],
                                     SharingLabel.SIDE_AB)
         locus = tmp_path / "locus.json"
         locus.write_text(serialize_scene(scene.triangle, center=scene.center))
         got = {}
-        for name, path in (("equilateral", EQUILATERAL), ("locus", locus)):
+        for name, path in (("equilateral", EQUILATERAL), ("locus", locus),
+                           ("danger_cylinder", DANGER_CYLINDER)):
             assert main(["analyze", str(path)]) == EXIT_OK
             out = capsys.readouterr().out
             got[name] = hashlib.sha256(out.encode()).hexdigest()
-        assert "solutions: 4" in out and "SIDE_AB" in out and "POINT_C" in out
+            if name == "locus":
+                assert "solutions: 4" in out and "SIDE_AB" in out \
+                    and "POINT_C" in out
+        assert "repeated solutions: [2]" in out
         assert got == ANALYZE_STDOUT_SHA256
 
 

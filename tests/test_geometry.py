@@ -75,13 +75,13 @@ class TestControlTriangle:
         """Finite control points ~1e154 or more apart: the error names the
         squared side that overflows, not a non-finite coordinate."""
         pts = [[1e300, 0.0, 0.0], [0.0, 1e300, 0.0], [0.0, 0.0, 0.0]]
-        # the BLAS dots overflow, and numpy warns about it
-        with np.errstate(over="ignore"), pytest.raises(
-                DegenerateInputError, match="squared side overflows"):
+        # the BLAS dots would overflow: no numpy warning comes first (the
+        # warnings-as-errors run turns one into a failure)
+        with pytest.raises(DegenerateInputError,
+                           match="squared side overflows"):
             ControlTriangle.from_points(*pts)
         pts[2][2] = math.nan
-        with np.errstate(over="ignore"), pytest.raises(
-                DegenerateInputError, match="non-finite"):
+        with pytest.raises(DegenerateInputError, match="non-finite"):
             ControlTriangle.from_points(*pts)
 
     def test_area2_is_twice_the_area(self, sc1_triangle):
@@ -192,12 +192,36 @@ class TestViewAngles:
     def test_overflowing_center_rejected(self, eq1_triangle):
         """At 1e200 the squared rays overflow: the unit rays would be 0 and
         the cosines exactly 0, where a far centre sees them near 1."""
-        # the BLAS dots overflow, and numpy warns about it
-        with np.errstate(over="ignore"), pytest.raises(
-                DegenerateInputError, match="overflows"):
+        # the BLAS dots would overflow: no numpy warning comes first
+        with pytest.raises(DegenerateInputError, match="overflows"):
             view_angles_from_center(eq1_triangle, [0.0, 0.0, 1e200])
         va = view_angles_from_center(eq1_triangle, [0.0, 0.0, 1e4])
         assert min(va.cosines) > 1.0 - 1e-7
+
+    @pytest.mark.parametrize("e", [250, 255, 520])
+    def test_scaled_scene_keeps_its_bits(self, e):
+        """A scene scaled by 2**e: every subtraction, dot, root and division
+        scales exactly, so the sides and area scale and the cosines stay, bit
+        for bit, whether the differences are below geometry._DOT_SAFE
+        (2**250) or not, where the squares run with numpy's overflow warning
+        off and must not overflow (2**255), or do (2**520)."""
+        pts = [[0.25, 0.75, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        O = [0.3, 0.2, 0.9]
+        k = 2.0 ** e
+        tri = ControlTriangle.from_points(*pts)
+        if e == 520:
+            with pytest.raises(DegenerateInputError, match="squared side"):
+                ControlTriangle.from_points(*(np.array(pts) * k))
+            with pytest.raises(DegenerateInputError, match="overflows"):
+                view_angles_from_center(tri, np.array(O) * k)
+            return
+        big = ControlTriangle.from_points(*(np.array(pts) * k))
+        assert (big.a, big.b, big.c) == (tri.a * k, tri.b * k, tri.c * k)
+        assert big.area2 == tri.area2 * k * k
+        assert (big.cos_A, big.cos_B, big.cos_C) == \
+            (tri.cos_A, tri.cos_B, tri.cos_C)
+        assert view_angles_from_center(big, np.array(O) * k) \
+            == view_angles_from_center(tri, O)
 
 
 class TestCocyclicDegeneracy:
@@ -309,8 +333,9 @@ def scene_corpus() -> dict:
         A = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.3, 1.0), 0.0])
         sliver.append(view_record([A, np.zeros(3), np.array([a, 0.0, 0.0])],
                                   rng.uniform(-2.0, 2.0, 3)))
-    # the extreme inputs overflow, or meet inf / inf, in the numpy calls
-    with np.errstate(over="ignore", invalid="ignore"):
+    # cocyclic_degeneracy's frame map meets inf * 0 on the infinite centre;
+    # the overflowing inputs raise before numpy warns
+    with np.errstate(invalid="ignore"):
         hand = [view_record(pts, [0.3, 0.2, 1.0]) for pts in _HAND_TRIANGLES]
         hand += [view_record(_RIGHT, O) for O in _HAND_CENTERS]
     return dict(random_scene=scenes, unfiltered=unfiltered, sliver=sliver,
@@ -377,6 +402,33 @@ class TestRecords:
         assert type(scene) is Scene
 
 
+def assert_is_its_twin(obj):
+    """obj, a frozen record built by geometry._record, is what its
+    dataclass __init__ would build: the same field objects, repr, dict,
+    eq, hash and immutability."""
+    twin = _twin(obj)
+    names = [f.name for f in dataclasses.fields(obj)]
+    for f in dataclasses.fields(obj):
+        got, want = getattr(obj, f.name), getattr(twin, f.name)
+        assert type(got) is type(want) and got is want
+        if f.type in ("float", "int", "bool"):
+            assert type(got).__name__ == f.type
+    assert repr(obj) == repr(twin)
+    assert list(vars(obj)) == names
+    # the class's key-sharing dict, as __init__ leaves it
+    assert sys.getsizeof(vars(obj)) == sys.getsizeof(vars(twin))
+    if isinstance(obj, SolutionSet):  # eq=False: identity
+        assert obj != twin and obj == obj
+        assert hash(obj) == object.__hash__(obj)
+    else:
+        assert obj == twin and hash(obj) == hash(twin)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+
+
 class TestSolveRecords:
     """The SolutionSet, Solutions, SolutionTriplets and RatioPairs that solve
     returns, and the RatioPairs of intersect_conics, are built by
@@ -409,27 +461,7 @@ class TestSolveRecords:
         for tri, angles in scenes:
             for obj in self.records(tri, angles):
                 kinds.add(type(obj).__name__)
-                twin = _twin(obj)
-                names = [f.name for f in dataclasses.fields(obj)]
-                for f in dataclasses.fields(obj):
-                    got, want = getattr(obj, f.name), getattr(twin, f.name)
-                    assert type(got) is type(want) and got is want
-                    if f.type in ("float", "int", "bool"):
-                        assert type(got).__name__ == f.type
-                assert repr(obj) == repr(twin)
-                assert list(vars(obj)) == names
-                # the class's key-sharing dict, as __init__ leaves it
-                assert sys.getsizeof(vars(obj)) == sys.getsizeof(vars(twin))
-                if isinstance(obj, SolutionSet):  # eq=False: identity
-                    assert obj != twin and obj == obj
-                    assert hash(obj) == object.__hash__(obj)
-                else:
-                    assert obj == twin and hash(obj) == hash(twin)
-                for name in names:
-                    with pytest.raises(dataclasses.FrozenInstanceError):
-                        setattr(obj, name, 1.0)
-                    with pytest.raises(dataclasses.FrozenInstanceError):
-                        delattr(obj, name)
+                assert_is_its_twin(obj)
         assert kinds == {"SolutionSet", "Solution", "SolutionTriplet",
                          "RatioPair"}
 

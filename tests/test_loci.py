@@ -26,6 +26,9 @@ from p3pshare.geometry import RatioPair
 from p3pshare.solver import solve
 
 MESH_GOLDEN = Path(__file__).parent / "data" / "skew_meshes.json"
+#: the draw_record of scalar_skew_mesh on each of the random_mesh_draws,
+#: written once from it
+MESH_DRAWS = Path(__file__).parent / "data" / "skew_mesh_draws.json"
 
 
 def mesh_cases(tri):
@@ -54,6 +57,16 @@ def mesh_record(surf, bounds, n) -> dict:
                 np.ascontiguousarray(verts, dtype=float).tobytes()).hexdigest(),
             "face_sha256": hashlib.sha256(
                 json.dumps(faces.tolist()).encode()).hexdigest()}
+
+
+def draw_record(verts, faces) -> dict:
+    """A mesh's vertex shape, and sha256 digests of its vertex bytes and of
+    its faces as int32 (F, 3) bytes."""
+    return {"shape": list(verts.shape),
+            "vertex_sha256": hashlib.sha256(
+                np.ascontiguousarray(verts, dtype=float).tobytes()).hexdigest(),
+            "face_sha256": hashlib.sha256(np.asarray(
+                faces, dtype=np.int32).reshape(-1, 3).tobytes()).hexdigest()}
 
 
 class TestDangerCylinder:
@@ -521,10 +534,16 @@ class TestSkewMeshReference:
         assert verts.shape == (0,) and faces.shape == (0, 3)
 
     def test_random_draws(self):
-        """300 random triangle x label x n in [2, 120] x bounds draws."""
+        """300 random triangle x label x n in [2, 120] x bounds draws, each
+        against the draw_record of scalar_skew_mesh's mesh (MESH_DRAWS)."""
+        want = json.loads(MESH_DRAWS.read_text())
+        assert len(want) == 300
         crossings = 0
-        for surf, bounds, n in random_mesh_draws():
-            verts, _ = assert_same_mesh(surf, bounds, n)
+        for k, (surf, bounds, n) in enumerate(random_mesh_draws()):
+            verts, faces = skew_mesh(surf, bounds=bounds, n=n)
+            assert verts.dtype == np.float64
+            assert_face_array(faces)
+            assert draw_record(verts, faces) == want[k], k
             crossings += int(np.count_nonzero(verts[:, 2] == 0.0)) \
                 if len(verts) else 0
         assert crossings > 1000  # many edges got a z = 0 vertex

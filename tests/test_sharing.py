@@ -624,23 +624,20 @@ class TestClassificationMemo:
         assert checked >= 200 and tol_moved >= 150 and set_moved >= 30
 
     def test_companion_check_runs_no_second_classification(
-            self, eq1_triangle, eq1_angles, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return sharing_residual(*args)
+            self, eq1_triangle, eq1_angles):
+        def misses():
+            return classify_solution_set.cache_info().misses
 
         sol = solve(eq1_triangle, eq1_angles)
         # tol by keyword, as companion_check and `p3pshare analyze` pass it
         classify_solution_set(sol, eq1_triangle, eq1_angles,
                               tol=sharing.LINE_TOL)
-        monkeypatch.setattr(sharing, "sharing_residual", counted)
+        before = misses()
         assert companion_check(sol, eq1_triangle, eq1_angles).companion_ok
-        assert calls == []
+        assert misses() == before
         companion_check(sol, eq1_triangle, eq1_angles,
                         tol=0.5 * sharing.LINE_TOL)
-        assert len(calls) == 12  # six pairs, both members each
+        assert misses() == before + 1
 
 
 class TestCompanion:
