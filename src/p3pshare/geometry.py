@@ -108,8 +108,9 @@ class ControlTriangle:
         cbl, abl = cb.tolist(), ab.tolist()
         (x0, x1, x2), (y0, y1, y2), h = cbl, abl, 0.5 * _DOT_SAFE
         # C - A = (C - B) - (A - B): below _DOT_SAFE when these are below h
-        if (-h < x0 < h and -h < x1 < h and -h < x2 < h
-                and -h < y0 < h and -h < y1 < h and -h < y2 < h):
+        safe = (-h < x0 < h and -h < x1 < h and -h < x2 < h
+                and -h < y0 < h and -h < y1 < h and -h < y2 < h)
+        if safe:
             a2, b2, c2 = cb.dot(cb), ca.dot(ca), ab.dot(ab)
         else:  # a nan, an inf, or a square that may overflow
             with np.errstate(over="ignore"):  # which the next test names
@@ -125,7 +126,15 @@ class ControlTriangle:
         if a <= 0.0 or b <= 0.0 or c <= 0.0:
             raise DegenerateInputError("coincident control points")
         n = np.array(_cross(cbl, abl))
-        area2 = math.sqrt(n.dot(n))
+        if safe:
+            area2 = math.sqrt(n.dot(n))
+        else:  # sides of ~1e77 or more: the squared cross product may overflow
+            with np.errstate(over="ignore"):
+                area2 = math.sqrt(n.dot(n))
+            if not math.isfinite(area2):
+                raise DegenerateInputError(
+                    "control points too far apart: a squared cross product "
+                    "overflows")
         scale = max(a, b, c)
         if area2 <= _COLLINEAR_TOL * scale * scale:
             raise DegenerateInputError("collinear control points")

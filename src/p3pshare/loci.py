@@ -296,8 +296,26 @@ def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96):
     edge on which f*y*Q changes sign gets its z = 0 vertex in closed form:
     y = 0, or the circle's root x = cx +/- sqrt(r^2 - (y - cy)^2) (along x)
     or y = cy +/- sqrt(r^2 - (x - cx)^2) (along y) nearest the edge,
-    clipped into it. Raises OverflowError where a grid coordinate's square
-    overflows.
+    clipped into it.
+
+    The faces are those of a walk of the cells, row-major, that meets per
+    cell a polygon on the top sheet, then one on the bottom, each over 8
+    slots counterclockwise from corner (i, j) (corner t, then the edge from
+    corner t to t + 1), fanned from its first slot; the vertices are
+    numbered in the order the walk first meets them. The walk is not made:
+    every cell that holds a vertex has an admissible corner, so it is
+    walked, and a vertex is first met in the first cell, row-major, that
+    holds it. Cell (i, j) meets its edge up from (i + 1, j), its corner
+    (i + 1, j + 1) and its edge across from (i, j + 1) first; the cells of
+    row i = 0 and column j = 0 meet their outer corners and edges first as
+    well. So a running count over the cells numbers every vertex into a
+    table of ids by node, and each cell's fans read that table: a cell
+    with four admissible corners by fixed slots, the few on the rim by
+    their nonzero slots.
+
+    Raises ValueError when a bound is not finite, and OverflowError where a
+    grid coordinate's square overflows. A reversed or zero-width box is
+    accepted.
     """
     a, e, f = surf.frame.a, surf.frame.e, surf.frame.f
     cyl = surf.cylinder
@@ -306,6 +324,9 @@ def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96):
         pad = 1.6 * cyl.radius
         bounds = (cx - pad, cx + pad, cy - pad, cy + pad)
     x0, x1, y0, y1 = bounds
+    if not (math.isfinite(x0) and math.isfinite(x1)
+            and math.isfinite(y0) and math.isfinite(y1)):
+        raise ValueError(f"skew_mesh bounds must be finite, got {bounds!r}")
     xs, ys = np.linspace(x0, x1, n), np.linspace(y0, y1, n)
     den_min = _DEN_TOL * max(1.0, a * a)
 
@@ -314,13 +335,22 @@ def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96):
     d = abs(np.concatenate((xs - cx, ys - cy)))
     float(d[d < np.inf].max(initial=0.0)) ** 2  # OverflowError, as x ** 2
     sx, sy = np.float_power(xs - cx, 2.0), np.float_power(ys - cy, 2.0)
-    g = f * ys * (sx[:, None] + sy - cyl.radius_squared)  # f*y*Q: z^2 * den
+    g = sx[:, None] + sy
+    g -= cyl.radius_squared  # Q
+    g *= f * ys  # f*y*Q: z^2 * den
     den = e * e - f * ys - a * e
     with np.errstate(divide="ignore", invalid="ignore"):
         z2 = g / den
     adm = (abs(den) >= den_min) & (z2 > 0.0)
-    touched = adm[:-1, :-1] | adm[1:, :-1] | adm[:-1, 1:] | adm[1:, 1:]
-    if not touched.any():
+    # nodes and cells by the flat index p = i*n + j of the node (i, j), a
+    # cell by that of its corner (i, j); no cell has its corner at j = n - 1
+    nn, last = n * n, n * n - n - 1
+    node = adm.view(np.uint8).ravel()
+    touched = node[:last] | node[1:last + 1] | node[n:n + last] | node[n + 1:]
+    if n > 1:
+        touched[n - 1::n] = 0
+    cell = np.flatnonzero(touched)  # the cells with an admissible corner
+    if not len(cell):
         return np.array([]), np.empty((0, 3), np.int32)
 
     # edges from an admissible to an inadmissible node, by flat node index:
@@ -344,41 +374,88 @@ def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96):
     # a y edge across y = 0 may also hold two circle roots (Q keeps its
     # sign): the sign change of y*Q is that of y, so the vertex is y = 0
     yc[(ys[jy] > 0.0) != (ys[jy + 1] > 0.0)] = 0.0
-    # x and y of the z = 0 vertices, x edges first as in p0
-    xz, yz = np.concatenate((xc, xs[iy])), np.concatenate((ys[jx], yc))
 
-    # a walk of the cells, row-major, meets per cell a polygon on the top
-    # sheet, then one on the bottom, each in 8 slots counterclockwise from
-    # (i, j): corner t, then the edge from corner t to t + 1; the slots hold
-    # vertex ids (0 for none) from tables of top nodes, bottom nodes, edges
-    # to i + 1 and edges to j + 1
-    node = np.flatnonzero(adm)
-    xv, yv, z = xs[node // n], ys[node % n], np.sqrt(z2.take(node))
-    vertices = np.stack((np.concatenate((xv, xv, xz)),
-                         np.concatenate((yv, yv, yz)),
-                         np.concatenate((z, -z, np.zeros_like(xz)))), axis=1)
-    at = np.concatenate((node, node + n * n, p0 + 2 * n * n))
-    at[2 * len(node) + ni:] += n * n
-    tab = np.zeros(4 * n * n, np.int32)
-    tab[at] = np.arange(1, len(at) + 1)
-    cell = np.flatnonzero(touched).astype(np.int32)
-    cell += cell // (n - 1)  # now the flat index of the cell's node (i, j)
-    slots = np.array([0, 2, 0, 3, 0, 2, 0, 3, 1, 2, 1, 3, 1, 2, 1, 3]) * n * n \
-        + [0, 0, n, n, n + 1, 1, 1, 0] * 2
-    refs = tab[cell[:, None] + slots.astype(np.int32)]
-    nz = refs != 0
-    flat = refs[nz]
-    # vertices are numbered in the order the walk first meets them
-    seen = np.full(len(at) + 1, len(flat))
-    np.minimum.at(seen, flat, np.arange(len(flat)))
-    order = np.argsort(seen[1:])
-    ids = np.empty(len(at) + 1, np.int32)
-    ids[1 + order] = np.arange(1, len(at) + 1, dtype=np.int32)
-    # each polygon is fanned as (p0, pt, pt+1) over its nonzero slots
-    k = np.count_nonzero(nz.reshape(-1, 8), axis=1)
-    first = np.repeat(np.cumsum(k) - k, k)
-    q = np.flatnonzero((first[:-1] == first[1:])
-                       & (first[:-1] < np.arange(len(flat) - 1)))
-    # (F, 3) rows, so the gather is C-contiguous (ids[tri.T] would not be)
-    tri = np.stack((flat[first[q]], flat[q], flat[q + 1]), axis=1)
-    return vertices[order], ids[tri]
+    # a table by node of four vertex ids (0 for none), p's at 4p: its top
+    # node, its bottom node, its edge to i + 1 and its edge to j + 1; a
+    # cell's 16 slots, top polygon then bottom, lie at 4p + slot
+    kind, step = (0, 2, 0, 3, 0, 2, 0, 3), (0, 0, n, n, n + 1, 1, 1, 0)
+    slot = [4 * step[t] + kind[t] for t in range(8)]
+    slot += [s + 1 if kind[t] == 0 else s for t, s in enumerate(slot)]
+    held = np.zeros(4 * nn, np.uint8)  # 1 where the table will hold an id
+    held[::4], held[2 + 4 * p0[:ni]], held[3 + 4 * p0[ni:]] = node, 1, 1
+    cell4 = 4 * cell
+    # has[t]: does the cell's slot t (on either sheet) hold a vertex
+    has = np.stack([held[slot[t]:].take(cell4) for t in range(8)])
+    tab = np.zeros(4 * nn, np.int32)
+    # the vertices each cell meets first, in walk order: (cells, slot)
+    every, row0 = slice(None), slice(0, np.searchsorted(cell, n - 1))
+    starts = np.arange(0, last, n)  # the cell (i, 0) of each row, if walked
+    col0 = np.searchsorted(cell, starts)
+    col0 = col0[cell.take(col0, mode="clip") == starts]
+    corner = slice(0, int(cell[0] == 0))
+    firsts = ((corner, 0), (col0, 1), (col0, 2), (every, 3), (every, 4),
+              (every, 5), (row0, 6), (row0, 7), (corner, 8), (col0, 10),
+              (every, 12), (row0, 14))
+    new = np.zeros(len(cell), np.int32)
+    for cells, t in firsts:
+        new[cells] += has[t % 8][cells]
+    ids = np.cumsum(new, dtype=np.int32)
+    ids -= new
+    ids += 1  # the id of the next vertex a cell meets first
+    for cells, t in firsts:
+        h = has[t % 8][cells]
+        tab[slot[t]:][cell4[cells]] = ids[cells] * h
+        ids[cells] += h
+
+    # the vertices by id: top and bottom nodes, then edge crossings
+    nodes = np.flatnonzero(adm)
+    xv, yv, z = xs[nodes // n], ys[nodes % n], np.sqrt(z2.take(nodes))
+    vertices = np.empty((2 * len(nodes) + len(p0), 3))
+    nodes *= 4
+    for at, x, y, zv in (
+            (tab.take(nodes), xv, yv, z), (tab[1:].take(nodes), xv, yv, -z),
+            (np.concatenate((tab[2:].take(4 * p0[:ni]),
+                             tab[3:].take(4 * p0[ni:]))),
+             np.concatenate((xc, xs[iy])), np.concatenate((ys[jx], yc)), 0.0)):
+        at = at.astype(np.intp)
+        at -= 1
+        for col, v in zip(vertices.T, (x, y, zv)):
+            col[at] = v
+
+    # a polygon of k slots fans into k - 2 triangles; each cell's faces
+    # start at flat index at[c] of the face array, the top fan first
+    k = has.sum(axis=0, dtype=np.uint8)
+    nf = np.maximum(k, 2) - 2
+    nf += nf
+    at = np.cumsum(nf, dtype=np.intp)
+    faces = np.empty((int(at[-1]), 3), np.int32)
+    flat = faces.ravel()
+    at -= nf
+    at *= 3
+    # four admissible corners: fans (0, 2, 4) and (0, 4, 6) on each sheet
+    whole = has[0] & has[2] & has[4] & has[6]
+    c = np.flatnonzero(whole)
+    to, p = at.take(c), cell4.take(c)
+    for sheet, w0 in ((0, 0), (8, 6)):
+        s0, s2, s4, s6 = (tab[slot[sheet + t]:].take(p) for t in (0, 2, 4, 6))
+        for w, v in enumerate((s0, s2, s4, s0, s4, s6), start=w0):
+            flat[w:][to] = v
+    # the rest: each polygon's nonzero slots, fanned from the first
+    c = np.flatnonzero((nf != 0) & (whole == 0))
+    if len(c):
+        refs = tab.take(cell4.take(c)[:, None] + slot)
+        refs = refs[refs != 0]  # the polygons' ids, top then bottom per cell
+        kk = np.repeat(k.take(c).astype(np.intp), 2)  # each polygon's slots,
+        first = np.cumsum(kk) - kk  # where it starts in refs,
+        nt = kk - 2  # its triangles
+        base = np.repeat(at.take(c), 2)  # and where they start in flat
+        base[1::2] += 3 * nt[::2]
+        fan = np.ones(len(refs), bool)  # the middle slots, one triangle each
+        fan[first] = False
+        fan[first + kk - 1] = False
+        q = np.flatnonzero(fan)
+        to = 3 * q + np.repeat(base - 3 * first - 3, nt)
+        flat[to] = refs.take(np.repeat(first, nt))
+        flat[1:][to] = refs.take(q)
+        flat[2:][to] = refs.take(q + 1)
+    return vertices, faces

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,23 @@ class TestControlTriangle:
         pts[2][2] = math.nan
         with pytest.raises(DegenerateInputError, match="non-finite"):
             ControlTriangle.from_points(*pts)
+
+    def test_overflowing_cross_product_named(self):
+        """Sides of ~1e77 or more square to finite values, but their cross
+        product's square overflows: the error names it, with no numpy
+        warning first and no triangle with area2 = inf."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError,
+                               match="squared cross product overflows"):
+                ControlTriangle.from_points((0.0, 1e100, 0.0),
+                                            (0.0, 0.0, 0.0),
+                                            (1e100, 0.0, 0.0))
+            # below the bound, the same shape keeps its area
+            tri = ControlTriangle.from_points((0.0, 1e70, 0.0),
+                                              (0.0, 0.0, 0.0),
+                                              (1e70, 0.0, 0.0))
+            assert tri.area2 == 1e140
 
     def test_area2_is_twice_the_area(self, sc1_triangle):
         assert sc1_triangle.area2 == 6.0

@@ -4,6 +4,7 @@ import bisect
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -301,12 +302,31 @@ class TestSkewMesh:
             assert abs(skewed_membership(surf, w)) < 1e-9
 
     def test_faces_are_valid_one_based_triangles(self, sc1_triangle):
+        """Every row is three distinct 1-based vertex indices in range."""
+        for label in POINT_LABELS:
+            surf = skewed_danger_cylinder(sc1_triangle, label)
+            for n in (2, 3, 32, 96):
+                verts, faces = skew_mesh(surf, n=n)
+                assert_face_array(faces)
+                # the default box's one-cell grid has no admissible corner
+                assert (len(faces) > 0) == (n > 2)
+                if len(faces):
+                    assert 1 <= faces.min() and faces.max() <= len(verts)
+                    a, b, c = faces.T
+                    assert ((a != b) & (b != c) & (a != c)).all()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_bounds_rejected(self, sc1_triangle, slot, value):
+        """A bound that is not finite raises ValueError before any grid
+        arithmetic, so no numpy warning comes first."""
         surf = skewed_danger_cylinder(sc1_triangle, SharingLabel.POINT_A)
-        verts, faces = skew_mesh(surf, n=32)
-        for f in faces:
-            assert len(f) == 3
-            assert all(1 <= idx <= len(verts) for idx in f)
-            assert len(set(f)) == 3
+        bounds = [0.0, 1.0, 0.0, 1.0]
+        bounds[slot] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                skew_mesh(surf, bounds=tuple(bounds), n=10)
 
     def test_boundary_vertices_sit_on_cylinder(self, sc1_triangle):
         # z = 0 mesh vertices are the danger-cylinder circle (or the y = 0 line)
