@@ -34,8 +34,10 @@ def _record(cls):
     skip the stores, but it copies the keys into a table of the instance's
     own, ~30% more memory per scene. It builds ControlTriangle,
     CanonicalFrame, ViewAngles, scenes.Scene, RatioPair, SolutionTriplet, the
-    solver's Solution and SolutionSet, and sharing's PairClassification,
-    FamilyReport and CompanionReport. ViewAngles and SolutionTriplet have a
+    solver's Solution and SolutionSet, sharing's PairClassification,
+    FamilyReport and CompanionReport, and loci's DangerCylinder,
+    VerticalPlane, SkewedDangerCylinder and SampleRegion (the campaigns' one
+    per locus draw). ViewAngles and SolutionTriplet have a
     __post_init__: its checks run on the stored fields before the builder
     returns, so a record that fails them is never handed out. The
     instance is what __init__ would build: the same fields, repr,

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SamplingFailureError
-from .geometry import CanonicalFrame, ControlTriangle, canonical_frame
+from .geometry import CanonicalFrame, ControlTriangle, _record, canonical_frame
 from .sharing import SharingLabel, relabel_triangle
 
 
@@ -31,12 +31,15 @@ class DangerCylinder:
         return math.sqrt(self.radius_squared)
 
 
+_new_cylinder = _record(DangerCylinder)
+
+
 def danger_cylinder(frame: CanonicalFrame) -> DangerCylinder:
     a, e, f = frame.a, frame.e, frame.f
     cx = a / 2.0
     cy = (e * e - a * e + f * f) / (2.0 * f)
     r2 = (e * e + f * f) * ((a - e) ** 2 + f * f) / (4.0 * f * f)
-    return DangerCylinder(frame=frame, center=(cx, cy), radius_squared=r2)
+    return _new_cylinder(frame, (cx, cy), r2)
 
 
 def cylinder_membership(cyl: DangerCylinder, O) -> float:
@@ -56,6 +59,9 @@ class VerticalPlane:
     normal: np.ndarray  # unit horizontal normal, canonical coordinates
 
 
+_new_plane = _record(VerticalPlane)
+
+
 def vertical_plane(frame: CanonicalFrame, label: SharingLabel) -> VerticalPlane:
     """pi1 holds the altitude from A (label SIDE_BC), pi2 from B, pi3 from C."""
     a, e, f = frame.a, frame.e, frame.f
@@ -70,7 +76,7 @@ def vertical_plane(frame: CanonicalFrame, label: SharingLabel) -> VerticalPlane:
         point = np.array([a, 0.0, 0.0])
         n = np.array([e, f, 0.0])
     n = n / math.sqrt(n.dot(n))
-    return VerticalPlane(label=label, frame=frame, point=point, normal=n)
+    return _new_plane(label, frame, point, n)
 
 
 def plane_membership(plane: VerticalPlane, O) -> float:
@@ -98,11 +104,14 @@ class SkewedDangerCylinder:
         return danger_cylinder(self.frame)
 
 
+_new_skew = _record(SkewedDangerCylinder)
+
+
 def skewed_danger_cylinder(tri: ControlTriangle,
                            label: SharingLabel = SharingLabel.POINT_A
                            ) -> SkewedDangerCylinder:
     frame = canonical_frame(relabel_triangle(tri, label.shift))
-    return SkewedDangerCylinder(label=label, frame=frame)
+    return _new_skew(label, frame)
 
 
 def _skew_terms(surf: SkewedDangerCylinder, p) -> tuple[float, float]:
@@ -145,6 +154,9 @@ class SampleRegion:
     z_max: float = 2.5
     min_abs_z: float = 0.1
     max_rejects: int = 10000
+
+
+_new_region = _record(SampleRegion)
 
 
 def sample_locus(locus, rng: np.random.Generator,

@@ -14,8 +14,9 @@ from .errors import (DegenerateAngleError, DegenerateInputError,
                      DegeneratePencilError, GenerationFailureError,
                      SamplingFailureError)
 from .geometry import (ControlTriangle, RatioPair, SolutionTriplet, ViewAngles,
-                       _record, canonical_frame, cocyclic_degeneracy,
-                       interior_angles, view_angles_from_center)
+                       _new_triplet, _record, canonical_frame,
+                       cocyclic_degeneracy, interior_angles,
+                       view_angles_from_center)
 from .sharing import SharingLabel
 
 
@@ -70,8 +71,23 @@ def scene_from_center(tri: ControlTriangle, O, seed=None) -> Scene:
 def _scene_at(tri: ControlTriangle, O,
               seed: int | None = None) -> Scene | None:
     """The scene seen from O; None inside a degeneracy clearance of
-    SceneConfig()."""
-    if cocyclic_degeneracy(tri, O) < _CONFIG.cocyclic_min:
+    SceneConfig(). tri's vertices must have z = 0, as random_scene builds
+    them.
+
+    Then |O_z| bounds cocyclic_degeneracy(tri, O) from below, so the
+    cocyclic test runs only where |O_z| < cocyclic_min. The cross product n
+    of two edges is (+-0, +-0, n2); area2 = sqrt(fl(n2^2)) = |n2|, so the
+    frame's third row is (+-0, +-0, +-1) and its translation's z is
+    -(that row . B) = +-0. to_canonical(O)[2] is then +-O_z exactly, and
+    the degeneracy, hypot(..., O_z), is at least |O_z|. Random scenes have
+    |O_z| >= 0.15 (SceneConfig.z_range); locus scenes have a canonical
+    |z|, which is |O_z| by the same rows, of at least
+    SampleRegion.min_abs_z = 0.1 (_locus_draw). So the bound never binds on
+    campaign or random scenes; it binds on hand-made centres within 1e-3 of
+    the triangle's plane (tests/test_tolerances.py, TestSceneGates).
+    """
+    if abs(O[2]) < _CONFIG.cocyclic_min \
+            and cocyclic_degeneracy(tri, O) < _CONFIG.cocyclic_min:
         return None
     try:
         scene = scene_from_center(tri, O, seed)
@@ -101,11 +117,13 @@ def random_scene(rng: np.random.Generator, *,
         if tri.a < min_side or tri.b < min_side or tri.c < min_side \
                 or 0.5 * tri.area2 < min_area:
             continue
-        z = loci.uniform(rng, z0, z1)
-        if rng.random() < 0.5:
+        # z, its sign, x and y, each uniform loci.uniform's lo + (hi - lo) * u:
+        # rng.random(4) gives the values and end state of four scalar draws
+        uz, sign, ux, uy = rng.random(4).tolist()
+        z = z0 + (z1 - z0) * uz
+        if sign < 0.5:
             z = -z
-        O = np.array([loci.uniform(rng, -xy, xy), loci.uniform(rng, -xy, xy),
-                      z])
+        O = np.array([-xy + (xy - -xy) * ux, -xy + (xy - -xy) * uy, z])
         scene = _scene_at(tri, O, seed)
         if scene is not None:
             return scene
@@ -337,13 +355,15 @@ def brute_force_solutions(sides, angles: ViewAngles,
 
 def true_triplet(scene: Scene) -> SolutionTriplet:
     """Distances from the scene center: the ground-truth solution."""
-    rays = [p - scene.center for p in scene.triangle.points]
-    return SolutionTriplet(*(math.sqrt(r.dot(r)) for r in rays))
+    tri, O = scene.triangle, scene.center
+    rA, rB, rC = tri.A - O, tri.B - O, tri.C - O
+    return _new_triplet(math.sqrt(rA.dot(rA)), math.sqrt(rB.dot(rB)),
+                        math.sqrt(rC.dot(rC)))
 
 
 # ---------------------------------------------------------------------------
 # campaigns: one forward loop (_trials) over scenes from one locus sampler
-# (_locus_scene) and one solve-or-skip (_solved), plus one converse scan
+# (_locus_draw) and one solve-or-skip (_solved), plus one converse scan
 # (_converse) and one mate check (_mate_check)
 
 
@@ -381,7 +401,10 @@ class CampaignReport:
 
 
 def _trial_rngs(seed: int, n: int):
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+    """One generator per trial, from the n children of SeedSequence(seed):
+    Generator(PCG64(s)) is what default_rng(s) builds, in the same state."""
+    return [np.random.Generator(np.random.PCG64(s))
+            for s in np.random.SeedSequence(seed).spawn(n)]
 
 
 #: _CYL_CLEARANCE bounds a sharing-locus center's distance from the danger
@@ -420,39 +443,55 @@ def _locus_scene(rng, label: SharingLabel | None,
     condition of the label and a strictly positive mate of the true
     solution. None when the rejection budget runs out.
     """
+    drawn = _locus_draw(rng, label, require_condition, require_positive_mate)
+    return None if drawn is None else drawn[0]
+
+
+def _locus_draw(rng, label: SharingLabel | None,
+                require_condition: bool = True,
+                require_positive_mate: bool = False):
+    """(scene, locus) of _locus_scene: its scene and the locus its center
+    was sampled on, or None; the campaigns test membership on that locus
+    rather than build it again."""
+    z_clear = _CYLINDER_Z_CLEARANCE if label is None else _Z_CLEARANCE
+    # SampleRegion's defaults: the floor of |z|, a length, and the budget
+    min_abs_z, budget = (loci.SampleRegion.min_abs_z,
+                         loci.SampleRegion.max_rejects)
     for _ in range(200):
         tri = random_scene(rng).triangle
+        scale = tri.scale
         cyl = loci.danger_cylinder(canonical_frame(tri))
-        z_clear = _CYLINDER_Z_CLEARANCE if label is None else _Z_CLEARANCE
-        region = loci.SampleRegion(
-            xy_half_extent=1.5 * tri.scale, z_max=2.0 * tri.scale,
-            min_abs_z=max(loci.SampleRegion.min_abs_z, z_clear * tri.scale))
+        region = loci._new_region(1.5 * scale, 2.0 * scale,
+                                  max(min_abs_z, z_clear * scale), budget)
         locus = cyl if label is None else loci.sharing_locus(tri, label)
         try:
             O = loci.sample_locus(locus, rng, region)
         except SamplingFailureError:
             continue
         if label is not None and abs(loci.cylinder_membership(cyl, O)) \
-                < _CYL_CLEARANCE * tri.scale:
+                < _CYL_CLEARANCE * scale:
             continue
         scene = _scene_at(tri, O)
         if scene is None or label is not None and (
                 (require_condition
                  and not sharing.mate_condition(tri, scene.angles, label))
-                or (require_positive_mate and not _mate_positive(scene, label))):
+                or (require_positive_mate and not _mate_positive(
+                    true_triplet(scene), scene.angles, label))):
             continue
-        return scene
+        return scene, locus
     return None
 
 
-def _mate_positive(scene: Scene, label: SharingLabel) -> bool:
-    """Whether the true solution's mate has positive distances, which the
-    angle-form mate condition does not guarantee in obtuse configurations."""
-    s = sharing.relabel_triplet(true_triplet(scene), label.shift)
-    _, cb, cg = sharing.cycle3(scene.angles.cosines, label.shift)
+def _mate_positive(truth: SolutionTriplet, angles: ViewAngles,
+                   label: SharingLabel) -> bool:
+    """Whether the mate of the true solution (true_triplet) has positive
+    distances, which the angle-form mate condition does not guarantee in
+    obtuse configurations."""
+    s1, s2, s3 = sharing.cycle3(truth.values, label.shift)
+    _, cb, cg = sharing.cycle3(angles.cosines, label.shift)
     if label.kind == "side":
-        return 2.0 * cg * s.s2 - s.s1 > 0.0
-    return 2.0 * cg * s.s1 - s.s2 > 0.0 and 2.0 * cb * s.s1 - s.s3 > 0.0
+        return 2.0 * cg * s2 - s1 > 0.0
+    return 2.0 * cg * s1 - s2 > 0.0 and 2.0 * cb * s1 - s3 > 0.0
 
 
 def _solved(scene: Scene, cluster_tol: float = conics.CLUSTER_TOL):
@@ -466,21 +505,23 @@ def _solved(scene: Scene, cluster_tol: float = conics.CLUSTER_TOL):
 
 def _trials(rep: CampaignReport, seed: int, labels, sample, solve=True,
             cluster_tol: float = conics.CLUSTER_TOL):
-    """The forward loop: (t, label, scene, solution set) per usable trial.
+    """The forward loop: (t, label, (scene, locus), solution set) per
+    usable trial.
 
-    Trial t draws its scene by sample(rng, labels[t % len(labels)]). A
-    trial whose scene cannot be drawn or, with solve, cannot be solved
-    counts as skipped; without solve the solution set is None.
+    Trial t draws its scene, and the locus of its center or None, by
+    sample(rng, labels[t % len(labels)]), as _locus_draw does. A trial
+    whose scene cannot be drawn or, with solve, cannot be solved counts as
+    skipped; without solve the solution set is None.
     """
     for t, rng in enumerate(_trial_rngs(seed, rep.trials)):
         label = labels[t % len(labels)]
-        scene = sample(rng, label)
-        sol = _solved(scene, cluster_tol) \
-            if solve and scene is not None else None
-        if scene is None or solve and sol is None:
+        drawn = sample(rng, label)
+        sol = _solved(drawn[0], cluster_tol) \
+            if solve and drawn is not None else None
+        if drawn is None or solve and sol is None:
             rep.skipped += 1
         else:
-            yield t, label, scene, sol
+            yield t, label, drawn, sol
 
 
 def _converse(rep: CampaignReport, seed: int, n: int, offenders,
@@ -504,8 +545,8 @@ def _converse(rep: CampaignReport, seed: int, n: int, offenders,
 
 def _campaign_sharing_nsc(labels, rep: CampaignReport, tol: float, seed: int,
                           nconv: int):
-    sample = partial(_locus_scene, require_positive_mate=True)
-    for t, label, scene, sol in _trials(rep, seed, labels, sample):
+    sample = partial(_locus_draw, require_positive_mate=True)
+    for t, label, (scene, locus), sol in _trials(rep, seed, labels, sample):
         cls = sharing.classify_solution_set(sol, scene.triangle,
                                             scene.angles, tol=tol)
         hit = [p for p in cls.pairs if p[2] == label]
@@ -514,7 +555,6 @@ def _campaign_sharing_nsc(labels, rep: CampaignReport, tol: float, seed: int,
             continue
         i, j, _, resid = min(hit, key=lambda p: p[3])
         # both mirror centers of every pair member must sit on the locus
-        locus = loci.sharing_locus(scene.triangle, label)
         off = any(abs(loci.membership(locus, O)) > _LOCUS_TOL * scene.scale
                   for idx in (i, j)
                   for O in solver.recover_centers(sol.solutions[idx].triplet,
@@ -583,8 +623,8 @@ def _distinct_quartic_roots(scene: Scene, gap: float) -> int:
 
 def _campaign_danger_repeat(rep: CampaignReport, tol: float, seed: int,
                             nconv: int):
-    for t, _, scene, sol in _trials(rep, seed, (None,), _locus_scene,
-                                    cluster_tol=_REPEAT_GAP):
+    for t, _, (scene, _), sol in _trials(rep, seed, (None,), _locus_draw,
+                                         cluster_tol=_REPEAT_GAP):
         has_double = any(s.repeated for s in sol.solutions)
         # one coincidence degenerates the quartic's 4 roots to 3 distinct
         # (over the complex numbers: the untouched pair may be conjugate)
@@ -618,8 +658,8 @@ _COMPANION_TOL = 1e-9
 def _campaign_companion(rep: CampaignReport, tol: float, seed: int,
                         nconv: int):
     four = with_pairs = 0
-    sample = lambda rng, _: random_scene(rng)
-    for t, _, scene, sol in _trials(rep, seed, (None,), sample):
+    sample = lambda rng, _: (random_scene(rng), None)
+    for t, _, (scene, _), sol in _trials(rep, seed, (None,), sample):
         if sol.count != 4:
             rep.skipped += 1
             continue
@@ -669,15 +709,15 @@ def _mate_check(scene: Scene, s: SolutionTriplet, mate: SolutionTriplet,
 def _campaign_construct_side(rep: CampaignReport, tol: float, seed: int,
                              nconv: int):
     angle_cond_no_mate = 0
-    for t, label, scene, _ in _trials(rep, seed, sharing.SIDE_LABELS,
-                                      _locus_scene, solve=False):
+    for t, label, (scene, _), _ in _trials(rep, seed, sharing.SIDE_LABELS,
+                                           _locus_draw, solve=False):
         s = true_triplet(scene)
         # exact positivity of the reflected distance decides mate emission;
         # the angle-form condition can disagree in obtuse configurations,
         # which is tracked separately
         mate = sharing.construct_mate(s, scene.triangle, scene.angles, label,
                                       line_tol=tol)
-        if (mate is not None) != _mate_positive(scene, label):
+        if (mate is not None) != _mate_positive(s, scene.angles, label):
             rep.record(False, t, "mate emission disagrees with positivity")
         elif mate is None:
             angle_cond_no_mate += 1
@@ -699,9 +739,9 @@ _DEAD_BAND = 1e-9
 def _campaign_construct_point(rep: CampaignReport, tol: float, seed: int,
                               nconv: int):
     equiv_checked = componentwise_mismatch = 0
-    sample = partial(_locus_scene, require_condition=False)
-    for t, label, scene, sol in _trials(rep, seed, sharing.POINT_LABELS,
-                                        sample):
+    sample = partial(_locus_draw, require_condition=False)
+    for t, label, (scene, _), sol in _trials(rep, seed, sharing.POINT_LABELS,
+                                             sample):
         tri = scene.triangle
         reason = ""
         # the angle-form and distance-form mate conditions must agree jointly
@@ -775,5 +815,7 @@ def verify_theorem(theorem_id: str, trials: int | None = None,
     rep = CampaignReport(theorem_id=theorem_id, trials=trials)
     campaign(rep, tol, seed, nconv)
     rep.wall_time = time.perf_counter() - t0
-    rep.failures.sort(key=lambda f: str(f[0]))
+    # forward trials by number, then converse trials ("converse", t) by t
+    rep.failures.sort(key=lambda f: (1, f[0][1]) if isinstance(f[0], tuple)
+                      else (0, f[0]))
     return rep

@@ -137,6 +137,11 @@ ANALYZE_STDOUT_SHA256 = {
         "148be17040755c85e572392dbca5c4eb37e919b152b3c3a334ee08e8475e1a35",
 }
 
+#: sha256 of the stdout of `p3pshare verify all --trials 12` (the default
+#: seed 0), with its `wall time:` lines removed: TestVerify.test_stdout_bytes
+VERIFY_ALL_STDOUT_SHA256 = \
+    "b257a8aeef123250209d099d73357b4d2db74689326498009a1fca5ed9f46b88"
+
 
 class TestAnalyze:
     def test_eq1_reports_pairs_and_loci(self, eq1_scene_path, capsys):
@@ -212,6 +217,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("theorem ") == len(scenes.THEOREM_IDS)
 
+    def test_stdout_bytes(self, capsys):
+        """Every campaign's counts, details, residuals and failures at the
+        CLI's default seed, byte for byte, without the wall times."""
+        assert main(["verify", "all", "--trials", "12"]) == EXIT_OK
+        out = "".join(line for line in
+                      capsys.readouterr().out.splitlines(keepends=True)
+                      if not line.startswith("wall time:"))
+        assert out.count("theorem ") == len(scenes.THEOREM_IDS)
+        assert hashlib.sha256(out.encode()).hexdigest() \
+            == VERIFY_ALL_STDOUT_SHA256
+
     @pytest.fixture
     def counts_seen(self, monkeypatch):
         """Replace every campaign by one that only records its counts."""
@@ -246,6 +262,27 @@ class TestVerify:
         monkeypatch.setitem(scenes._CAMPAIGNS, "companion", (fail, *plan))
         assert main(["verify", "all", "--trials", "2"]) == EXIT_CAMPAIGN_FAIL
         assert "FAIL trial 0: injected" in capsys.readouterr().out
+
+    def test_failures_in_trial_order(self, monkeypatch, capsys):
+        """Forward trials by number, then converse trials by number: trial
+        10 after trial 9, and every converse failure after the forward
+        ones, whatever order the campaign records them in."""
+        def fail(rep, tol, seed, nconv):
+            for t in (("converse", 3), 10, ("converse", 1), 2):
+                rep.failures.append((t, "injected"))
+
+        _, *plan = scenes._CAMPAIGNS["companion"]
+        monkeypatch.setitem(scenes._CAMPAIGNS, "companion", (fail, *plan))
+        rep = scenes.verify_theorem("companion", trials=12)
+        assert [s for s, _ in rep.failures] \
+            == [2, 10, ("converse", 1), ("converse", 3)]
+        assert main(["verify", "companion", "--trials", "12"]) \
+            == EXIT_CAMPAIGN_FAIL
+        printed = [line.split(":")[0] for line in
+                   capsys.readouterr().out.splitlines() if "FAIL" in line]
+        assert printed == ["  FAIL trial 2", "  FAIL trial 10",
+                           "  FAIL trial ('converse', 1)",
+                           "  FAIL trial ('converse', 3)"]
 
     @pytest.mark.parametrize("flag, value", [
         ("--trials", "0"), ("--trials", "-3"), ("--trials", "two"),

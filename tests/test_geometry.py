@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from p3pshare.errors import DegenerateAngleError, DegenerateInputError
@@ -112,6 +112,14 @@ _EDGE_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                      1e300, -1e300, 1.0, -1.0]))
 _VEC3 = st.tuples(_EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS)
+
+
+#: vertex coordinates of a triangle in the plane z = 0: normal floats and
+#: zeros, small enough that no squared side or cross product overflows
+_PLANE_COORD = st.floats(-1e60, 1e60, allow_nan=False, allow_infinity=False,
+                         allow_subnormal=False)
+#: any finite centre coordinate of that size, subnormals included
+_CENTRE_COORD = st.floats(-1e60, 1e60, allow_nan=False, allow_infinity=False)
 
 
 class TestCross:
@@ -254,6 +262,29 @@ class TestCocyclicDegeneracy:
         cx, cy, r = circumcircle_2d(frame)
         O = frame.to_world(np.array([cx + r, cy, 0.7]))
         assert cocyclic_degeneracy(sc1_triangle, O) == pytest.approx(0.7, abs=1e-12)
+
+    @settings(max_examples=400, deadline=None)
+    @given(xy=st.lists(_PLANE_COORD, min_size=6, max_size=6),
+           O=st.tuples(_CENTRE_COORD, _CENTRE_COORD, _CENTRE_COORD))
+    def test_height_bounds_it_in_the_plane_z_0(self, xy, O):
+        """For vertices with z = 0, the frame's third row is (+-0, +-0,
+        +-1) and its translation's z +-0, so the canonical z of O is +-O_z
+        bit for bit and the degeneracy is at least |O_z|: the bound by
+        which scenes._scene_at skips the test."""
+        x0, y0, x1, y1, x2, y2 = xy
+        try:
+            tri = ControlTriangle.from_points((x0, y0, 0.0), (x1, y1, 0.0),
+                                              (x2, y2, 0.0))
+        except DegenerateInputError:
+            assume(False)
+        assume(tri.area2 > 1e-150)  # its square, n2^2, in the normal range
+        frame = tri.frame
+        assert [abs(x) for x in frame.rotation[2].tolist()] == [0.0, 0.0, 1.0]
+        assert frame.translation[2] == 0.0
+        O = np.array(O)
+        z = frame.to_canonical(O)[2]
+        assert abs(z).hex() == abs(O[2]).hex()
+        assert cocyclic_degeneracy(tri, O) >= abs(O[2])
 
 
 class TestSolutionTriplet:

@@ -1,9 +1,11 @@
 """Danger cylinder, vertical planes, skew surfaces, sampling, meshing."""
 
 import bisect
+import dataclasses
 import hashlib
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -68,6 +70,40 @@ def draw_record(verts, faces) -> dict:
                 np.ascontiguousarray(verts, dtype=float).tobytes()).hexdigest(),
             "face_sha256": hashlib.sha256(np.asarray(
                 faces, dtype=np.int32).reshape(-1, 3).tobytes()).hexdigest()}
+
+
+class TestLocusRecords:
+    """The loci's records are built without their dataclass __init__
+    (geometry._record); each is what that __init__ would build."""
+
+    def records(self, tri):
+        frame = canonical_frame(tri)
+        return [danger_cylinder(frame),
+                *(vertical_plane(frame, lab) for lab in SIDE_LABELS),
+                *(skewed_danger_cylinder(tri, lab) for lab in POINT_LABELS),
+                loci._new_region(1.5, 2.0, 0.25, 100)]
+
+    def test_each_is_its_twin(self, sc1_triangle):
+        for obj in self.records(sc1_triangle):
+            fields = dataclasses.fields(obj)
+            twin = type(obj)(**{f.name: getattr(obj, f.name) for f in fields})
+            for f in fields:
+                assert getattr(obj, f.name) is getattr(twin, f.name)
+            assert repr(obj) == repr(twin)
+            assert list(vars(obj)) == [f.name for f in fields]
+            assert sys.getsizeof(vars(obj)) == sys.getsizeof(vars(twin))
+            if isinstance(obj, SampleRegion):  # eq=True: by value
+                assert obj == twin and hash(obj) == hash(twin)
+            else:
+                assert obj != twin and hash(obj) == object.__hash__(obj)
+            for f in fields:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, f.name, 1.0)
+
+    def test_skew_surface_caches_its_cylinder(self, sc1_triangle):
+        surf = skewed_danger_cylinder(sc1_triangle, SharingLabel.POINT_B)
+        assert surf.cylinder is surf.cylinder
+        assert surf.cylinder.frame is surf.frame
 
 
 class TestDangerCylinder:

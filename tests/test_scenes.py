@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from p3pshare import conics
+from p3pshare import conics, loci
 from p3pshare.conics import NEWTON_STOP, Conic, build_conics
 from p3pshare.geometry import ViewAngles
+from p3pshare.sharing import POINT_LABELS, SIDE_LABELS
 from p3pshare.scenes import (_BOX_CELLS, _MERGE_TOL, GridConfig, SceneConfig,
                              _box_tables, _candidate_cells, _centred,
-                             _grid_tables, _locus_scene, _merge, _trial_rngs,
+                             _grid_tables, _locus_draw, _locus_scene, _merge,
+                             _trial_rngs,
                              brute_force_solutions, random_scene,
                              scene_from_center, true_triplet, verify_theorem,
                              THEOREM_IDS)
@@ -466,6 +468,47 @@ class TestBoxTables:
         assert nodes.tobytes() == want_nodes.tobytes()
         assert _grid_tables(GridConfig(n=200))[1][1] is nodes
         assert not t.flags.writeable
+
+
+class TestTrialDraws:
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 + 3])
+    def test_generators_are_default_rngs(self, seed):
+        """Each trial generator is in the state default_rng gives the
+        trial's child of SeedSequence(seed)."""
+        kids = np.random.SeedSequence(seed).spawn(6)
+        rngs = _trial_rngs(seed, 6)
+        assert len(rngs) == 6
+        for rng, kid in zip(rngs, kids):
+            assert type(rng) is np.random.Generator
+            assert rng.bit_generator.state \
+                == np.random.default_rng(kid).bit_generator.state
+
+    def test_locus_draw_hands_the_sampled_locus(self):
+        """_locus_draw draws _locus_scene's scene, and its locus is the one
+        that loci builds for the scene's triangle, with the same bits."""
+        labels = (None, *SIDE_LABELS, *POINT_LABELS)
+        for t, (r1, r2) in enumerate(zip(_trial_rngs(97, 21),
+                                         _trial_rngs(97, 21))):
+            label = labels[t % len(labels)]
+            scene, locus = _locus_draw(r1, label)
+            again = _locus_scene(r2, label)
+            assert r1.bit_generator.state == r2.bit_generator.state
+            assert again.center.tobytes() == scene.center.tobytes()
+            tri = scene.triangle
+            assert np.array(again.triangle.points).tobytes() \
+                == np.array(tri.points).tobytes()
+            if label is None:
+                fresh = loci.danger_cylinder(tri.frame)
+                assert locus.frame is tri.frame
+                assert (locus.center, locus.radius_squared) \
+                    == (fresh.center, fresh.radius_squared)
+                continue
+            fresh = loci.sharing_locus(tri, label)
+            assert type(locus) is type(fresh) and locus.label is label
+            assert locus.frame.rotation.tobytes() \
+                == fresh.frame.rotation.tobytes()
+            assert loci.membership(locus, scene.center).hex() \
+                == loci.membership(fresh, scene.center).hex()
 
 
 class TestVerifyTheorem:
