@@ -294,10 +294,15 @@ def view_angles_from_center(tri: ControlTriangle, O) -> ViewAngles:
 def cocyclic_degeneracy(tri: ControlTriangle, O) -> float:
     """Distance of O from the circumcircle of ABC (in-plane and out-of-plane).
 
-    Zero iff O lies on the circumcircle within the base plane.
+    Zero iff O lies on the circumcircle within the base plane. A nan or
+    infinite O raises DegenerateInputError before the frame map, where
+    inf * 0 would make nan.
     """
+    O = _as_point(O)
+    if not all(map(math.isfinite, O.tolist())):
+        raise DegenerateInputError("optical center not finite")
     frame = tri.frame
-    x, y, z = frame.to_canonical(O).tolist()
+    x, y, z = (frame.rotation.dot(O) + frame.translation).tolist()
     cx, cy, r = circumcircle_2d(frame)
     return math.hypot(math.hypot(x - cx, y - cy) - r, z)
 

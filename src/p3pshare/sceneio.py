@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from math import isfinite
 
 import numpy as np
@@ -17,40 +18,35 @@ from .errors import SceneParseError
 from .geometry import ControlTriangle, ViewAngles
 
 
-def _finite_floats(value, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """value as _finite_array returns it, in one Python pass when value is
-    nested lists of the shape with a finite float at every entry, as
-    serialize_scene writes them: np.array then makes the array that
-    np.asarray(value, dtype=float) makes. Any other value goes to
-    _finite_array, which raises its errors."""
-    if type(value) is list and len(value) == shape[0]:
-        flat = [] if len(shape) == 2 else value
-        for row in value if len(shape) == 2 else ():
-            if type(row) is not list or len(row) != shape[1]:
-                return _finite_array(value, shape, what)
-            flat += row
-        for x in flat:
-            if type(x) is not float or not isfinite(x):
-                return _finite_array(value, shape, what)
-        return np.array(value)
-    return _finite_array(value, shape, what)
+#: the largest float: an integer entry beyond it is not finite
+_FLOAT_MAX = sys.float_info.max
+
+
+def _not_finite(what: str, shape: tuple[int, ...]) -> SceneParseError:
+    return SceneParseError(f"{what} must be finite numbers of shape {shape}")
 
 
 def _finite_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """value as a float array of the given shape with finite entries, each a
-    JSON number: numpy would also convert numeric strings and booleans."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SceneParseError(f"{what} must be numeric: {exc}") from exc
-    if arr.shape != shape or not np.isfinite(arr).all():
-        raise SceneParseError(f"{what} must be finite numbers of shape {shape}")
-    # the shape holds, so value is nested lists of exactly arr.size entries
-    for x in value if len(shape) == 1 else [x for row in value for x in row]:
-        if type(x) is not float and type(x) is not int:  # bool is an int
-            raise SceneParseError(f"{what} must be numeric: {x!r} is not "
-                                  "a number")
-    return arr
+    """value as a float array of the given shape, (3,) or (3, 3): nested
+    lists of that shape with a finite JSON number at every entry. numpy
+    would also convert numeric strings and booleans, and raise
+    OverflowError on an integer too large for a float."""
+    if type(value) is not list or len(value) != shape[0]:
+        raise _not_finite(what, shape)
+    for row in value if len(shape) == 2 else [value]:
+        if type(row) is not list or len(row) != shape[-1]:
+            raise _not_finite(what, shape)
+        for x in row:
+            if type(x) is float:
+                if isfinite(x):
+                    continue
+            elif type(x) is not int:  # bool is an int
+                raise SceneParseError(f"{what} must be numeric: {x!r} is "
+                                      "not a number")
+            elif -_FLOAT_MAX <= x <= _FLOAT_MAX:  # exact for any int
+                continue
+            raise _not_finite(what, shape)
+    return np.array(value, dtype=float)
 
 
 def parse_scene(text: str):
@@ -69,7 +65,7 @@ def parse_scene(text: str):
         pts = doc["controlPoints"]
     except KeyError:
         raise SceneParseError("missing controlPoints")
-    pts = _finite_floats(pts, (3, 3), "controlPoints")
+    pts = _finite_array(pts, (3, 3), "controlPoints")
     has_center = "opticalCenter" in doc
     has_cos = "subtendedAngleCosines" in doc
     if has_center == has_cos:
@@ -79,10 +75,10 @@ def parse_scene(text: str):
     center = None
     angles = None
     if has_center:
-        center = _finite_floats(doc["opticalCenter"], (3,), "opticalCenter")
+        center = _finite_array(doc["opticalCenter"], (3,), "opticalCenter")
     else:
-        cs = _finite_floats(doc["subtendedAngleCosines"], (3,),
-                            "subtendedAngleCosines")
+        cs = _finite_array(doc["subtendedAngleCosines"], (3,),
+                           "subtendedAngleCosines")
         angles = ViewAngles(*cs.tolist())
     return tri, center, angles, doc.get("label")
 

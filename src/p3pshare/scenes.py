@@ -12,7 +12,7 @@ import numpy as np
 from . import conics, loci, sharing, solver
 from .errors import (DegenerateAngleError, DegenerateInputError,
                      DegeneratePencilError, GenerationFailureError,
-                     SamplingFailureError)
+                     NotOnConstraintLineError, SamplingFailureError)
 from .geometry import (ControlTriangle, RatioPair, SolutionTriplet, ViewAngles,
                        _new_triplet, _record, canonical_frame,
                        cocyclic_degeneracy, interior_angles,
@@ -20,31 +20,27 @@ from .geometry import (ControlTriangle, RatioPair, SolutionTriplet, ViewAngles,
 from .sharing import SharingLabel
 
 
-@dataclass(frozen=True)
 class SceneConfig:
-    """Bounds and degeneracy clearances for random scene generation."""
+    """Bounds and degeneracy clearances for random scene generation:
+    constants, read as SceneConfig.<name>."""
 
-    vertex_half_extent: float = 1.5
-    min_area: float = 0.2
-    min_side: float = 0.4
-    center_xy: float = 2.0
-    z_range: tuple[float, float] = (0.15, 2.5)
+    vertex_half_extent = 1.5
+    min_area = 0.2
+    min_side = 0.4
+    center_xy = 2.0
+    z_range = (0.15, 2.5)
     # the three clearances: values unexplained, and tests/test_tolerances.py
     # catches each at x10 and x0.1
     #: |cos| of every subtended angle below 1 - cos_margin, absolute: angles
     #: 1.4e-3 rad or more from 0 and pi
-    cos_margin: float = 1e-6
+    cos_margin = 1e-6
     #: |cos beta| and |cos gamma| above it, absolute: the point lines divide
     #: by them
-    cos_bg_min: float = 1e-3
+    cos_bg_min = 1e-3
     #: O at least this far from the control points' circumcircle, an absolute
     #: length: on it the conic pencil is degenerate
-    cocyclic_min: float = 1e-3
-    max_rejects: int = 2000
-
-
-#: the one configuration that random_scene and the campaigns read
-_CONFIG = SceneConfig()
+    cocyclic_min = 1e-3
+    max_rejects = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +48,6 @@ class Scene:
     triangle: ControlTriangle
     center: np.ndarray
     angles: ViewAngles
-    seed: int | None = None
 
     @property
     def scale(self) -> float:
@@ -62,16 +57,15 @@ class Scene:
 _new_scene = _record(Scene)
 
 
-def scene_from_center(tri: ControlTriangle, O, seed=None) -> Scene:
+def scene_from_center(tri: ControlTriangle, O) -> Scene:
     O = np.asarray(O, dtype=float)
     return _new_scene(triangle=tri, center=O,
-                      angles=view_angles_from_center(tri, O), seed=seed)
+                      angles=view_angles_from_center(tri, O))
 
 
-def _scene_at(tri: ControlTriangle, O,
-              seed: int | None = None) -> Scene | None:
+def _scene_at(tri: ControlTriangle, O) -> Scene | None:
     """The scene seen from O; None inside a degeneracy clearance of
-    SceneConfig(). tri's vertices must have z = 0, as random_scene builds
+    SceneConfig. tri's vertices must have z = 0, as random_scene builds
     them.
 
     Then |O_z| bounds cocyclic_degeneracy(tri, O) from below, so the
@@ -86,28 +80,28 @@ def _scene_at(tri: ControlTriangle, O,
     campaign or random scenes; it binds on hand-made centres within 1e-3 of
     the triangle's plane (tests/test_tolerances.py, TestSceneGates).
     """
-    if abs(O[2]) < _CONFIG.cocyclic_min \
-            and cocyclic_degeneracy(tri, O) < _CONFIG.cocyclic_min:
+    if abs(O[2]) < SceneConfig.cocyclic_min \
+            and cocyclic_degeneracy(tri, O) < SceneConfig.cocyclic_min:
         return None
     try:
-        scene = scene_from_center(tri, O, seed)
+        scene = scene_from_center(tri, O)
     except (DegenerateInputError, DegenerateAngleError):
         return None
-    va, edge, bg = scene.angles, 1.0 - _CONFIG.cos_margin, _CONFIG.cos_bg_min
+    va, edge = scene.angles, 1.0 - SceneConfig.cos_margin
+    bg = SceneConfig.cos_bg_min
     ca, cb, cg = abs(va.cos_alpha), abs(va.cos_beta), abs(va.cos_gamma)
     if ca >= edge or cb >= edge or cg >= edge or cb <= bg or cg <= bg:
         return None
     return scene
 
 
-def random_scene(rng: np.random.Generator, *,
-                 seed: int | None = None) -> Scene:
+def random_scene(rng: np.random.Generator) -> Scene:
     """A non-degenerate scene within the bounds and clearances of
-    SceneConfig(); deterministic given the generator state."""
-    z0, z1 = _CONFIG.z_range
-    h, xy = _CONFIG.vertex_half_extent, _CONFIG.center_xy
-    min_side, min_area = _CONFIG.min_side, _CONFIG.min_area
-    for _ in range(_CONFIG.max_rejects):
+    SceneConfig; deterministic given the generator state."""
+    z0, z1 = SceneConfig.z_range
+    h, xy = SceneConfig.vertex_half_extent, SceneConfig.center_xy
+    min_side, min_area = SceneConfig.min_side, SceneConfig.min_area
+    for _ in range(SceneConfig.max_rejects):
         (x0, y0), (x1, y1), (x2, y2) = rng.uniform(-h, h, size=(3, 2)).tolist()
         try:
             tri = ControlTriangle.from_points((x0, y0, 0.0), (x1, y1, 0.0),
@@ -124,7 +118,7 @@ def random_scene(rng: np.random.Generator, *,
         if sign < 0.5:
             z = -z
         O = np.array([-xy + (xy - -xy) * ux, -xy + (xy - -xy) * uy, z])
-        scene = _scene_at(tri, O, seed)
+        scene = _scene_at(tri, O)
         if scene is not None:
             return scene
     raise GenerationFailureError("rejection budget exceeded")
@@ -432,7 +426,7 @@ _Z_CLEARANCE = 0.1
 _CYLINDER_Z_CLEARANCE = 0.15
 
 
-def _locus_scene(rng, label: SharingLabel | None,
+def _locus_scene(rng, label: SharingLabel | None, *,
                  require_condition: bool = True,
                  require_positive_mate: bool = False) -> Scene | None:
     """Scene with the center sampled on the plane/skew locus of the label,
@@ -443,11 +437,12 @@ def _locus_scene(rng, label: SharingLabel | None,
     condition of the label and a strictly positive mate of the true
     solution. None when the rejection budget runs out.
     """
-    drawn = _locus_draw(rng, label, require_condition, require_positive_mate)
+    drawn = _locus_draw(rng, label, require_condition=require_condition,
+                        require_positive_mate=require_positive_mate)
     return None if drawn is None else drawn[0]
 
 
-def _locus_draw(rng, label: SharingLabel | None,
+def _locus_draw(rng, label: SharingLabel | None, *,
                 require_condition: bool = True,
                 require_positive_mate: bool = False):
     """(scene, locus) of _locus_scene: its scene and the locus its center
@@ -533,7 +528,7 @@ def _converse(rep: CampaignReport, seed: int, n: int, offenders,
     """
     conv_found = conv_fail = 0
     for t, rng in enumerate(_trial_rngs(seed + 1, n)):
-        for reason in offenders(random_scene(rng, seed=t)) or ():
+        for reason in offenders(random_scene(rng)) or ():
             conv_found += 1
             if reason:
                 conv_fail += 1
@@ -689,21 +684,21 @@ def _mate_check(scene: Scene, s: SolutionTriplet, mate: SolutionTriplet,
                 label: SharingLabel, tol: float) -> tuple[float, str]:
     """(constraint residual, failure reason or "") of the mate of s.
 
-    The mate must solve the scene (solver.CONSTRAINT_TOL), map back to s
-    under the same construction (_MATE_INVERSE_TOL of scale) and lie on the
-    label's line (tol).
+    The mate must solve the scene (solver.CONSTRAINT_TOL), lie on the
+    label's line (tol; construct_mate raises otherwise) and map back to s
+    under the same construction (_MATE_INVERSE_TOL of scale).
     """
     tri, angles = scene.triangle, scene.angles
     res = max(abs(r) for r in solver.constraint_residuals(mate, tri.sides,
                                                           angles))
-    back = sharing.construct_mate(mate, tri, angles, label, line_tol=tol)
+    try:
+        back = sharing.construct_mate(mate, tri, angles, label, line_tol=tol)
+    except NotOnConstraintLineError:
+        return res, f"mate off the {label.kind} line"
     inv = max(abs(x - y) / scene.scale
               for x, y in zip(back.values, s.values)) if back else math.inf
-    rp = RatioPair(u=mate.s2 / mate.s1, v=mate.s3 / mate.s1)
-    on_line = abs(sharing.sharing_residual(rp, tri, angles, label))
-    ok = (res <= solver.CONSTRAINT_TOL and inv <= _MATE_INVERSE_TOL
-          and on_line <= tol)
-    return res, "" if ok else f"res={res:g} inv={inv:g} line={on_line:g}"
+    ok = res <= solver.CONSTRAINT_TOL and inv <= _MATE_INVERSE_TOL
+    return res, "" if ok else f"res={res:g} inv={inv:g}"
 
 
 def _campaign_construct_side(rep: CampaignReport, tol: float, seed: int,
@@ -743,7 +738,7 @@ def _campaign_construct_point(rep: CampaignReport, tol: float, seed: int,
     for t, label, (scene, _), sol in _trials(rep, seed, sharing.POINT_LABELS,
                                              sample):
         tri = scene.triangle
-        reason = ""
+        reason, res = "", None
         # the angle-form and distance-form mate conditions must agree jointly
         # on every on-line solution; the componentwise forms can disagree in
         # oblique configurations and are only tallied
@@ -773,8 +768,7 @@ def _campaign_construct_point(rep: CampaignReport, tol: float, seed: int,
             else:
                 res, why = _mate_check(scene, s, mate, label, tol)
                 reason = why or reason
-                rep.residuals.append(res)
-        rep.record(not reason, t, reason)
+        rep.record(not reason, t, reason, residual=res)
     rep.details.update(equivalence_checks=equiv_checked,
                        componentwise_mismatches=componentwise_mismatch)
 

@@ -15,8 +15,8 @@ from p3pshare.conics import build_conics, intersect_conics
 from p3pshare.errors import DegeneratePencilError
 from p3pshare.geometry import (RatioPair, ViewAngles, canonical_frame,
                                view_angles_from_center)
-from p3pshare.scenes import (GridConfig, SceneConfig, _locus_scene,
-                             _trial_rngs, brute_force_solutions, random_scene,
+from p3pshare.scenes import (GridConfig, _locus_scene, _trial_rngs,
+                             brute_force_solutions, random_scene,
                              true_triplet, verify_theorem)
 from p3pshare.sharing import SharingLabel
 
@@ -175,14 +175,13 @@ def test_criterion_8_companion_structure():
 
     # the random scan rarely lands exactly on a constraint line, so force
     # non-vacuity with locus-conditioned scenes that carry a detected pair
-    cfg = SceneConfig()
     conditioned = 0
     rngs = _trial_rngs(809, 200)
     for t, rng in enumerate(rngs):
         if conditioned >= 50:
             break
         label = sharing.SIDE_LABELS[t % 3]
-        sc = _locus_scene(rng, label, cfg)
+        sc = _locus_scene(rng, label)
         if sc is None:
             continue
         try:

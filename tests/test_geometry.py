@@ -211,9 +211,12 @@ class TestViewAngles:
                                    [0.0, -math.inf, 0.0]],
                              ids=["nan", "inf", "-inf"])
     def test_non_finite_center_rejected(self, eq1_triangle, O):
-        # raised before the unit rays divide inf by inf: no numpy warning
+        # raised before the unit rays divide inf by inf, and before the
+        # frame map meets inf * 0: no numpy warning
         with pytest.raises(DegenerateInputError, match="not finite"):
             view_angles_from_center(eq1_triangle, O)
+        with pytest.raises(DegenerateInputError, match="not finite"):
+            cocyclic_degeneracy(eq1_triangle, O)
 
     def test_overflowing_center_rejected(self, eq1_triangle):
         """At 1e200 the squared rays overflow: the unit rays would be 0 and
@@ -327,7 +330,8 @@ def view_record(tri, O) -> list:
         return rec
     _, cos = outcome(lambda va: _hex(va.cosines),
                      view_angles_from_center, tri, O)
-    return [rec, cos, cocyclic_degeneracy(tri, O).hex()]
+    _, degeneracy = outcome(float.hex, cocyclic_degeneracy, tri, O)
+    return [rec, cos, degeneracy]
 
 
 #: hand-made inputs that reach the constructors' degeneracy errors, signed
@@ -382,11 +386,8 @@ def scene_corpus() -> dict:
         A = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.3, 1.0), 0.0])
         sliver.append(view_record([A, np.zeros(3), np.array([a, 0.0, 0.0])],
                                   rng.uniform(-2.0, 2.0, 3)))
-    # cocyclic_degeneracy's frame map meets inf * 0 on the infinite centre;
-    # the overflowing inputs raise before numpy warns
-    with np.errstate(invalid="ignore"):
-        hand = [view_record(pts, [0.3, 0.2, 1.0]) for pts in _HAND_TRIANGLES]
-        hand += [view_record(_RIGHT, O) for O in _HAND_CENTERS]
+    hand = [view_record(pts, [0.3, 0.2, 1.0]) for pts in _HAND_TRIANGLES]
+    hand += [view_record(_RIGHT, O) for O in _HAND_CENTERS]
     return dict(random_scene=scenes, unfiltered=unfiltered, sliver=sliver,
                 hand=hand)
 

@@ -1,5 +1,6 @@
 """Random scene generation, the grid oracle, and verification campaigns."""
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -7,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from p3pshare import conics, loci
+from p3pshare import conics, loci, scenes, sharing
 from p3pshare.conics import NEWTON_STOP, Conic, build_conics
-from p3pshare.geometry import ViewAngles
+from p3pshare.geometry import SolutionTriplet, ViewAngles
 from p3pshare.sharing import POINT_LABELS, SIDE_LABELS
 from p3pshare.scenes import (_BOX_CELLS, _MERGE_TOL, GridConfig, SceneConfig,
                              _box_tables, _candidate_cells, _centred,
@@ -92,6 +93,12 @@ class TestRandomScene:
             assert min(sc.triangle.sides) >= cfg.min_side
             assert abs(sc.center[2]) >= 0.1
             assert cfg.z_range[0] <= abs(sc.center[2]) <= cfg.z_range[1]
+
+    def test_config_is_constants(self):
+        """SceneConfig's values are class constants; it takes no arguments."""
+        assert SceneConfig().min_side == SceneConfig.min_side == 0.4
+        with pytest.raises(TypeError):
+            SceneConfig(min_side=1.0)
 
     def test_true_triplet_solves_constraints(self):
         sc = random_scene(np.random.default_rng(8))
@@ -559,3 +566,173 @@ class TestVerifyTheorem:
         rep = verify_theorem("construct_side", trials=5, seed=2)
         assert rep.passes + len(rep.failures) + rep.skipped >= rep.trials
         assert 0.0 <= rep.pass_rate <= 1.0
+
+
+def _drawn(seed: int, n: int, label, keep) -> list:
+    """The _locus_scene draws of _trial_rngs(seed, n) for which keep(scene)
+    holds."""
+    drawn = (_locus_scene(rng, label) for rng in _trial_rngs(seed, n))
+    return [sc for sc in drawn if sc is not None and keep(sc)]
+
+
+def _pairs(scene) -> tuple:
+    sol = scenes._solved(scene)
+    if sol is None:
+        return ()
+    return sharing.classify_solution_set(sol, scene.triangle,
+                                         scene.angles).pairs
+
+
+def _with_companion_pair(scene) -> bool:
+    sol = scenes._solved(scene)
+    if sol is None or sol.count != 4:
+        return False
+    rep = sharing.companion_check(sol, scene.triangle, scene.angles,
+                                  tol=scenes._COMPANION_TOL)
+    return any(f.side_pairs or f.point_pairs for f in rep.families)
+
+
+def _repeated(scene) -> bool:
+    sol = scenes._solved(scene, cluster_tol=scenes._REPEAT_GAP)
+    return sol is not None and any(s.repeated for s in sol.solutions)
+
+
+class TestCampaignFailurePaths:
+    """Each way a campaign records a failure, driven through verify_theorem
+    by a patched input: the reason and the counts it leaves. A converse scan
+    is fed the given scenes in place of its random ones, its forward loop
+    left empty."""
+
+    def converse_on(self, monkeypatch, given):
+        it = iter(given)
+        monkeypatch.setattr(scenes, "_trials", lambda *a, **k: iter(()))
+        monkeypatch.setattr(scenes, "random_scene", lambda rng: next(it))
+
+    @pytest.mark.parametrize("gap", [0.0, 1.0])
+    def test_sharing_converse(self, monkeypatch, gap):
+        """SIDE_AB locus scenes: each detected side pair is found, and fails
+        once its center's gap to the locus is taken as 1."""
+        given = _drawn(5, 6, sharing.SharingLabel.SIDE_AB, _pairs)[:3]
+        assert len(given) == 3
+        npairs = sum(p[2].kind == "side" for sc in given for p in _pairs(sc))
+        assert npairs >= 3
+        self.converse_on(monkeypatch, given)
+        monkeypatch.setattr(loci, "membership", lambda locus, O: gap)
+        rep = verify_theorem("side_nsc", trials=1, converse_trials=3)
+        assert rep.details == {"converse_trials": 3,
+                               "converse_pairs_found": npairs,
+                               "converse_failures": npairs if gap else 0}
+        want = [("converse", t) for t, sc in enumerate(given)
+                for p in _pairs(sc) if p[2].kind == "side"] if gap else []
+        assert rep.failures == [(t, "center off locus (1)") for t in want]
+
+    @pytest.mark.parametrize("gap", [0.0, 1.0])
+    def test_danger_repeat_converse(self, monkeypatch, gap):
+        """Danger-cylinder scenes with a repeated root: each is found, and
+        fails once its distance from the cylinder is taken as 1."""
+        given = _drawn(6, 6, None, _repeated)[:3]
+        assert len(given) == 3
+        self.converse_on(monkeypatch, given)
+        monkeypatch.setattr(loci, "cylinder_membership", lambda cyl, O: gap)
+        rep = verify_theorem("danger_repeat", trials=1, converse_trials=3)
+        assert rep.details == {"converse_trials": 3,
+                               "converse_repeated_found": 3,
+                               "converse_failures": 3 if gap else 0}
+        assert rep.failures == ([(("converse", t), "repeated root off "
+                                  "cylinder") for t in range(3)]
+                                if gap else [])
+
+    @pytest.mark.parametrize("theorem_id, labels", [
+        ("side_nsc", SIDE_LABELS), ("point_nsc", POINT_LABELS)])
+    def test_no_pair_found(self, monkeypatch, theorem_id, labels):
+        """A classification with no pairs fails every solved trial."""
+        monkeypatch.setattr(sharing, "classify_solution_set",
+                            lambda *a, **k: sharing.PairClassification((), ()))
+        rep = verify_theorem(theorem_id, trials=6, seed=1, converse_trials=0)
+        assert rep.passes == 0 and rep.skipped + len(rep.failures) == 6
+        assert rep.failures and rep.failures == [
+            (t, f"no {labels[t % 3].name} pair found")
+            for t, _ in rep.failures]
+
+    @pytest.mark.parametrize("ok", [True, False])
+    def test_companion_with_pairs(self, monkeypatch, ok):
+        """Four-solution SIDE locus scenes with a companion pair in place of
+        random ones: each is checked, with its worst residual recorded, and
+        fails when the structure is reported violated."""
+        given = _drawn(809, 12, sharing.SharingLabel.SIDE_BC,
+                       _with_companion_pair)[:3]
+        assert len(given) == 3
+        it = iter(given)
+        monkeypatch.setattr(scenes, "random_scene", lambda rng: next(it))
+        check = sharing.companion_check
+
+        def violated(*args, **kwargs):
+            rep = check(*args, **kwargs)
+            return dataclasses.replace(rep, families=tuple(
+                dataclasses.replace(f, companion_ok=False)
+                for f in rep.families))
+
+        if not ok:
+            monkeypatch.setattr(sharing, "companion_check", violated)
+        rep = verify_theorem("companion", trials=3)
+        assert rep.details == {"four_solution_scenes": 3,
+                               "scenes_with_pairs": 3}
+        assert len(rep.residuals) == 3
+        assert max(rep.residuals) <= scenes._COMPANION_TOL
+        assert rep.passes == (3 if ok else 0)
+        assert rep.failures == ([] if ok else [
+            (t, "companion structure violated") for t in range(3)])
+
+    def test_construct_side_emission_disagrees(self, monkeypatch):
+        """Positivity negated: every trial's mate emission disagrees."""
+        want = verify_theorem("construct_side", trials=9, seed=1)
+        assert want.passes == 9
+        positive = scenes._mate_positive
+        monkeypatch.setattr(scenes, "_mate_positive",
+                            lambda *a: not positive(*a))
+        rep = verify_theorem("construct_side", trials=9, seed=1)
+        assert rep.passes == 0 and not rep.residuals
+        assert rep.failures == [
+            (t, "mate emission disagrees with positivity") for t in range(9)]
+
+    def test_construct_point_condition_equivalence(self, monkeypatch):
+        """Interior cosines of 2 make the angle form false everywhere: the
+        trials with an on-line solution whose s1 exceeds b and c fail."""
+        want = verify_theorem("construct_point", trials=30, seed=1)
+        assert not want.failures
+        monkeypatch.setattr(scenes, "interior_angles",
+                            lambda tri: (2.0, 2.0, 2.0))
+        rep = verify_theorem("construct_point", trials=30, seed=1)
+        assert rep.failures and rep.failures == [
+            (t, "condition equivalence violated") for t, _ in rep.failures]
+        assert rep.passes + len(rep.failures) == want.passes
+        assert rep.skipped == want.skipped
+        assert rep.residuals == want.residuals
+
+    def test_construct_point_mate_not_emitted(self, monkeypatch):
+        """construct_mate emitting nothing fails every trial whose mate
+        condition holds: those whose mate the unpatched run checked."""
+        want = verify_theorem("construct_point", trials=30, seed=1)
+        assert not want.failures and want.residuals
+        monkeypatch.setattr(sharing, "construct_mate", lambda *a, **k: None)
+        rep = verify_theorem("construct_point", trials=30, seed=1)
+        assert len(rep.failures) == len(want.residuals)
+        assert {r for _, r in rep.failures} \
+            == {"mate not emitted under the theorem hypothesis"}
+        assert rep.passes + len(rep.failures) == want.passes
+        assert not rep.residuals
+
+    def test_mate_off_the_line(self):
+        """A mate with s2 raised 1% is off the side line: a failure reason,
+        not NotOnConstraintLineError; the true mate passes."""
+        label = sharing.SharingLabel.SIDE_BC
+        for rng in _trial_rngs(3, 4):
+            sc = _locus_scene(rng, label)
+            s = true_triplet(sc)
+            mate = sharing.construct_mate(s, sc.triangle, sc.angles, label)
+            off = SolutionTriplet(mate.s1, 1.01 * mate.s2, mate.s3)
+            res, reason = scenes._mate_check(sc, s, off, label,
+                                             sharing.LINE_TOL)
+            assert reason == "mate off the side line" and res > 1e-3
+            assert scenes._mate_check(sc, s, mate, label,
+                                      sharing.LINE_TOL)[1] == ""
