@@ -157,9 +157,9 @@ def cmd_export_skew_mesh(args) -> int:
             print(f"empty admissible region of {label.name} in bounds",
                   file=sys.stderr)
             return EXIT_DEGENERATE
-        # to_world on every row at once: (p - t) R is R^T (p - t), the same
-        # bits as the per-vertex map (tests/test_cli.py)
-        world = (verts - surf.frame.translation).dot(surf.frame.rotation)
+        # to_world's float map on the vertex columns: the same operations,
+        # elementwise, so the same bits as the per-vertex map (test_cli.py)
+        world = np.column_stack(surf.frame._world(verts.T))
         sceneio.write_obj(path, world, faces)
         print(f"wrote {len(verts)} vertices, {len(faces)} faces to {path}")
     return EXIT_OK

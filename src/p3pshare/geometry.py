@@ -56,22 +56,21 @@ def _record(cls):
     return namespace["build"]
 
 
-#: _DOT_SAFE bounds every coordinate difference in size from above before a
-#: BLAS dot squares it, absolute. Reason: a float of at most 2**254 squares
-#: to at most 2**508, a cross product of two such differences has entries
-#: of at most 2**509, and a sum of three squares of those is at most
-#: 3 * 2**1018, finite; so below it no dot overflows, and numpy has nothing
-#: to warn about. Above it, or with a nan or inf, the same squared lengths
-#: run with the overflow warning off, as the test after them raises the
-#: documented error on an overflow: it decides no outcome and no bit.
-_DOT_SAFE = 2.0 ** 254
-
-
 def _cross(p, q) -> tuple[float, float, float]:
     """p x q on float 3-sequences: the products and differences of np.cross,
-    so bit-identical to it. Norms and dots stay numpy (see README)."""
+    so bit-identical to it."""
     return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
             p[0] * q[1] - p[1] * q[0])
+
+
+def _dot(p, q) -> float:
+    """p . q on float 3-sequences, summed left to right (see README)."""
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _diff(p, q) -> tuple[float, float, float]:
+    """p - q on float 3-sequences."""
+    return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
 
 
 #: _COLLINEAR_TOL bounds twice the triangle's area from below, relative to its
@@ -106,37 +105,26 @@ class ControlTriangle:
     @classmethod
     def from_points(cls, A, B, C) -> "ControlTriangle":
         A, B, C = _as_point(A), _as_point(B), _as_point(C)
-        cb, ab, ca = C - B, A - B, C - A
-        cbl, abl = cb.tolist(), ab.tolist()
-        (x0, x1, x2), (y0, y1, y2), h = cbl, abl, 0.5 * _DOT_SAFE
-        # C - A = (C - B) - (A - B): below _DOT_SAFE when these are below h
-        safe = (-h < x0 < h and -h < x1 < h and -h < x2 < h
-                and -h < y0 < h and -h < y1 < h and -h < y2 < h)
-        if safe:
-            a2, b2, c2 = cb.dot(cb), ca.dot(ca), ab.dot(ab)
-        else:  # a nan, an inf, or a square that may overflow
-            with np.errstate(over="ignore"):  # which the next test names
-                a2, b2, c2 = cb.dot(cb), ca.dot(ca), ab.dot(ab)
-        a, b, c = math.sqrt(a2), math.sqrt(b2), math.sqrt(c2)
+        p, q, r = A.tolist(), B.tolist(), C.tolist()
+        cb, ab, ca = _diff(r, q), _diff(p, q), _diff(r, p)
+        a, b, c = (math.sqrt(_dot(cb, cb)), math.sqrt(_dot(ca, ca)),
+                   math.sqrt(_dot(ab, ab)))
         # a non-finite coordinate reaches two of the three sides; finite
         # ones of size ~1e154 or more overflow in a squared side
         if not math.isfinite(a + b + c):
-            if np.isfinite((A, B, C)).all():
+            if all(map(math.isfinite, p + q + r)):
                 raise DegenerateInputError(
                     "control points too far apart: a squared side overflows")
             raise DegenerateInputError("non-finite control point coordinates")
         if a <= 0.0 or b <= 0.0 or c <= 0.0:
             raise DegenerateInputError("coincident control points")
-        n = np.array(_cross(cbl, abl))
-        if safe:
-            area2 = math.sqrt(n.dot(n))
-        else:  # sides of ~1e77 or more: the squared cross product may overflow
-            with np.errstate(over="ignore"):
-                area2 = math.sqrt(n.dot(n))
-            if not math.isfinite(area2):
-                raise DegenerateInputError(
-                    "control points too far apart: a squared cross product "
-                    "overflows")
+        n = _cross(cb, ab)
+        area2 = math.sqrt(_dot(n, n))
+        # sides of ~1e77 or more: the squared cross product may overflow
+        if not math.isfinite(area2):
+            raise DegenerateInputError(
+                "control points too far apart: a squared cross product "
+                "overflows")
         scale = max(a, b, c)
         if area2 <= _COLLINEAR_TOL * scale * scale:
             raise DegenerateInputError("collinear control points")
@@ -151,15 +139,16 @@ class ControlTriangle:
     @cached_property
     def frame(self) -> "CanonicalFrame":
         """The canonical frame (see canonical_frame)."""
-        a, area2, B = self.a, self.area2, self.B
-        cb, d = (self.C - B).tolist(), self.A - B
+        a, area2, B = self.a, self.area2, self.B.tolist()
+        cb, d = _diff(self.C.tolist(), B), _diff(self.A.tolist(), B)
         ex = (cb[0] / a, cb[1] / a, cb[2] / a)
-        n0, n1, n2 = _cross(cb, d.tolist())
+        n0, n1, n2 = _cross(cb, d)
         ez = (n0 / area2, n1 / area2, n2 / area2)
-        rotation = np.array([ex, _cross(ez, ex), ez])
-        return _new_frame(a=a, e=float(d.dot(rotation[0])),
-                          f=float(d.dot(rotation[1])), rotation=rotation,
-                          translation=(-rotation).dot(B))
+        rows = (ex, _cross(ez, ex), ez)
+        # rows negated first: negating the products' sum can flip a signed zero
+        t = [_dot((-x, -y, -z), B) for x, y, z in rows]
+        return _new_frame(a=a, e=_dot(d, rows[0]), f=_dot(d, rows[1]),
+                          rotation=np.array(rows), translation=np.array(t))
 
     @property
     def sides(self) -> tuple[float, float, float]:
@@ -186,7 +175,9 @@ def interior_angles(tri: ControlTriangle) -> tuple[float, float, float]:
 class CanonicalFrame:
     """Rigid map to the frame B=(0,0,0), C=(a,0,0), A=(e,f,0) with f > 0.
 
-    ``to_canonical(p) = rotation @ p + translation``.
+    ``to_canonical(p) = rotation @ p + translation``, summed left to right
+    on floats: ``_canonical`` on a 3-sequence, and ``_world``, its inverse,
+    also on three coordinate arrays, elementwise.
     """
 
     a: float
@@ -195,11 +186,29 @@ class CanonicalFrame:
     rotation: np.ndarray
     translation: np.ndarray
 
+    @cached_property
+    def _affine(self) -> tuple:
+        """The rotation's entries, row-major, then the translation's."""
+        return (*self.rotation.ravel().tolist(), *self.translation.tolist())
+
+    def _canonical(self, p) -> tuple[float, float, float]:
+        r00, r01, r02, r10, r11, r12, r20, r21, r22, t0, t1, t2 = self._affine
+        x, y, z = p
+        return (r00 * x + r01 * y + r02 * z + t0,
+                r10 * x + r11 * y + r12 * z + t1,
+                r20 * x + r21 * y + r22 * z + t2)
+
+    def _world(self, p) -> tuple[float, float, float]:
+        r00, r01, r02, r10, r11, r12, r20, r21, r22, t0, t1, t2 = self._affine
+        x, y, z = p[0] - t0, p[1] - t1, p[2] - t2
+        return (r00 * x + r10 * y + r20 * z, r01 * x + r11 * y + r21 * z,
+                r02 * x + r12 * y + r22 * z)
+
     def to_canonical(self, p) -> np.ndarray:
-        return self.rotation.dot(_as_point(p)) + self.translation
+        return np.array(self._canonical(_as_point(p).tolist()))
 
     def to_world(self, p) -> np.ndarray:
-        return self.rotation.T.dot(_as_point(p) - self.translation)
+        return np.array(self._world(_as_point(p).tolist()))
 
 
 _new_frame = _record(CanonicalFrame)
@@ -265,26 +274,21 @@ _MAX_ABS_COS = 1.0 - 1e-12
 
 def view_angles_from_center(tri: ControlTriangle, O) -> ViewAngles:
     """Subtended-angle cosines seen from the optical center O."""
-    O = _as_point(O)
-    rA, rB, rC = tri.A - O, tri.B - O, tri.C - O
-    scale = tri.scale
-    # every entry of rA and rC is within a side of rB's, so all are below
-    # _DOT_SAFE when rB's are below h, as in ControlTriangle.from_points
-    (x0, x1, x2), h = rB.tolist(), _DOT_SAFE - scale
-    if -h < x0 < h and -h < x1 < h and -h < x2 < h:
-        nA2, nB2, nC2 = rA.dot(rA), rB.dot(rB), rC.dot(rC)
-    else:
-        with np.errstate(over="ignore"):
-            nA2, nB2, nC2 = rA.dot(rA), rB.dot(rB), rC.dot(rC)
-    nA, nB, nC = math.sqrt(nA2), math.sqrt(nB2), math.sqrt(nC2)
+    O = _as_point(O).tolist()
+    rA, rB, rC = (_diff(tri.A.tolist(), O), _diff(tri.B.tolist(), O),
+                  _diff(tri.C.tolist(), O))
+    nA, nB, nC = (math.sqrt(_dot(rA, rA)), math.sqrt(_dot(rB, rB)),
+                  math.sqrt(_dot(rC, rC)))
     # a nan or infinite centre, or one so far that a squared ray overflows
     if not nA + nB + nC < math.inf:
         raise DegenerateInputError("optical center not finite, or so far "
                                    "that a squared ray length overflows")
-    if min(nA, nB, nC) <= _COINCIDENT_TOL * scale:
+    if min(nA, nB, nC) <= _COINCIDENT_TOL * tri.scale:
         raise DegenerateInputError("optical center coincides with a control point")
-    rA, rB, rC = rA / nA, rB / nB, rC / nC
-    ca, cb, cg = float(rB.dot(rC)), float(rA.dot(rC)), float(rA.dot(rB))
+    uA = (rA[0] / nA, rA[1] / nA, rA[2] / nA)
+    uB = (rB[0] / nB, rB[1] / nB, rB[2] / nB)
+    uC = (rC[0] / nC, rC[1] / nC, rC[2] / nC)
+    ca, cb, cg = _dot(uB, uC), _dot(uA, uC), _dot(uA, uB)
     if (abs(ca) >= _MAX_ABS_COS or abs(cb) >= _MAX_ABS_COS
             or abs(cg) >= _MAX_ABS_COS):
         raise DegenerateAngleError("subtended angle at 0 or pi")
@@ -295,16 +299,19 @@ def cocyclic_degeneracy(tri: ControlTriangle, O) -> float:
     """Distance of O from the circumcircle of ABC (in-plane and out-of-plane).
 
     Zero iff O lies on the circumcircle within the base plane. A nan or
-    infinite O raises DegenerateInputError before the frame map, where
-    inf * 0 would make nan.
+    infinite O, or a finite one so far that its canonical coordinates or
+    the distance overflow, raises DegenerateInputError.
     """
-    O = _as_point(O)
-    if not all(map(math.isfinite, O.tolist())):
+    O = _as_point(O).tolist()
+    if not all(map(math.isfinite, O)):
         raise DegenerateInputError("optical center not finite")
-    frame = tri.frame
-    x, y, z = (frame.rotation.dot(O) + frame.translation).tolist()
-    cx, cy, r = circumcircle_2d(frame)
-    return math.hypot(math.hypot(x - cx, y - cy) - r, z)
+    x, y, z = tri.frame._canonical(O)
+    cx, cy, r = circumcircle_2d(tri.frame)
+    d = math.hypot(math.hypot(x - cx, y - cy) - r, z)
+    if d == math.inf:  # an infinite coordinate makes the distance inf
+        raise DegenerateInputError(
+            "optical center so far that its canonical distance overflows")
+    return d
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SamplingFailureError
-from .geometry import CanonicalFrame, ControlTriangle, _record, canonical_frame
+from .geometry import (CanonicalFrame, ControlTriangle, _as_point, _record,
+                       canonical_frame)
 from .sharing import SharingLabel, relabel_triangle
 
 
@@ -44,7 +45,7 @@ def danger_cylinder(frame: CanonicalFrame) -> DangerCylinder:
 
 def cylinder_membership(cyl: DangerCylinder, O) -> float:
     """Signed radial distance of O from the cylinder wall."""
-    x, y, _ = cyl.frame.to_canonical(O)
+    x, y, _ = cyl.frame._canonical(_as_point(O).tolist())
     cx, cy = cyl.center
     return math.hypot(x - cx, y - cy) - cyl.radius
 
@@ -67,22 +68,21 @@ def vertical_plane(frame: CanonicalFrame, label: SharingLabel) -> VerticalPlane:
     a, e, f = frame.a, frame.e, frame.f
     k = label.shift
     if k == 0:      # altitude from A onto BC: the line x = e
-        point = np.array([e, 0.0, 0.0])
-        n = np.array([1.0, 0.0, 0.0])
+        point, (n0, n1) = (e, 0.0, 0.0), (1.0, 0.0)
     elif k == 1:    # altitude from B, perpendicular to CA
-        point = np.array([0.0, 0.0, 0.0])
-        n = np.array([a - e, -f, 0.0])
+        point, (n0, n1) = (0.0, 0.0, 0.0), (a - e, -f)
     else:           # altitude from C, perpendicular to AB
-        point = np.array([a, 0.0, 0.0])
-        n = np.array([e, f, 0.0])
-    n = n / math.sqrt(n.dot(n))
-    return _new_plane(label, frame, point, n)
+        point, (n0, n1) = (a, 0.0, 0.0), (e, f)
+    norm = math.sqrt(n0 * n0 + n1 * n1)  # + 0.0 * 0.0 changes no bit
+    return _new_plane(label, frame, np.array(point),
+                      np.array((n0 / norm, n1 / norm, 0.0)))
 
 
 def plane_membership(plane: VerticalPlane, O) -> float:
     """Signed distance of O from the vertical plane."""
-    p = plane.frame.to_canonical(O)
-    return float((p - plane.point).dot(plane.normal))
+    x, y, z = plane.frame._canonical(_as_point(O).tolist())
+    (q0, q1, q2), (n0, n1, n2) = plane.point.tolist(), plane.normal.tolist()
+    return (x - q0) * n0 + (y - q1) * n1 + (z - q2) * n2
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,19 +114,13 @@ def skewed_danger_cylinder(tri: ControlTriangle,
     return _new_skew(label, frame)
 
 
-def _skew_terms(surf: SkewedDangerCylinder, p) -> tuple[float, float]:
-    a, e, f = surf.frame.a, surf.frame.e, surf.frame.f
-    x, y, z = p
-    cyl = surf.cylinder
-    cx, cy = cyl.center
-    Q = (x - cx) ** 2 + (y - cy) ** 2 - cyl.radius_squared
-    return f * y * Q, z * z * (e * e - f * y - a * e)
-
-
 def skewed_membership(surf: SkewedDangerCylinder, O) -> float:
     """Normalized implicit value G = f*y*Q - z^2 (e^2 - f y - a e) at O."""
-    p = surf.frame.to_canonical(O)
-    t1, t2 = _skew_terms(surf, p)
+    a, e, f = surf.frame.a, surf.frame.e, surf.frame.f
+    x, y, z = surf.frame._canonical(_as_point(O).tolist())
+    (cx, cy), cyl = surf.cylinder.center, surf.cylinder
+    Q = (x - cx) ** 2 + (y - cy) ** 2 - cyl.radius_squared
+    t1, t2 = f * y * Q, z * z * (e * e - f * y - a * e)
     return (t1 - t2) / max(1.0, abs(t1), abs(t2))
 
 
@@ -182,20 +176,17 @@ def _sample_z(rng, region) -> float:
 
 
 def _sample_plane(plane: VerticalPlane, rng, region) -> np.ndarray:
-    d = np.array([-plane.normal[1], plane.normal[0], 0.0])
+    (q0, q1, _), (n0, n1, _) = plane.point.tolist(), plane.normal.tolist()
     s = uniform(rng, -region.xy_half_extent, region.xy_half_extent)
-    p = plane.point + s * d
-    p[2] = _sample_z(rng, region)
-    return plane.frame.to_world(p)
+    p = (q0 + s * -n1, q1 + s * n0, _sample_z(rng, region))
+    return np.array(plane.frame._world(p))
 
 
 def _sample_cylinder(cyl: DangerCylinder, rng, region) -> np.ndarray:
     th = uniform(rng, 0.0, 2.0 * math.pi)
-    cx, cy = cyl.center
-    r = cyl.radius
-    p = np.array([cx + r * math.cos(th), cy + r * math.sin(th),
-                  _sample_z(rng, region)])
-    return cyl.frame.to_world(p)
+    (cx, cy), r = cyl.center, cyl.radius
+    p = (cx + r * math.cos(th), cy + r * math.sin(th), _sample_z(rng, region))
+    return np.array(cyl.frame._world(p))
 
 
 #: the skew surface z^2 = f*y*Q / (e^2 - f y - a e) has no point where the
@@ -245,7 +236,7 @@ def _sample_skew(surf: SkewedDangerCylinder, rng, region) -> np.ndarray:
             return None
         if rng.random() < 0.5:
             z = -z
-        return surf.frame.to_world(np.array([x, y, z]))
+        return np.array(surf.frame._world((x, y, z)))
 
     left = region.max_rejects
     for _ in range(min(_SKEW_FIRST, left)):
@@ -342,7 +333,7 @@ def skew_mesh(surf: SkewedDangerCylinder, bounds=None, n: int = 96):
     xs, ys = np.linspace(x0, x1, n), np.linspace(y0, y1, n)
     den_min = _DEN_TOL * max(1.0, a * a)
 
-    # squares by libm pow, as Python's x ** 2 in _skew_terms takes them;
+    # squares by libm pow, as skewed_membership's x ** 2 takes them;
     # np.square (x * x) differs from it in the last bit now and then
     d = abs(np.concatenate((xs - cx, ys - cy)))
     float(d[d < np.inf].max(initial=0.0)) ** 2  # OverflowError, as x ** 2

@@ -14,7 +14,7 @@ from .errors import (DegenerateAngleError, DegenerateInputError,
                      DegeneratePencilError, GenerationFailureError,
                      NotOnConstraintLineError, SamplingFailureError)
 from .geometry import (ControlTriangle, RatioPair, SolutionTriplet, ViewAngles,
-                       _new_triplet, _record, canonical_frame,
+                       _diff, _dot, _new_triplet, _record, canonical_frame,
                        cocyclic_degeneracy, interior_angles,
                        view_angles_from_center)
 from .sharing import SharingLabel
@@ -349,10 +349,9 @@ def brute_force_solutions(sides, angles: ViewAngles,
 
 def true_triplet(scene: Scene) -> SolutionTriplet:
     """Distances from the scene center: the ground-truth solution."""
-    tri, O = scene.triangle, scene.center
-    rA, rB, rC = tri.A - O, tri.B - O, tri.C - O
-    return _new_triplet(math.sqrt(rA.dot(rA)), math.sqrt(rB.dot(rB)),
-                        math.sqrt(rC.dot(rC)))
+    O = scene.center.tolist()
+    rays = [_diff(P.tolist(), O) for P in scene.triangle.points]
+    return _new_triplet(*[math.sqrt(_dot(r, r)) for r in rays])
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import conics
 from .errors import NotOnConstraintLineError, RightAngleDegeneracyError
 from .geometry import (ControlTriangle, RatioPair, SolutionTriplet, ViewAngles,
@@ -267,24 +265,29 @@ def _line_product_terms(tri: ControlTriangle, cosines: tuple[float, ...],
     return (sv * pv, su * pv + sv * pu, su * pu, su * p1, sv * p1, 0.0)
 
 
+def _dot6(p, q) -> float:
+    """p . q on float 6-sequences, summed left to right."""
+    return (p[0] * q[0] + p[1] * q[1] + p[2] * q[2] + p[3] * q[3]
+            + p[4] * q[4] + p[5] * q[5])
+
+
 def factorization_residual(tri: ControlTriangle, angles: ViewAngles,
                            k: int = 0) -> float:
     """Deviation of the conic difference from the product of the two lines.
 
     Measured as the normalized cross product of the coefficient vectors,
-    i.e. zero when they are proportional. The four dot products (d.d, p.p,
-    d.p and r.r) stay numpy calls: their BLAS rounding is what the golden
-    reports hold.
+    i.e. zero when they are proportional, with geometry's float dots.
     Raises RightAngleDegeneracyError where the point line does (`_line`).
     """
     cosines = angles.cosines
     t1, t2 = conics.conic_terms(cycle3(tri.sides, k), cycle3(cosines, k))
-    d = np.array([y - x for x, y in zip(t1, t2)])  # the difference C2 - C1
-    p = np.array(_line_product_terms(tri, cosines, k))
-    d = d / math.sqrt(d.dot(d))
-    p = p / math.sqrt(p.dot(p))
-    r = d - d.dot(p) * p
-    return math.sqrt(r.dot(r))
+    d = [y - x for x, y in zip(t1, t2)]  # the difference C2 - C1
+    p = _line_product_terms(tri, cosines, k)
+    dn, pn = math.sqrt(_dot6(d, d)), math.sqrt(_dot6(p, p))
+    d, p = [x / dn for x in d], [x / pn for x in p]
+    dp = _dot6(d, p)
+    r = [x - dp * y for x, y in zip(d, p)]
+    return math.sqrt(_dot6(r, r))
 
 
 @dataclass(frozen=True)

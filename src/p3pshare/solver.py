@@ -156,6 +156,5 @@ def recover_centers(t: SolutionTriplet, tri: ControlTriangle):
     if z2 < -_Z2_SLACK * tri.scale ** 2:
         raise InfeasibleTripletError("distances admit no real center")
     z = math.sqrt(max(z2, 0.0))
-    up = frame.to_world(np.array([x, y, z]))
-    dn = frame.to_world(np.array([x, y, -z]))
-    return up, dn
+    return (np.array(frame._world((x, y, z))),
+            np.array(frame._world((x, y, -z))))

@@ -130,17 +130,17 @@ class TestSolve:
 #: TestAnalyze.test_stdout_bytes
 ANALYZE_STDOUT_SHA256 = {
     "equilateral":
-        "0c2bcc7e8748739418ce65e8abab863db0fd1ead7411f569d782e42dc3c9af74",
+        "d0a005dbf87a993d58bb2a008f817ea9c814e05800d64d85fec7a7d75bd2eabb",
     "locus":
-        "37bcda988bffc8d821754c4e21677568db59797edcfb559ecca785c08af397e7",
+        "9f27ba63600d20fa693a222036456481cbdcac9abb56075e8971319d5e2d30b2",
     "danger_cylinder":
-        "148be17040755c85e572392dbca5c4eb37e919b152b3c3a334ee08e8475e1a35",
+        "d40d0ef2d72b727cc7395d3f11e99e09a91a3fc65ccf6fc939aebedd12d8303c",
 }
 
 #: sha256 of the stdout of `p3pshare verify all --trials 12` (the default
 #: seed 0), with its `wall time:` lines removed: TestVerify.test_stdout_bytes
 VERIFY_ALL_STDOUT_SHA256 = \
-    "b257a8aeef123250209d099d73357b4d2db74689326498009a1fca5ed9f46b88"
+    "4d4e2ab52e76bdbd636ad7739b3cff7e44428c5cb9935c209ec4e56eac42ff6f"
 
 
 class TestAnalyze:
@@ -320,9 +320,9 @@ EQUILATERAL_OBJ_SHA256 = {
     "surf_point_a.obj":
         "89ecc12e73703acb592789a8f011d72231522bb259586f39202d9b7985fdfba3",
     "surf_point_b.obj":
-        "8b6d7c15cf916882021fd2618ee4df872c3a0fe3989d8354ce68d0a38fce1c18",
+        "4d5487dc28c3256cb72474114453c868e1dec312113cd0fa0d8780a6e6d775f0",
     "surf_point_c.obj":
-        "ba016bbed23d75efa859b22b33486812725e39cb5629b42e332ae993e83529ee",
+        "8d7a19ec2f463f3b44c10b1e082867915291a22a7d0ebf2fbe206a0a3165e193",
 }
 
 

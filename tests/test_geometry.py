@@ -76,8 +76,8 @@ class TestControlTriangle:
         """Finite control points ~1e154 or more apart: the error names the
         squared side that overflows, not a non-finite coordinate."""
         pts = [[1e300, 0.0, 0.0], [0.0, 1e300, 0.0], [0.0, 0.0, 0.0]]
-        # the BLAS dots would overflow: no numpy warning comes first (the
-        # warnings-as-errors run turns one into a failure)
+        # float sums raise no overflow warning: the error comes first (the
+        # warnings-as-errors run turns a warning into a failure)
         with pytest.raises(DegenerateInputError,
                            match="squared side overflows"):
             ControlTriangle.from_points(*pts)
@@ -96,7 +96,7 @@ class TestControlTriangle:
                 ControlTriangle.from_points((0.0, 1e100, 0.0),
                                             (0.0, 0.0, 0.0),
                                             (1e100, 0.0, 0.0))
-            # below the bound, the same shape keeps its area
+            # at 1e70 the squared cross product, 1e280, is finite
             tri = ControlTriangle.from_points((0.0, 1e70, 0.0),
                                               (0.0, 0.0, 0.0),
                                               (1e70, 0.0, 0.0))
@@ -211,8 +211,8 @@ class TestViewAngles:
                                    [0.0, -math.inf, 0.0]],
                              ids=["nan", "inf", "-inf"])
     def test_non_finite_center_rejected(self, eq1_triangle, O):
-        # raised before the unit rays divide inf by inf, and before the
-        # frame map meets inf * 0: no numpy warning
+        # inf / inf and inf * 0 make nan on floats without a warning; the
+        # documented error is raised before either result is handed out
         with pytest.raises(DegenerateInputError, match="not finite"):
             view_angles_from_center(eq1_triangle, O)
         with pytest.raises(DegenerateInputError, match="not finite"):
@@ -221,7 +221,7 @@ class TestViewAngles:
     def test_overflowing_center_rejected(self, eq1_triangle):
         """At 1e200 the squared rays overflow: the unit rays would be 0 and
         the cosines exactly 0, where a far centre sees them near 1."""
-        # the BLAS dots would overflow: no numpy warning comes first
+        # the squares overflow to inf on floats, with no warning first
         with pytest.raises(DegenerateInputError, match="overflows"):
             view_angles_from_center(eq1_triangle, [0.0, 0.0, 1e200])
         va = view_angles_from_center(eq1_triangle, [0.0, 0.0, 1e4])
@@ -231,9 +231,9 @@ class TestViewAngles:
     def test_scaled_scene_keeps_its_bits(self, e):
         """A scene scaled by 2**e: every subtraction, dot, root and division
         scales exactly, so the sides and area scale and the cosines stay, bit
-        for bit, whether the differences are below geometry._DOT_SAFE
-        (2**250) or not, where the squares run with numpy's overflow warning
-        off and must not overflow (2**255), or do (2**520)."""
+        for bit, while the squares stay finite (2**250 and 2**255, the
+        largest cross products near 2**1020); at 2**520 they overflow and
+        the documented errors are raised."""
         pts = [[0.25, 0.75, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
         O = [0.3, 0.2, 0.9]
         k = 2.0 ** e
@@ -254,6 +254,20 @@ class TestViewAngles:
 
 
 class TestCocyclicDegeneracy:
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_frame_map_rejected(self):
+        """A finite centre whose canonical coordinates overflow: the frame of
+        (1, 1, 0), (0, 0, 0), (1, -1, 0) turns by 45 degrees, so O =
+        (1.5e308, 1.5e308, 0) maps to x = 2.1e308. The error is raised, with
+        no warning first and no inf handed out."""
+        tri = ControlTriangle.from_points([1.0, 1.0, 0.0], [0.0, 0.0, 0.0],
+                                          [1.0, -1.0, 0.0])
+        with pytest.raises(DegenerateInputError, match="overflows"):
+            cocyclic_degeneracy(tri, [1.5e308, 1.5e308, 0.0])
+        # at 1e307 the map stays finite: a distance of about 1.4e307
+        d = cocyclic_degeneracy(tri, [1e307, 1e307, 0.0])
+        assert d == pytest.approx(math.sqrt(2.0) * 1e307)
+
     def test_zero_on_circumcircle(self, sc1_triangle):
         frame = canonical_frame(sc1_triangle)
         cx, cy, r = circumcircle_2d(frame)

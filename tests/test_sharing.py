@@ -368,8 +368,18 @@ class TestClassificationTable:
         assert checked >= 190 and found >= 200
 
 
+def ltr_dot(p, q) -> float:
+    """p . q summed left to right, the library's dot (README "Numerical
+    notes"), on arrays or sequences of any one length."""
+    total = p[0] * q[0]
+    for x, y in zip(p[1:], q[1:]):
+        total += x * y
+    return float(total)
+
+
 def reference_factorization(tri, angles, k):
-    """factorization_residual as first written: conics, difference, arrays."""
+    """factorization_residual as first written: conics, difference, arrays;
+    its dots are the library's, summed left to right."""
     sides = cycle3(tri.sides, k)
     pair = build_conics(sides, ViewAngles(*cycle3(angles.cosines, k)))
     d = pair.C2.coeffs - pair.C1.coeffs
@@ -379,10 +389,10 @@ def reference_factorization(tri, angles, k):
     Pu, Pv, Pc = (cosC / cg) * b, (cosB / cb) * c, -a
     p = Conic(c_vv=-cb * Pv, c_uv=cg * Pv - cb * Pu, c_uu=cg * Pu,
               c_u=cg * Pc, c_v=-cb * Pc, c_1=0.0).coeffs
-    d = d / math.sqrt(d.dot(d))
-    p = p / math.sqrt(p.dot(p))
-    r = d - d.dot(p) * p
-    return math.sqrt(r.dot(r))
+    d = d / math.sqrt(ltr_dot(d, d))
+    p = p / math.sqrt(ltr_dot(p, p))
+    r = d - ltr_dot(d, p) * p
+    return math.sqrt(ltr_dot(r, r))
 
 
 def reference_companion(sol_set, tri, angles, tol):

@@ -152,6 +152,112 @@ def f(x):
         (11, "la._umath_linalg"), (11, "np.linalg._umath_linalg")]
 
 
+#: the BLAS and LAPACK calls that src/ may make, by (file, enclosing
+#: function, name as written), each with its reason. Every other dot
+#: product, norm and frame map is a left-to-right sum on Python floats, so
+#: no result depends on which OpenBLAS kernel the CPU selects (README
+#: "Numerical notes").
+BLAS_ALLOWED = {
+    ("scenes.py", "_distinct_quartic_roots", "np.linalg.eigvals"):
+        "the danger_repeat count's quartic roots: eigenvalues of a 4 x 4 "
+        "companion matrix, not 3-vector geometry",
+    ("conics.py", "_polish", "np.linalg.lstsq"):
+        "a Newton step whose 2 x 2 Jacobian has a zero pivot: the "
+        "least-squares step of a singular system",
+}
+#: numpy's dot-product family, by the last part of its dotted name
+_DOT_FAMILY = {"dot", "matmul", "inner", "vdot", "vecdot", "einsum",
+               "tensordot"}
+
+
+def _dotted(node) -> str | None:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *parts[::-1]]) \
+        if isinstance(node, ast.Name) else None
+
+
+def blas_uses(source: str) -> list[tuple[int, str, str]]:
+    """(line, enclosing function, use) of each .dot( call, @ product, name
+    of numpy's dot family and numpy.linalg function in the source, the
+    numpy names spelled as written; the function is "<module>" outside
+    any."""
+    tree = ast.parse(source)
+    numpy = {}  # a local name bound to numpy or to a numpy name: its path
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    numpy[alias.asname or "numpy"] = \
+                        alias.name if alias.asname else "numpy"
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "numpy"):
+            for alias in node.names:
+                numpy[alias.asname or alias.name] = \
+                    f"{node.module}.{alias.name}"
+    hits = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "dot":
+            hits.append((node.lineno, func, ".dot("))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.MatMult):
+            hits.append((node.lineno, func, "@"))
+        name = _dotted(node)
+        if name is not None:  # a whole chain a.b.c: its parts are not read
+            head, _, rest = name.partition(".")
+            path = ".".join(filter(None, (numpy.get(head), rest)))
+            if head in numpy and (
+                    path.rsplit(".", 1)[-1] in _DOT_FAMILY
+                    or (path.startswith("numpy.linalg.")
+                        and not path.endswith("Error"))):
+                hits.append((node.lineno, func, name))
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "<module>")
+    return sorted(hits)
+
+
+def test_no_blas_in_the_geometry():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    used = {(f.name, func, name): line for f in files
+            for line, func, name in blas_uses(f.read_text())}
+    assert set(used) == set(BLAS_ALLOWED), \
+        f"BLAS uses outside the allowlist: {set(used) - set(BLAS_ALLOWED)}"
+
+
+def test_the_blas_scan_sees_what_it_must():
+    source = '''import numpy as np
+from numpy import linalg as la, einsum
+from numpy.linalg import norm, LinAlgError
+
+
+def f(R, p, q):
+    a = R.dot(p) + R @ p
+    q @= R
+    b = np.linalg.norm(p) + la.lstsq(R, p) + norm(q) + einsum("i,i", p, q)
+    c = np.vecdot(p, q) + np.tensordot(p, q) + np.cross(p, q) + p.dot
+
+
+@np.errstate(over="ignore")
+def g(p):
+    raise LinAlgError(np.inner(p, p))
+'''
+    assert blas_uses(source) == [
+        (7, "f", ".dot("), (7, "f", "@"), (8, "f", "@"),
+        (9, "f", "einsum"), (9, "f", "la.lstsq"), (9, "f", "norm"),
+        (9, "f", "np.linalg.norm"), (10, "f", "np.tensordot"),
+        (10, "f", "np.vecdot"), (15, "g", "np.inner")]
+
+
 # ---------------------------------------------------------------------------
 # Hand-made inputs at each ledger gate that no other test reaches: each input
 # sits a few times inside or outside the gate, so a tolerance ten times
