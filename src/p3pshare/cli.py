@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 parse error, 3 degenerate scene, 4 campaign failures
-present, 5 I/O error, 6 inconsistent solution (a recovered solution failed the
+Exit codes: 0 success, 2 parse error, 3 degenerate scene (a vanishing
+denominator cosine of a point line included), 4 campaign failures present,
+5 I/O error, 6 inconsistent solution (a recovered solution failed the
 solver's basic-constraint check), 141 stdout closed by its reader (`| head`).
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import conics, loci, scenes, sceneio, sharing, solver
 from .errors import (DegenerateAngleError, DegenerateInputError,
                      DegeneratePencilError, InconsistentInputError, P3PError,
-                     SceneParseError)
+                     RightAngleDegeneracyError, SceneParseError)
 from .geometry import canonical_frame, cocyclic_degeneracy, view_angles_from_center
 
 EXIT_OK = 0
@@ -217,9 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="run theorem-verification campaigns")
     vp.add_argument("theorem", choices=(*scenes.THEOREM_IDS, "all"))
     vp.add_argument("--trials", type=_at_least(1), default=None)
-    vp.add_argument("--converse-trials", type=_at_least(0), default=None)
+    vp.add_argument("--converse-trials", type=_at_least(0), default=None,
+                    help="for side_nsc, point_nsc and danger_repeat only")
     vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--tol", type=_tolerance, default=sharing.LINE_TOL)
+    vp.add_argument("--tol", type=_tolerance, default=sharing.LINE_TOL,
+                    help="line tolerance of side_nsc, point_nsc, construct_side"
+                    " and construct_point only; companion has its own, and "
+                    "danger_repeat no line test")
     vp.add_argument("--out", default=None)
     vp.set_defaults(func=cmd_verify)
 
@@ -250,7 +255,7 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (DegenerateInputError, DegenerateAngleError,
-            DegeneratePencilError) as exc:
+            DegeneratePencilError, RightAngleDegeneracyError) as exc:
         print(f"degenerate scene: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except OSError as exc:

@@ -144,7 +144,7 @@ def _polish(t1, t2, u: float, v: float, tol: float, steps: int = 50):
         if best_r < tol:
             break
         # Jacobian [[a, b], [c, d]] from the two gradients, solved by LU with
-        # row pivoting; an exactly zero pivot (singular) falls back to lstsq
+        # row pivoting; an exactly zero pivot (singular) stops the polish
         a = p_uv * v + 2.0 * p_uu * u + p_u
         b = 2.0 * p_vv * v + p_uv * u + p_v
         c = q_uv * v + 2.0 * q_uu * u + q_u
@@ -153,12 +153,10 @@ def _polish(t1, t2, u: float, v: float, tol: float, steps: int = 50):
             a, b, c, d, f1, f2 = c, d, a, b, f2, f1
         l = c / a if a else 0.0
         u22 = d - l * b
-        if a and u22:
-            dv = (l * f1 - f2) / u22
-            du = (-f1 - b * dv) / a
-        else:
-            du, dv = np.linalg.lstsq(np.array([[a, b], [c, d]]),
-                                     np.array([-f1, -f2]), rcond=None)[0].tolist()
+        if not (a and u22):
+            break
+        dv = (l * f1 - f2) / u22
+        du = (-f1 - b * dv) / a
         if not (math.isfinite(du) and math.isfinite(dv)):
             break
         # backtracking keeps the iteration from overshooting near tangency
@@ -196,10 +194,10 @@ def _polish_lanes(t1, t2, u, v, tol: float):
     float arrays, each lane bit for bit _polish's result.
 
     Vector steps (_lane_steps) run while at least _LANE_MIN lanes take
-    them. A lane left over, or with an exactly zero pivot (_polish's lstsq
-    branch), finishes in scalar _polish with the steps left from the start
-    of its step: _polish recomputes f1, f2 and the residual from (u, v) by
-    the expressions that gave the lane's own, so the restart is exact.
+    them. A lane left over finishes in scalar _polish with the steps left
+    from the start of its step: _polish recomputes f1, f2 and the residual
+    from (u, v) by the expressions that gave the lane's own, so the restart
+    is exact.
     """
     out = np.empty((3, len(u)))  # rows u, v, residual
     out[0], out[1] = u, v
@@ -228,9 +226,8 @@ def _lane_steps(t1, t2, out: np.ndarray, tol: float) -> list:
     inf or nan, none lowers the residual, and the lane stops as it stands,
     where _polish stops it. An exactly zero pivot makes the step not finite
     (a = 0 forces c = 0, so l is nan; u22 = 0 divides by 0), so such a lane
-    is among those whose full step fails, and is handed to scalar _polish
-    for its lstsq branch. The halvings run while at least _LANE_MIN lanes
-    take them.
+    stops as it stands too, where _polish stops at the pivot. The halvings
+    run while at least _LANE_MIN lanes take them.
     """
     # row k of P_*: the coefficient of both conics, as a (2, 1) column, so
     # that one expression on (2, n) arrays gives F1's values over F2's; K_*
@@ -284,11 +281,6 @@ def _lane_steps(t1, t2, out: np.ndarray, tol: float) -> list:
         ok = X[2] < best
         S = np.where(ok, X, S)
         p = (~ok).nonzero()[0]
-        lstsq = p[:0]
-        if len(p) >= _LANE_MIN:  # else hand() below takes the zero pivots
-            zero = (a[p] == 0.0) | (u22[p] == 0.0)
-            lstsq, p = p[zero], p[~zero]
-            hand(lstsq)
         for h in range(1, 8):
             if len(p) < _LANE_MIN:
                 hand(p)
@@ -299,7 +291,6 @@ def _lane_steps(t1, t2, out: np.ndarray, tol: float) -> list:
             S[:, p[ok]] = X[:, ok]
             p = p[~ok]
         live = ~(S[2] < tol)
-        live[lstsq] = False
         live[p] = False  # handed, or no halving lowered best
     # after 50 steps every lane stops as it stands
     out[:, lane] = S[:3]

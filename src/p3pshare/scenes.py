@@ -131,6 +131,10 @@ class GridConfig:
     u_max: float = 20.0
     n: int = 2000
 
+    def __post_init__(self):
+        if not (0.0 < self.u_max < math.inf and self.n >= 2):
+            raise ValueError(f"need a finite u_max > 0 and n >= 2: {self}")
+
 
 #: the oracle's Newton residual gate, relative to 1 + u^2 + v^2. Value
 #: unexplained: 1000 times above conics.NEWTON_STOP, where a converged seed
@@ -309,7 +313,6 @@ def _merge(u: np.ndarray, v: np.ndarray) -> list[tuple[float, float]]:
         out.append((u0, v0))
         far = ~((np.abs(u - u0) <= _MERGE_TOL * (1.0 + abs(u0)))
                 & (np.abs(v - v0) <= _MERGE_TOL * (1.0 + abs(v0))))
-        far[0] = False  # a nan point is not near itself
         u, v = u[far], v[far]
     return out
 
@@ -341,9 +344,7 @@ def brute_force_solutions(sides, angles: ViewAngles,
     u0, v0 = 0.5 * (t[cells] + t[cells + 1]).T
     u, v, res = conics._polish_lanes(F1.terms, F2.terms, u0, v0,
                                      conics.NEWTON_STOP)
-    # the scalar gates' negations, so that a nan passes as it did there
-    keep = (~(res > _REFINE_TOL * (1.0 + u * u + v * v))
-            & ~(u <= 0.0) & ~(v <= 0.0))
+    keep = (res <= _REFINE_TOL * (1.0 + u * u + v * v)) & (u > 0.0) & (v > 0.0)
     return [RatioPair(u=uu, v=vv) for uu, vv in _merge(u[keep], v[keep])]
 
 

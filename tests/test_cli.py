@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from p3pshare import scenes, solver
+from p3pshare import scenes, sharing, solver
 from p3pshare.cli import (EXIT_CAMPAIGN_FAIL, EXIT_DEGENERATE,
                           EXIT_INCONSISTENT, EXIT_IO, EXIT_OK, EXIT_PARSE,
                           EXIT_PIPE, main)
@@ -162,6 +162,16 @@ class TestAnalyze:
 
     def test_degenerate_pencil_scene(self, capsys):
         assert_pencil_degenerate("analyze", capsys)
+
+    def test_right_angle_degeneracy_exits_degenerate(self, monkeypatch,
+                                                     capsys):
+        """companion_check raises RightAngleDegeneracyError on a family with
+        a pair whose cos beta or cos gamma is below _RIGHT_ANGLE_TOL: with
+        the tolerance at 1, every such cosine is."""
+        monkeypatch.setattr(sharing, "_RIGHT_ANGLE_TOL", 1.0)
+        assert main(["analyze", EQUILATERAL]) == EXIT_DEGENERATE
+        assert capsys.readouterr().err == \
+            "degenerate scene: denominator cosine vanishes\n"
 
     def test_stdout_bytes(self, tmp_path, capsys):
         """The full report, byte for byte, on the equilateral scene, on a

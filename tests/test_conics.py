@@ -397,25 +397,24 @@ class TestNewtonPolish:
         assert (u, v) == pytest.approx((4.0, 4.0), abs=1e-10)
         assert res < 1e-12
 
-    def test_singular_jacobian_falls_back_to_least_squares(self, monkeypatch):
-        # F1 = u^2 - 1, F2 = v^2 - 1: the Jacobian diag(2u, 2v) is singular
-        # on u = 0; from (0, 2) the minimum-norm lstsq step (0, -0.75) cuts
-        # the residual from 3 to 1, and no later step can lower |F1| = 1
-        F1 = Conic(c_vv=0.0, c_uv=0.0, c_uu=1.0, c_u=0.0, c_v=0.0, c_1=-1.0)
-        F2 = Conic(c_vv=1.0, c_uv=0.0, c_uu=0.0, c_u=0.0, c_v=0.0, c_1=-1.0)
-        calls = []
-        lstsq = np.linalg.lstsq
+    @pytest.mark.parametrize("t1, t2, u, v, res", [
+        # F1 = u^2 - 1, F2 = v^2 - 1: the Jacobian diag(2u, 2v) has a = 0 on
+        # u = 0
+        ((0.0, 0.0, 1.0, 0.0, 0.0, -1.0), (1.0, 0.0, 0.0, 0.0, 0.0, -1.0),
+         0.0, 2.0, 3.0),
+        # u + v - 2, (u + v)^2 - 4 at u + v = 1: rows [1, 1], [2, 2] swap
+        # and u22 = 1 - 0.5 * 2 = 0
+        ((0.0, 0.0, 0.0, 1.0, 1.0, -2.0), (1.0, 2.0, 1.0, 0.0, 0.0, -4.0),
+         0.5, 0.5, 3.0),
+    ], ids=["zero_a", "zero_u22"])
+    def test_zero_pivot_stops(self, monkeypatch, t1, t2, u, v, res):
+        """A singular step stops where it stands, as a step that is not
+        finite does, and asks numpy for nothing."""
+        def lstsq(*args, **kwargs):
+            raise AssertionError("lstsq called")
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(conics.np.linalg, "lstsq", spy)
-        u, v, res = newton_polish(F1, F2, 0.0, 2.0)
-        assert calls
-        assert u == 0.0
-        assert v == pytest.approx(1.25, abs=1e-12)
-        assert res == 1.0
+        monkeypatch.setattr(conics.np.linalg, "lstsq", lstsq)
+        assert conics._polish(t1, t2, u, v, conics.NEWTON_STOP) == (u, v, res)
 
 
 class TestIntersectConics:

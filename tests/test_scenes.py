@@ -129,6 +129,29 @@ class TestGridOracle:
         monkeypatch.setattr(conics, "_LANE_MIN", lane_min)
         self.test_golden_points()
 
+    def test_nan_residual_lane_dropped(self, monkeypatch):
+        """A lane whose residual is nan fails the residual gate, here at
+        (7, 9), far from the four roots, whose u and v are 0.25, 1 or 4."""
+        va = ViewAngles(0.625, 0.625, 0.625)
+        want = brute_force_solutions((1.0, 1.0, 1.0), va)
+        polish_lanes = conics._polish_lanes
+
+        def with_nan_lane(*args):
+            return [np.append(x, y) for x, y in zip(polish_lanes(*args),
+                                                    (7.0, 9.0, np.nan))]
+
+        monkeypatch.setattr(conics, "_polish_lanes", with_nan_lane)
+        assert brute_force_solutions((1.0, 1.0, 1.0), va) == want
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n": 0}, {"n": 1}, {"n": -3}, {"u_max": np.nan}, {"u_max": np.inf},
+        {"u_max": 0.0}, {"u_max": -5.0}],
+        ids=["n0", "n1", "n_negative", "u_max_nan", "u_max_inf", "u_max0",
+             "u_max_negative"])
+    def test_grid_config_rejects_what_it_cannot_scan(self, kwargs):
+        with pytest.raises(ValueError):
+            GridConfig(**kwargs)
+
     def test_agrees_with_pencil_path(self):
         rng = np.random.default_rng(21)
         grid = GridConfig()
@@ -169,12 +192,11 @@ def assert_lanes_are_polish(t1, t2, u, v, tol=NEWTON_STOP):
 #: (t1, t2, u, v) of one seed on each rare branch of _polish, on hand-made
 #: Conic.terms rows (c_vv, c_uv, c_uu, c_u, c_v, c_1)
 RARE_LANES = {
-    # u^2 - 1, v^2 - 1 from u = 0: a = 0, the lstsq branch, then no
-    # halving lowers |F1| = 1
+    # u^2 - 1, v^2 - 1 from u = 0: a = 0, a zero pivot, which stops
     "zero_a": ((0.0, 0.0, 1.0, 0.0, 0.0, -1.0), (1.0, 0.0, 0.0, 0.0, 0.0, -1.0),
                0.0, 2.0),
     # u + v - 2, (u + v)^2 - 4 at u + v = 1: rows [1, 1], [2, 2] swap and
-    # u22 = 1 - 0.5 * 2 = 0, the lstsq branch at every step
+    # u22 = 1 - 0.5 * 2 = 0, a zero pivot, which stops
     "zero_u22": ((0.0, 0.0, 0.0, 1.0, 1.0, -2.0), (1.0, 2.0, 1.0, 0.0, 0.0, -4.0),
                  0.5, 0.5),
     # u^2 - 1 at u = 1e200 is inf, and the step 0 * inf is nan

@@ -161,9 +161,6 @@ BLAS_ALLOWED = {
     ("scenes.py", "_distinct_quartic_roots", "np.linalg.eigvals"):
         "the danger_repeat count's quartic roots: eigenvalues of a 4 x 4 "
         "companion matrix, not 3-vector geometry",
-    ("conics.py", "_polish", "np.linalg.lstsq"):
-        "a Newton step whose 2 x 2 Jacobian has a zero pivot: the "
-        "least-squares step of a singular system",
 }
 #: numpy's dot-product family, by the last part of its dotted name
 _DOT_FAMILY = {"dot", "matmul", "inner", "vdot", "vecdot", "einsum",
@@ -179,13 +176,9 @@ def _dotted(node) -> str | None:
         if isinstance(node, ast.Name) else None
 
 
-def blas_uses(source: str) -> list[tuple[int, str, str]]:
-    """(line, enclosing function, use) of each .dot( call, @ product, name
-    of numpy's dot family and numpy.linalg function in the source, the
-    numpy names spelled as written; the function is "<module>" outside
-    any."""
-    tree = ast.parse(source)
-    numpy = {}  # a local name bound to numpy or to a numpy name: its path
+def numpy_bindings(tree) -> dict[str, str]:
+    """Each name the module binds to numpy or to a numpy name: its path."""
+    numpy = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -197,6 +190,16 @@ def blas_uses(source: str) -> list[tuple[int, str, str]]:
             for alias in node.names:
                 numpy[alias.asname or alias.name] = \
                     f"{node.module}.{alias.name}"
+    return numpy
+
+
+def blas_uses(source: str) -> list[tuple[int, str, str]]:
+    """(line, enclosing function, use) of each .dot( call, @ product, name
+    of numpy's dot family and numpy.linalg function in the source, the
+    numpy names spelled as written; the function is "<module>" outside
+    any."""
+    tree = ast.parse(source)
+    numpy = numpy_bindings(tree)
     hits = []
 
     def visit(node, func):
@@ -232,6 +235,49 @@ def test_no_blas_in_the_geometry():
             for line, func, name in blas_uses(f.read_text())}
     assert set(used) == set(BLAS_ALLOWED), \
         f"BLAS uses outside the allowlist: {set(used) - set(BLAS_ALLOWED)}"
+
+
+#: the solve path, from cosines to triplets: plain float code that reads no
+#: numpy name, by file
+NUMPY_FREE = {
+    "conics.py": ("_intersect", "_polish", "_pencil_sigma2",
+                  "farthest_real_root"),
+    "solver.py": ("_triplet", "solve"),
+}
+
+
+def numpy_names_in(source: str, func: str) -> list[tuple[int, str]]:
+    """(line, name) of each name bound to numpy that the module-level
+    function func reads."""
+    tree = ast.parse(source)
+    numpy = numpy_bindings(tree)
+    [body] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == func]
+    return sorted((node.lineno, node.id) for node in ast.walk(body)
+                  if isinstance(node, ast.Name) and node.id in numpy)
+
+
+@pytest.mark.parametrize("file, func", [
+    (f, func) for f, funcs in NUMPY_FREE.items() for func in funcs])
+def test_the_solve_path_reads_no_numpy_name(file, func):
+    assert numpy_names_in((SRC / file).read_text(), func) == []
+
+
+def test_the_numpy_name_scan_sees_what_it_must():
+    source = '''import numpy as np
+from numpy.linalg import lstsq as ls
+
+
+def f(x):
+    y = np.linalg.lstsq(x, x) + ls(x)
+    return [np for _ in x], x.np
+
+
+def g(np_):
+    return np_
+'''
+    assert numpy_names_in(source, "f") == [(6, "ls"), (6, "np"), (7, "np")]
+    assert numpy_names_in(source, "g") == []
 
 
 def test_the_blas_scan_sees_what_it_must():
