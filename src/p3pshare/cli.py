@@ -81,17 +81,19 @@ def cmd_solve(args) -> int:
 def cmd_analyze(args) -> int:
     tri, center, angles = _load(args.scene)
     sol = solver.solve(tri, angles, tol=args.tol)
+    # classified before the first print: a degenerate scene (companion_check
+    # raises at a vanishing denominator cosine) exits with stdout empty
+    cls = sharing.classify_solution_set(sol, tri, angles, tol=args.tol_class)
+    comp = sharing.companion_check(sol, tri, angles, tol=args.tol_class)
     print(f"solutions: {sol.count}")
     _print_table(_SOLVE_HEADER, _solution_rows(sol, tri))
 
-    cls = sharing.classify_solution_set(sol, tri, angles, tol=args.tol_class)
     pair_rows = [[i, j, label.name, _g(res)] for i, j, label, res in cls.pairs]
     print("\nsharing pairs:")
     _print_table(["i", "j", "label", "residual"], pair_rows)
     if cls.repeated_indices:
         print(f"repeated solutions: {list(cls.repeated_indices)}")
 
-    comp = sharing.companion_check(sol, tri, angles, tol=args.tol_class)
     if not comp.applicable:
         print("\ncompanion: no companion claim applicable")
     else:
@@ -115,11 +117,24 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+#: verify's flags that some campaigns do not read: (flag, its dest, the ids
+#: that read it)
+_VERIFY_FLAGS = (("--tol", "tol", scenes.TOL_IDS),
+                 ("--converse-trials", "converse_trials", scenes.CONVERSE_IDS))
+
+
 def cmd_verify(args) -> int:
     ids = scenes.THEOREM_IDS if args.theorem == "all" else (args.theorem,)
+    for flag, dest, readers in _VERIFY_FLAGS:
+        if getattr(args, dest) is not None and set(ids).isdisjoint(readers):
+            print(f"p3pshare verify: error: {args.theorem} does not read "
+                  f"{flag}; it is read by {', '.join(readers)}",
+                  file=sys.stderr)
+            return EXIT_PARSE
+    tol = sharing.LINE_TOL if args.tol is None else args.tol
     rows = []
     for tid in ids:
-        rep = scenes.verify_theorem(tid, trials=args.trials, tol=args.tol,
+        rep = scenes.verify_theorem(tid, trials=args.trials, tol=tol,
                                     seed=args.seed,
                                     converse_trials=args.converse_trials)
         print(f"theorem {rep.theorem_id}: trials={rep.trials} "
@@ -219,12 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("theorem", choices=(*scenes.THEOREM_IDS, "all"))
     vp.add_argument("--trials", type=_at_least(1), default=None)
     vp.add_argument("--converse-trials", type=_at_least(0), default=None,
-                    help="for side_nsc, point_nsc and danger_repeat only")
-    vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--tol", type=_tolerance, default=sharing.LINE_TOL,
-                    help="line tolerance of side_nsc, point_nsc, construct_side"
-                    " and construct_point only; companion has its own, and "
-                    "danger_repeat no line test")
+                    help="read by " + ", ".join(scenes.CONVERSE_IDS) + " only:"
+                    " naming another id exits 2, and 'all' gives it to these")
+    vp.add_argument("--seed", type=_at_least(0), default=0)
+    vp.add_argument("--tol", type=_tolerance, default=None,
+                    help=f"line tolerance (default {sharing.LINE_TOL:g}), "
+                    "read by " + ", ".join(scenes.TOL_IDS) + " only: naming "
+                    "another id exits 2, and 'all' gives it to these; "
+                    "companion has its own, and danger_repeat no line test")
     vp.add_argument("--out", default=None)
     vp.set_defaults(func=cmd_verify)
 

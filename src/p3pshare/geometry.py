@@ -104,37 +104,8 @@ class ControlTriangle:
 
     @classmethod
     def from_points(cls, A, B, C) -> "ControlTriangle":
-        A, B, C = _as_point(A), _as_point(B), _as_point(C)
-        p, q, r = A.tolist(), B.tolist(), C.tolist()
-        cb, ab, ca = _diff(r, q), _diff(p, q), _diff(r, p)
-        a, b, c = (math.sqrt(_dot(cb, cb)), math.sqrt(_dot(ca, ca)),
-                   math.sqrt(_dot(ab, ab)))
-        # a non-finite coordinate reaches two of the three sides; finite
-        # ones of size ~1e154 or more overflow in a squared side
-        if not math.isfinite(a + b + c):
-            if all(map(math.isfinite, p + q + r)):
-                raise DegenerateInputError(
-                    "control points too far apart: a squared side overflows")
-            raise DegenerateInputError("non-finite control point coordinates")
-        if a <= 0.0 or b <= 0.0 or c <= 0.0:
-            raise DegenerateInputError("coincident control points")
-        n = _cross(cb, ab)
-        area2 = math.sqrt(_dot(n, n))
-        # sides of ~1e77 or more: the squared cross product may overflow
-        if not math.isfinite(area2):
-            raise DegenerateInputError(
-                "control points too far apart: a squared cross product "
-                "overflows")
-        scale = max(a, b, c)
-        if area2 <= _COLLINEAR_TOL * scale * scale:
-            raise DegenerateInputError("collinear control points")
-        if a + b <= c or b + c <= a or c + a <= b:
-            raise DegenerateInputError("triangle inequality violated")
-        return _new_triangle(A=A, B=B, C=C, a=a, b=b, c=c,
-                             cos_A=(b * b + c * c - a * a) / (2.0 * b * c),
-                             cos_B=(a * a + c * c - b * b) / (2.0 * a * c),
-                             cos_C=(a * a + b * b - c * c) / (2.0 * a * b),
-                             area2=area2)
+        return _triangle(_as_point(A).tolist(), _as_point(B).tolist(),
+                         _as_point(C).tolist())
 
     @cached_property
     def frame(self) -> "CanonicalFrame":
@@ -164,6 +135,43 @@ class ControlTriangle:
 
 
 _new_triangle = _record(ControlTriangle)
+
+
+def _triangle(p, q, r) -> ControlTriangle:
+    """The ControlTriangle with vertices A = p, B = q and C = r, given as
+    float 3-sequences: from_points' arithmetic, checks and messages on
+    Python floats. The vertex arrays are built only for the triangle it
+    returns, so a rejected draw (random_scene) costs its arithmetic alone.
+    """
+    cb, ab, ca = _diff(r, q), _diff(p, q), _diff(r, p)
+    a, b, c = (math.sqrt(_dot(cb, cb)), math.sqrt(_dot(ca, ca)),
+               math.sqrt(_dot(ab, ab)))
+    # a non-finite coordinate reaches two of the three sides; finite ones
+    # of size ~1e154 or more overflow in a squared side
+    if not math.isfinite(a + b + c):
+        if all(map(math.isfinite, (*p, *q, *r))):
+            raise DegenerateInputError(
+                "control points too far apart: a squared side overflows")
+        raise DegenerateInputError("non-finite control point coordinates")
+    if a <= 0.0 or b <= 0.0 or c <= 0.0:
+        raise DegenerateInputError("coincident control points")
+    n = _cross(cb, ab)
+    area2 = math.sqrt(_dot(n, n))
+    # sides of ~1e77 or more: the squared cross product may overflow
+    if not math.isfinite(area2):
+        raise DegenerateInputError(
+            "control points too far apart: a squared cross product overflows")
+    scale = max(a, b, c)
+    if area2 <= _COLLINEAR_TOL * scale * scale:
+        raise DegenerateInputError("collinear control points")
+    if a + b <= c or b + c <= a or c + a <= b:
+        raise DegenerateInputError("triangle inequality violated")
+    return _new_triangle(A=np.array(p), B=np.array(q), C=np.array(r),
+                         a=a, b=b, c=c,
+                         cos_A=(b * b + c * c - a * a) / (2.0 * b * c),
+                         cos_B=(a * a + c * c - b * b) / (2.0 * a * c),
+                         cos_C=(a * a + b * b - c * c) / (2.0 * a * b),
+                         area2=area2)
 
 
 def interior_angles(tri: ControlTriangle) -> tuple[float, float, float]:

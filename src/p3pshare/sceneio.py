@@ -15,7 +15,7 @@ from math import isfinite
 import numpy as np
 
 from .errors import SceneParseError
-from .geometry import ControlTriangle, ViewAngles
+from .geometry import ControlTriangle, ViewAngles, _triangle
 
 
 #: the largest float: an integer entry beyond it is not finite
@@ -26,13 +26,15 @@ def _not_finite(what: str, shape: tuple[int, ...]) -> SceneParseError:
     return SceneParseError(f"{what} must be finite numbers of shape {shape}")
 
 
-def _finite_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """value as a float array of the given shape, (3,) or (3, 3): nested
-    lists of that shape with a finite JSON number at every entry. numpy
-    would also convert numeric strings and booleans, and raise
+def _finite_rows(value, shape: tuple[int, ...], what: str) -> list:
+    """value as float lists of the given shape, (3,) or (3, 3): nested
+    lists of that shape with a finite JSON number at every entry, each
+    entry as float() rounds it, which is how numpy converts them too.
+    numpy would also convert numeric strings and booleans, and raise
     OverflowError on an integer too large for a float."""
     if type(value) is not list or len(value) != shape[0]:
         raise _not_finite(what, shape)
+    rows = []
     for row in value if len(shape) == 2 else [value]:
         if type(row) is not list or len(row) != shape[-1]:
             raise _not_finite(what, shape)
@@ -46,7 +48,8 @@ def _finite_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
             elif -_FLOAT_MAX <= x <= _FLOAT_MAX:  # exact for any int
                 continue
             raise _not_finite(what, shape)
-    return np.array(value, dtype=float)
+        rows.append([float(x) for x in row])
+    return rows if len(shape) == 2 else rows[0]
 
 
 def parse_scene(text: str):
@@ -65,21 +68,21 @@ def parse_scene(text: str):
         pts = doc["controlPoints"]
     except KeyError:
         raise SceneParseError("missing controlPoints")
-    pts = _finite_array(pts, (3, 3), "controlPoints")
+    pts = _finite_rows(pts, (3, 3), "controlPoints")
     has_center = "opticalCenter" in doc
     has_cos = "subtendedAngleCosines" in doc
     if has_center == has_cos:
         raise SceneParseError(
             "exactly one of opticalCenter / subtendedAngleCosines required")
-    tri = ControlTriangle.from_points(pts[0], pts[1], pts[2])
+    tri = _triangle(*pts)
     center = None
     angles = None
     if has_center:
-        center = _finite_array(doc["opticalCenter"], (3,), "opticalCenter")
+        center = np.array(_finite_rows(doc["opticalCenter"], (3,),
+                                         "opticalCenter"))
     else:
-        cs = _finite_array(doc["subtendedAngleCosines"], (3,),
-                           "subtendedAngleCosines")
-        angles = ViewAngles(*cs.tolist())
+        angles = ViewAngles(*_finite_rows(doc["subtendedAngleCosines"],
+                                            (3,), "subtendedAngleCosines"))
     return tri, center, angles, doc.get("label")
 
 

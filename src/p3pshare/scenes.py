@@ -14,8 +14,8 @@ from .errors import (DegenerateAngleError, DegenerateInputError,
                      DegeneratePencilError, GenerationFailureError,
                      NotOnConstraintLineError, SamplingFailureError)
 from .geometry import (ControlTriangle, RatioPair, SolutionTriplet, ViewAngles,
-                       _diff, _dot, _new_triplet, _record, canonical_frame,
-                       cocyclic_degeneracy, interior_angles,
+                       _diff, _dot, _new_triplet, _record, _triangle,
+                       canonical_frame, cocyclic_degeneracy, interior_angles,
                        view_angles_from_center)
 from .sharing import SharingLabel
 
@@ -102,10 +102,12 @@ def random_scene(rng: np.random.Generator) -> Scene:
     h, xy = SceneConfig.vertex_half_extent, SceneConfig.center_xy
     min_side, min_area = SceneConfig.min_side, SceneConfig.min_area
     for _ in range(SceneConfig.max_rejects):
-        (x0, y0), (x1, y1), (x2, y2) = rng.uniform(-h, h, size=(3, 2)).tolist()
+        # the vertices' x and y, rng.uniform(-h, h, size=(3, 2))'s values
+        # and end state: uniform is -h + (h - -h) * u on random's u
+        x0, y0, x1, y1, x2, y2 = [-h + (h - -h) * u
+                                  for u in rng.random(6).tolist()]
         try:
-            tri = ControlTriangle.from_points((x0, y0, 0.0), (x1, y1, 0.0),
-                                              (x2, y2, 0.0))
+            tri = _triangle((x0, y0, 0.0), (x1, y1, 0.0), (x2, y2, 0.0))
         except DegenerateInputError:
             continue
         if tri.a < min_side or tri.b < min_side or tri.c < min_side \
@@ -394,11 +396,74 @@ class CampaignReport:
         return self.passes / n if n else 1.0
 
 
+#: numpy's SeedSequence hash constants: its mix (INIT_A, MULT_A, MIX_L,
+#: MIX_R) and generate_state (INIT_B, MULT_B). NEP 19 freezes the
+#: algorithm for stream compatibility.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(init: int, mult: int, start: int, n: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = start, ..., start + n - 1, as
+    uint32: the hash constant after k hash calls. A call xors its word with
+    constant k and multiplies it by constant k + 1."""
+    return np.array([init * pow(mult, k, 1 << 32) & 0xFFFFFFFF
+                     for k in range(start, start + n)], dtype=np.uint32)
+
+
+#: generate_state's hash constants for its 8 words, and the last multiplier
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, 9)
+
+
+@lru_cache(maxsize=1)
+def _child_state_type() -> type:
+    """A seed sequence type whose generate_state returns one precomputed
+    row: PCG64 asks it for generate_state(4, uint64) and reads the row's
+    raw buffer, so the row must be a C-contiguous (4,) uint64 array.
+    Defined on first use: numpy loads np.random lazily, and a class that
+    subclasses ISeedSequence at import would load it with the package."""
+
+    class ChildState(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("state",)
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return ChildState
+
+
 def _trial_rngs(seed: int, n: int):
-    """One generator per trial, from the n children of SeedSequence(seed):
-    Generator(PCG64(s)) is what default_rng(s) builds, in the same state."""
-    return [np.random.Generator(np.random.PCG64(s))
-            for s in np.random.SeedSequence(seed).spawn(n)]
+    """One generator per trial, in the state default_rng(s) gives child s
+    of SeedSequence(seed).spawn(n), with its draws.
+
+    Child t's entropy is the root's, padded to 4 words, and one more word,
+    t; the root's pool already holds the rest. So t is hash-mixed into
+    the root's 4 pool words, the hash constant carried on from the root's
+    16 + 4 * max(0, words - 4) hash calls, and generate_state(4, uint64)
+    cycles that pool over 8 uint32 words, paired little-endian: one array
+    pass for all n children, in place of spawn's SeedSequence per child.
+    SeedSequence(seed) still validates the seed: a negative one raises
+    ValueError. Each row of the (n, 4) result is C-contiguous, as PCG64
+    reads it (_child_state_type).
+    """
+    root = np.random.SeedSequence(seed)
+    words = max(1, -(-int(root.entropy).bit_length() // 32))
+    mix = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(0, words - 4), 5)
+    v = np.arange(n, dtype=np.uint32)[:, None] ^ mix[:4]
+    v *= mix[1:]
+    v ^= v >> 16
+    pool = _MIX_L * root.pool - _MIX_R * v
+    pool ^= pool >> 16
+    state = np.hstack((pool, pool)) ^ _STATE_CONSTS[:8]
+    state *= _STATE_CONSTS[1:]
+    state ^= state >> 16
+    rows = state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+    child = _child_state_type()
+    return [np.random.Generator(np.random.PCG64(child(row))) for row in rows]
 
 
 #: _CYL_CLEARANCE bounds a sharing-locus center's distance from the danger
@@ -773,19 +838,23 @@ def _campaign_construct_point(rep: CampaignReport, tol: float, seed: int,
                        componentwise_mismatches=componentwise_mismatch)
 
 
-#: theorem id -> (campaign(report, tol, seed, converse trials), and its
-#: acceptance-scale plan: trials, converse trials, 0 without a converse scan)
+#: theorem id -> (campaign(report, tol, seed, converse trials), its
+#: acceptance-scale plan: trials, converse trials, 0 without a converse scan,
+#: and whether the campaign reads tol)
 _CAMPAIGNS = {
     "side_nsc": (partial(_campaign_sharing_nsc, sharing.SIDE_LABELS),
-                 1500, 2000),
+                 1500, 2000, True),
     "point_nsc": (partial(_campaign_sharing_nsc, sharing.POINT_LABELS),
-                  1500, 2000),
-    "companion": (_campaign_companion, 10000, 0),
-    "danger_repeat": (_campaign_danger_repeat, 200, 200),
-    "construct_side": (_campaign_construct_side, 300, 0),
-    "construct_point": (_campaign_construct_point, 300, 0),
+                  1500, 2000, True),
+    "companion": (_campaign_companion, 10000, 0, False),
+    "danger_repeat": (_campaign_danger_repeat, 200, 200, False),
+    "construct_side": (_campaign_construct_side, 300, 0, True),
+    "construct_point": (_campaign_construct_point, 300, 0, True),
 }
 THEOREM_IDS = tuple(_CAMPAIGNS)
+#: the ids whose campaign reads verify_theorem's tol, and converse_trials
+TOL_IDS = tuple(tid for tid, c in _CAMPAIGNS.items() if c[3])
+CONVERSE_IDS = tuple(tid for tid, c in _CAMPAIGNS.items() if c[2])
 
 
 def verify_theorem(theorem_id: str, trials: int | None = None,
@@ -794,17 +863,21 @@ def verify_theorem(theorem_id: str, trials: int | None = None,
     """Run the per-theorem protocol and return its statistics.
 
     trials None runs the campaign's plan; converse_trials None runs the
-    plan's converse count with it, and as many as trials otherwise.
+    plan's converse count with it, and as many as trials otherwise. A
+    negative seed, which SeedSequence rejects, raises ValueError before
+    any work.
     """
     if theorem_id not in _CAMPAIGNS:
         raise ValueError(f"unknown theorem id: {theorem_id!r}")
-    campaign, *plan = _CAMPAIGNS[theorem_id]
+    campaign, *plan, _ = _CAMPAIGNS[theorem_id]
     trials, nconv = plan if trials is None else (trials, trials)
     nconv = nconv if converse_trials is None else converse_trials
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if nconv < 0:
         raise ValueError("converse_trials must be >= 0")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     t0 = time.perf_counter()
     rep = CampaignReport(theorem_id=theorem_id, trials=trials)
     campaign(rep, tol, seed, nconv)

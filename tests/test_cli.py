@@ -167,10 +167,13 @@ class TestAnalyze:
                                                      capsys):
         """companion_check raises RightAngleDegeneracyError on a family with
         a pair whose cos beta or cos gamma is below _RIGHT_ANGLE_TOL: with
-        the tolerance at 1, every such cosine is."""
+        the tolerance at 1, every such cosine is. Nothing is printed first,
+        as on every other degenerate exit."""
         monkeypatch.setattr(sharing, "_RIGHT_ANGLE_TOL", 1.0)
         assert main(["analyze", EQUILATERAL]) == EXIT_DEGENERATE
-        assert capsys.readouterr().err == \
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
             "degenerate scene: denominator cosine vanishes\n"
 
     def test_stdout_bytes(self, tmp_path, capsys):
@@ -264,6 +267,54 @@ class TestVerify:
         assert main(["verify", "all", "--trials", "7"]) == EXIT_OK
         assert counts_seen == dict.fromkeys(scenes.THEOREM_IDS, (7, 7))
 
+    @pytest.mark.parametrize("theorem, flag, value", [
+        ("companion", "--tol", "5"), ("danger_repeat", "--tol", "1e-3"),
+        ("construct_side", "--converse-trials", "9"),
+        ("companion", "--converse-trials", "0"),
+        ("construct_point", "--converse-trials", "3"),
+    ])
+    def test_unread_flag_exits_parse(self, counts_seen, theorem, flag, value,
+                                     capsys):
+        """A flag that the one named id does not read: exit 2 before any
+        campaign runs, naming the ids that read it."""
+        readers = scenes.TOL_IDS if flag == "--tol" else scenes.CONVERSE_IDS
+        assert theorem not in readers
+        assert main(["verify", theorem, "--trials", "2", flag, value]) \
+            == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and counts_seen == {}
+        assert captured.err == (
+            f"p3pshare verify: error: {theorem} does not read {flag}; it is "
+            f"read by {', '.join(readers)}\n")
+
+    def test_flags_reach_the_ids_that_read_them(self, monkeypatch, capsys):
+        """The ids that read --tol and --converse-trials take them when
+        named; 'all' hands them to every id, and left out they are the
+        library's defaults."""
+        seen = []
+
+        def spy(tid, **kwargs):
+            seen.append((tid, kwargs["tol"], kwargs["converse_trials"]))
+            return scenes.CampaignReport(theorem_id=tid, trials=1, passes=1)
+
+        monkeypatch.setattr(scenes, "verify_theorem", spy)
+        for tid in scenes.TOL_IDS:
+            assert main(["verify", tid, "--tol", "1e-3"]) == EXIT_OK
+        for tid in scenes.CONVERSE_IDS:
+            assert main(["verify", tid, "--converse-trials", "4"]) == EXIT_OK
+        assert main(["verify", "all", "--tol", "1e-3",
+                     "--converse-trials", "4"]) == EXIT_OK
+        assert main(["verify", "companion"]) == EXIT_OK
+        assert seen == [
+            *((tid, 1e-3, None) for tid in scenes.TOL_IDS),
+            *((tid, sharing.LINE_TOL, 4) for tid in scenes.CONVERSE_IDS),
+            *((tid, 1e-3, 4) for tid in scenes.THEOREM_IDS),
+            ("companion", sharing.LINE_TOL, None)]
+        assert scenes.TOL_IDS == ("side_nsc", "point_nsc", "construct_side",
+                                  "construct_point")
+        assert scenes.CONVERSE_IDS == ("side_nsc", "point_nsc",
+                                       "danger_repeat")
+
     def test_all_fails_when_one_id_fails(self, monkeypatch, capsys):
         def fail(rep, tol, seed, nconv):
             rep.record(False, 0, "injected")
@@ -296,7 +347,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("flag, value", [
         ("--trials", "0"), ("--trials", "-3"), ("--trials", "two"),
-        ("--converse-trials", "-1"),
+        ("--converse-trials", "-1"), ("--seed", "-1"),
     ])
     def test_bad_count_exits_parse(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:

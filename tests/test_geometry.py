@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from p3pshare import geometry
 from p3pshare.errors import DegenerateAngleError, DegenerateInputError
 from p3pshare.geometry import (CanonicalFrame, ControlTriangle, SolutionTriplet,
                                ViewAngles, _cross, canonical_frame,
@@ -104,6 +105,33 @@ class TestControlTriangle:
 
     def test_area2_is_twice_the_area(self, sc1_triangle):
         assert sc1_triangle.area2 == 6.0
+
+    @pytest.mark.parametrize("pts, message", [
+        (([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0]),
+         "coincident control points"),
+        (([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]),
+         "collinear control points"),
+        # area2 1e-9 clears the collinear test; the rounded sides are
+        # 1, 0.5 and 0.5
+        (([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1e-9, 0.0]),
+         "triangle inequality violated"),
+        (([0.0, 0.0, math.nan], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+         "non-finite control point coordinates"),
+        (([0.0, 0.0, 0.0], [1.0, -math.inf, 0.0], [0.0, 1.0, 0.0]),
+         "non-finite control point coordinates"),
+        (([1e300, 0.0, 0.0], [0.0, 1e300, 0.0], [0.0, 0.0, 0.0]),
+         "control points too far apart: a squared side overflows"),
+        (([0.0, 1e100, 0.0], [0.0, 0.0, 0.0], [1e100, 0.0, 0.0]),
+         "control points too far apart: a squared cross product overflows"),
+    ], ids=["coincident", "collinear", "inequality", "nan", "inf",
+            "side_overflow", "cross_overflow"])
+    def test_float_core_rejects_as_from_points(self, pts, message):
+        """_triangle, which random_scene and parse_scene call on floats,
+        raises from_points' error with the same message."""
+        for build in (ControlTriangle.from_points, geometry._triangle):
+            with pytest.raises(DegenerateInputError) as exc:
+                build(*pts)
+            assert str(exc.value) == message
 
 
 #: floats spanning signed zeros, subnormals and magnitudes near overflow

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -500,17 +502,38 @@ class TestBoxTables:
 
 
 class TestTrialDraws:
-    @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 + 3])
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3,
+                                      2 ** 128 + 5, 2 ** 300 + 1])
     def test_generators_are_default_rngs(self, seed):
         """Each trial generator is in the state default_rng gives the
-        trial's child of SeedSequence(seed)."""
-        kids = np.random.SeedSequence(seed).spawn(6)
-        rngs = _trial_rngs(seed, 6)
-        assert len(rngs) == 6
-        for rng, kid in zip(rngs, kids):
-            assert type(rng) is np.random.Generator
-            assert rng.bit_generator.state \
-                == np.random.default_rng(kid).bit_generator.state
+        trial's child of SeedSequence(seed), and draws what it draws: seeds
+        of one to ten 32-bit words, the root's pool alone up to 4 words and
+        mixed with the rest beyond."""
+        for n in (1, 6, 2000):
+            kids = np.random.SeedSequence(seed).spawn(n)
+            rngs = _trial_rngs(seed, n)
+            assert len(rngs) == n
+            for rng, kid in zip(rngs, kids):
+                want = np.random.default_rng(kid)
+                assert type(rng) is np.random.Generator
+                assert rng.bit_generator.state == want.bit_generator.state
+                assert rng.random(5).tobytes() == want.random(5).tobytes()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            _trial_rngs(-1, 3)
+
+    def test_import_leaves_np_random_unloaded(self):
+        """numpy loads np.random on first use; the trial generators' seed
+        sequence type is defined then too, so importing the package does
+        not pay for np.random."""
+        src = str(Path(scenes.__file__).parents[1])
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                 "import p3pshare; print('numpy.random' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe, src],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
     def test_locus_draw_hands_the_sampled_locus(self):
         """_locus_draw draws _locus_scene's scene, and its locus is the one
@@ -552,6 +575,15 @@ class TestVerifyTheorem:
     def test_negative_converse_trials_rejected(self):
         with pytest.raises(ValueError, match="converse_trials"):
             verify_theorem("side_nsc", trials=2, converse_trials=-1)
+
+    def test_negative_seed_rejected(self, monkeypatch):
+        """Before any work: no trial generator is built."""
+        def built(*args):
+            raise AssertionError("a trial generator was built")
+
+        monkeypatch.setattr(scenes, "_trial_rngs", built)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            verify_theorem("side_nsc", trials=3, seed=-1)
 
     @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
     def test_small_campaign_passes(self, theorem_id):
