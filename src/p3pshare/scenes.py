@@ -156,12 +156,9 @@ _EPS = float(np.finfo(float).eps)
 _ETA = float(np.finfo(float).smallest_subnormal)
 
 
-def _stacked(F1: conics.Conic, F2: conics.Conic, ndim: int) -> conics.Conic:
-    """Both conics as one Conic whose coefficients are arrays of shape
-    (2, 1, ..., 1), with ndim ones: evaluated on nodes of ndim axes, it
-    gives F1's values then F2's, each computed as Conic.__call__ does."""
-    return conics.Conic(*np.array([F1.terms, F2.terms]).T
-                        .reshape(6, 2, *(1,) * ndim))
+def _up(x: float) -> float:
+    """The next float above x: at least every real number that rounds to x."""
+    return math.nextafter(x, math.inf)
 
 
 def _centred(lo, hi):
@@ -172,85 +169,75 @@ def _centred(lo, hi):
     return c, np.nextafter(np.maximum(hi - c, c - lo), np.inf)
 
 
-def _one_signed(F: conics.Conic, A: conics.Conic,
-                cu, cv, hu, hv, uhi, vhi) -> np.ndarray:
-    """Mask of the boxes [ulo, uhi] x [vlo, vhi] (0 < lo < hi) on whose grid
-    nodes the float value F(u, v) keeps one strict sign, given each box's
-    (cu, hu) = _centred(ulo, uhi), (cv, hv) = _centred(vlo, vhi) and high
-    ends. A is the Conic of F's absolute coefficients. The coefficients of
-    F and A may be arrays that broadcast against the boxes.
+def _one_signed(F: conics.Conic, T, cu, hu, cv, hv) -> np.ndarray:
+    """Mask of the boxes of centres (cu, cv) and half-widths (hu, hv), from
+    _centred, on whose grid nodes the float value F(u, v) keeps one strict
+    sign. F's coefficients may be arrays that broadcast against the boxes.
+    The nodes lie in (0, u_max]^2, every hu and hv is at most h, and T is,
+    per conic, a float at least Q + margin: Q = (|c_uu| + |c_uv| + |c_vv|)
+    h^2 and margin = 8 (eps S + 2 eta W), S the computed sum of F's
+    absolute terms at (u_max, u_max) and W = 1 + 2 u_max.
 
-    About a box's centre c = (cu, cv), exactly F(cu + du, cv + dv) = F(c)
-    + F_u du + F_v dv + c_uu du^2 + c_uv du dv + c_vv dv^2, so where
-    |du| <= hu and |dv| <= hv, F differs from F(c) by at most R = |F_u| hu
-    + |F_v| hv + |c_uu| hu^2 + |c_uv| hu hv + |c_vv| hv^2 (the centred
-    form). The box is one-signed when the computed |F(c)| - R exceeds a
-    margin of 8 eps S, S being the sum of the absolute terms of F at
-    (uhi, vhi); for u, v > 0 each monomial grows with u and v, so S bounds
-    that sum at every node. In units of roundoff (eps / 2) times S, the
-    margin is 16 and covers:
-      - the node evaluation, 7: Conic.__call__ forms each term with at most
+    About the centre c, exactly F(c + d) = F(c) + F_u du + F_v dv +
+    c_uu du^2 + c_uv du dv + c_vv dv^2, so on the box F is within |F_u| hu
+    + |F_v| hv + Q of F(c) (the centred form), and the box is one-signed
+    when the computed |F(c)| - (|F_u| hu + |F_v| hv) exceeds T. F(c) is
+    (c_vv cv + c_uv cu + c_v) cv + (c_uu cu + c_u) cu + c_1; F_v and F_u
+    add c_vv cv and c_uu cu + c_uv cv to its brackets. For u, v > 0 each
+    monomial grows with u and v, so S bounds the sum of the absolute terms
+    at every node. In units of roundoff (eps / 2) times S, the margin is 16:
+      - 7 for the node value: Conic.__call__ forms each term with at most
         two products and adds the six with five additions;
-      - F(c) and R, 8: F(c) errs by 7 units of its own sum of absolute
-        terms S(c), and R by 8 (three roundings in F_u, one product, four
-        additions) of R', the R with each gradient replaced by the sum of
-        its absolute terms. Term by term, S(c) + R' is S at (cu + hu,
-        cv + hv);
-      - the centre and half-widths, rounded outward (_centred): every node
-        lies within hu, hv of c, and cu + hu <= uhi (1 + 4 units), so S at
-        (cu + hu, cv + hv) is at most S (1 + 9 units). That, the 7 units by
-        which S itself may round and the errors' own rounding add terms in
-        eps^2 S, which the one unit to spare covers. The last subtraction
-        adds nothing: rounding is monotone and the margin is a float;
-      - the subnormal term, 16 W eta with eta = smallest_subnormal and
-        W = 1 + uhi + vhi: under gradual underflow a product may instead
-        err by up to eta / 2 (sums of subnormals are exact), and a later
-        factor u, v, hu or hv, each below W, scales that error. Summed over
-        its products, a node then errs by at most 5/2 W eta, F(c) by as
-        much, and R by 5/2 W eta again: two products in each gradient,
-        whose errors hu or hv scale, one that scales the gradient, and two
-        in each quadratic term. eps S and 2 W eta may each round by
-        eta / 2, which the factor 8 makes 8 eta at most, and
-        15/2 W eta + 8 eta <= 16 W eta.
+      - 6 for F(c) and the gradient term: a monomial of F(c) meets at most
+        six roundings, one of F_u or F_v four, then a product and an
+        addition. That is 6 units of their sums of absolute terms, which
+        add up to at most the sum of F's at c + h, and c + h <= u_max
+        (1 + 4 units);
+      - 3 spare for terms in eps^2 S: from c + h, from the 7 units by which
+        S may round and from the errors' own rounding. Q, margin and T are
+        rounded up, and the last subtraction adds nothing: rounding is
+        monotone and T is a float.
+    Under gradual underflow a product may instead err by up to eta / 2
+    (eta = smallest_subnormal; sums of subnormals are exact), which a later
+    factor u, v, hu or hv, each at most u_max, scales. A node then errs by
+    at most 5/2 W eta (eight products, of which v scales two and u one),
+    F(c) by W eta (five products, three scaled) and the gradient term by
+    3/2 W eta (three product errors in each gradient, scaled by hu or hv,
+    and two products): 5 W eta, within the margin's 16 W eta.
     """
-    fu = 2.0 * F.c_uu * cu + F.c_uv * cv + F.c_u
-    fv = 2.0 * F.c_vv * cv + F.c_uv * cu + F.c_v
-    r = (abs(fu) * hu + abs(fv) * hv + A.c_uu * hu * hu
-         + A.c_uv * hu * hv + A.c_vv * hv * hv)
-    S = A(uhi, vhi)
-    W = 1.0 + uhi + vhi
-    return abs(F(cu, cv)) - r > 8.0 * (_EPS * S + 2.0 * _ETA * W)
+    a, b = F.c_vv * cv, F.c_uv * cu
+    d = F.c_uu * cu
+    p = a + b + F.c_v
+    q = d + F.c_u
+    f = p * cv + q * cu + F.c_1
+    r = abs(q + d + F.c_uv * cv) * hu + abs(p + a) * hv
+    return abs(f) - r > T
 
 
-@lru_cache(maxsize=16)
-def _sub_boxes(side: int, nxt: int) -> np.ndarray:
-    """Offsets (di, dj), row-major, from a box's low node to those of the
-    boxes of nxt cells on a side that tile it (side cells on a side). Built
-    once per pair of sides and shared read-only."""
-    off = np.arange(0, side, nxt)
-    sub = np.stack([off.repeat(len(off)), np.tile(off, len(off))], 1)
-    sub.flags.writeable = False
-    return sub
-
-
-def _box_tables(t: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def _box_tables(t: np.ndarray) -> tuple[tuple, np.ndarray]:
     """The quantities of the box scan that depend on the grid alone, by a
     box's low node i (0 <= i < m = len(t) - 1), high nodes clipped to t[m]:
-      - per side of _BOX_CELLS, a (3, m) table whose column i is the (c, h,
-        hi) of the box of side cells on a side: (c, h) = _centred(t[i], hi),
-        hi = t[i + side];
-      - a (m, s + 1) table whose row i is the nodes t[i], ..., t[i + s] of
-        a box of the last side s, which the scan visits node by node.
-    Each is read-only."""
+      - per side of _BOX_CELLS: a (2, m) table whose column i is the (c, h)
+        = _centred(t[i], t[i + side]) of the box of side cells on a side;
+        the table's largest h (0.0 when it is empty); and the offsets
+        (di, dj), row-major, from the low node of a box of the previous
+        side (m at the first) to those of the boxes of this side that
+        tile it;
+      - a (s + 1, m) table whose column i is the nodes t[i], ..., t[i + s]
+        of a box of the last side s, which the scan visits node by node.
+    Each array is read-only."""
     m = len(t) - 1
     i = np.arange(max(m, 0))
     levels = []
-    for side in _BOX_CELLS:
-        hi = t[np.minimum(i + side, m)]
-        levels.append(np.stack((*_centred(t[i], hi), hi)))
-    nodes = t[np.minimum(i[:, None] + np.arange(_BOX_CELLS[-1] + 1), m)]
-    for table in (*levels, nodes):
-        table.flags.writeable = False
+    for prev, side in zip((m, *_BOX_CELLS), _BOX_CELLS):
+        table = np.stack(_centred(t[i], t[np.minimum(i + side, m)]))
+        off = np.arange(0, prev, side)
+        sub = off.repeat(len(off)), np.tile(off, len(off))
+        for x in (table, *sub):
+            x.flags.writeable = False
+        levels.append((table, float(table[1].max(initial=0.0)), sub))
+    nodes = t[np.minimum(np.arange(_BOX_CELLS[-1] + 1)[:, None] + i, m)]
+    nodes.flags.writeable = False
     return tuple(levels), nodes
 
 
@@ -272,30 +259,44 @@ def _candidate_cells(F1: conics.Conic, F2: conics.Conic,
     is dropped when either conic keeps one strict sign on all its nodes
     (_one_signed), and survivors split into boxes of the next size. The last
     survivors are scanned node by node, so the cells are exactly those of
-    the sign scan of the full grid. Each box's bounds and nodes are read
-    from tables, t's _box_tables, built here when not given.
+    the sign scan of the full grid. Each box's centre, half-widths and
+    nodes are read from tables, t's _box_tables, built here when not given;
+    the bound's margin is built once per conic, its Q once per level.
     """
     m = len(t) - 1
+    if m < 1:
+        return np.zeros((0, 2), dtype=np.intp)
     levels, nodes = _box_tables(t) if tables is None else tables
-    boxes, side = np.zeros((1, 2), dtype=np.intp), m
-    F = _stacked(F1, F2, 1)
-    A = conics.Conic(*map(abs, F.terms))
-    for nxt, table in zip(_BOX_CELLS, levels):
-        boxes = (boxes[:, None] + _sub_boxes(side, nxt)).reshape(-1, 2)
-        boxes = boxes[(boxes[:, 0] < m) & (boxes[:, 1] < m)]
-        side = nxt
-        # rows cu, cv, hu, hv, uhi, vhi: the columns of the boxes' low nodes
-        bounds = table.take(boxes.T, axis=1).reshape(6, -1)
-        signed = _one_signed(F, A, *bounds)
-        boxes = boxes[~(signed[0] | signed[1])]
-    u = nodes.take(boxes[:, 0], axis=0)[:, :, None]     # (k, s+1, 1)
-    v = nodes.take(boxes[:, 1], axis=0)[:, None, :]     # (k, 1, s+1)
-    S = _stacked(F1, F2, 3)(u, v) > 0.0                 # (2, k, s+1, s+1)
-    S00 = S[..., :-1, :-1]
-    mixed = ((S00 != S[..., 1:, :-1]) | (S00 != S[..., :-1, 1:])
-             | (S00 != S[..., 1:, 1:]))
-    k, di, dj = np.nonzero(mixed[0] & mixed[1])
-    cells = boxes[k] + np.stack([di, dj], axis=1)
+    # a row per term of Conic.terms, a column per conic
+    rows = np.array([F1.terms, F2.terms]).T
+    F = conics.Conic(*rows.reshape(6, 2, 1))
+    u_max = float(t[m])
+    W = _up(1.0 + 2.0 * u_max)
+    bounds = []
+    for G in (F1, F2):
+        A = conics.Conic(*map(abs, G.terms))
+        margin = 8.0 * _up(_up(_EPS * A(u_max, u_max)) + _up(2.0 * _ETA * W))
+        bounds.append((_up(_up(A.c_uu + A.c_uv) + A.c_vv), margin))
+    bi = bj = np.zeros(1, dtype=np.intp)            # the boxes' low nodes
+    for table, h, (di, dj) in levels:
+        bi, bj = (bi[:, None] + di).ravel(), (bj[:, None] + dj).ravel()
+        inside = (bi < m) & (bj < m)
+        bi, bj = bi[inside], bj[inside]
+        T = np.array([[_up(_up(_up(s2 * h) * h) + margin)]
+                      for s2, margin in bounds])
+        signed = _one_signed(F, T, *table.take(bi, axis=1),
+                             *table.take(bj, axis=1))
+        keep = ~(signed[0] | signed[1])
+        bi, bj = bi[keep], bj[keep]
+    # signs (2, s+1, s+1, k): a box per last axis keeps inner loops long
+    u = nodes.take(bi, axis=1)[:, None]
+    v = nodes.take(bj, axis=1)
+    S = conics.Conic(*rows.reshape(6, 2, 1, 1, 1))(u, v) > 0.0
+    S00 = S[:, :-1, :-1]
+    mixed = ((S00 != S[:, 1:, :-1]) | (S00 != S[:, :-1, 1:])
+             | (S00 != S[:, 1:, 1:]))
+    di, dj, k = np.nonzero(mixed[0] & mixed[1])
+    cells = np.stack([bi[k] + di, bj[k] + dj], axis=1)
     cells = cells[(cells[:, 0] < m) & (cells[:, 1] < m)]
     return cells[np.lexsort((cells[:, 1], cells[:, 0]))]
 

@@ -343,8 +343,9 @@ def full_grid_cells(F1, F2, t):
     return np.argwhere(mixed(F1(U, V) > 0.0) & mixed(F2(U, V) > 0.0))
 
 
-def _scene_conics(scenes, grid):
-    t = np.linspace(grid.u_max / grid.n, grid.u_max, grid.n)
+def _scene_conics(scenes, grid=None, t=None):
+    if t is None:
+        t = np.linspace(grid.u_max / grid.n, grid.u_max, grid.n)
     for sc in scenes:
         pair = build_conics(sc.triangle.sides, sc.angles)
         yield pair.C1.scaled(), pair.C2.scaled(), t
@@ -366,6 +367,16 @@ def certificate_cases(kind):
     if kind == "n200":
         return _scene_conics((random_scene(r) for r in _trial_rngs(909, 6)),
                              GridConfig(n=200))
+    if kind == "underflow":
+        # F1 = eta (v^2 - 1301 v + 413095), eta the smallest subnormal, is
+        # -30.2 eta at the node v = t[1200] = 750.625, the high corner of an
+        # 8-cell box, but eta v rounds to 751 eta, which v scales: computed,
+        # F1 is +251 eta there. The box's centred bound clears Q + 8 eps S
+        # by ~36 eta, so only the margin's 16 W eta keeps its cells
+        t = np.linspace(0.625, 1000.0, 1600)
+        eta = float(np.finfo(float).smallest_subnormal)
+        return [(Conic(eta, 0.0, 0.0, 0.0, -1301 * eta, 413095 * eta),
+                 Conic(0.0, 0.0, 0.0, 1.0, 0.0, -0.5 * (t[800] + t[801])), t)]
     t = np.linspace(0.01, 20.0, 2000)
     if kind == "near_tangent":
         # radii 0.4 cells apart, centres 0.6 cells apart: the circles cross
@@ -392,19 +403,22 @@ def certificate_cases(kind):
 DEGREES = np.array([2.0, 2.0, 2.0, 1.0, 1.0, 0.0])
 
 
-def random_conic_rows(rng, log_scale, log_u_max):
-    """(F1, F2, t): random coefficient rows on a random grid.
+def random_conic_rows(rng, log_scale, log_u_max, t=None):
+    """(F1, F2, t): random coefficient rows on a random grid, or on t.
 
-    n is in [20, 260] and u_max in 10^log_u_max; each coefficient is uniform
-    in [-1, 1] times u_max^-degree, so that both conics cross the grid, then
-    zero with probability 1/4, and the pair is scaled by 10^log_scale.
-    Half the pairs are forced through one grid node: c_1 is minus the
-    computed sum of the other terms there, so both computed values are
-    exactly 0. Half the time that node is a box corner at every level.
+    n is in [20, 260] and u_max in 10^log_u_max, or len(t) and t[-1] when t
+    is given; each coefficient is uniform in [-1, 1] times u_max^-degree,
+    so that both conics cross the grid, then zero with probability 1/4, and
+    the pair is scaled by 10^log_scale. Half the pairs are forced through
+    one grid node: c_1 is minus the computed sum of the other terms there,
+    so both computed values are exactly 0. Half the time that node is a box
+    corner at every level.
     """
-    n = int(rng.integers(20, 261))
-    u_max = 10.0 ** rng.uniform(*log_u_max)
-    t = np.linspace(u_max / n, u_max, n)
+    if t is None:
+        n = int(rng.integers(20, 261))
+        u_max = 10.0 ** rng.uniform(*log_u_max)
+        t = np.linspace(u_max / n, u_max, n)
+    n, u_max = len(t), float(t[-1])
     scale = 10.0 ** rng.uniform(*log_scale)
     i, j = rng.integers(0, n, size=2).tolist()
     if rng.random() < 0.5:
@@ -421,9 +435,20 @@ def random_conic_rows(rng, log_scale, log_u_max):
     return (*rows, t)
 
 
+#: node vectors on which the box exclusion is checked besides uniform
+#: grids of 2000 nodes: the geometric and random-cumsum vectors of
+#: TestBoxTables, and 333 uniform nodes
+NONUNIFORM = {
+    "geometric": np.geomspace(1e-3, 1e3, 300),
+    "random": np.cumsum(np.random.default_rng(1104).uniform(1e-3, 1.0, 777)),
+    "m332": np.linspace(20.0 / 333, 20.0, 333),
+}
+
+
 class TestCandidateCells:
     @pytest.mark.parametrize("kind", ["random", "cylinder", "n200",
-                                      "near_tangent", "node_lines"])
+                                      "near_tangent", "node_lines",
+                                      "underflow"])
     def test_box_exclusion_keeps_every_cell(self, kind):
         """The coarse-to-fine scan finds exactly the full scan's cells."""
         for F1, F2, t in certificate_cases(kind):
@@ -447,6 +472,28 @@ class TestCandidateCells:
             nonempty += len(want) > 0
             np.testing.assert_array_equal(_candidate_cells(F1, F2, t), want)
         assert nonempty >= pairs // 3
+
+    @pytest.mark.parametrize("kind", NONUNIFORM)
+    def test_nonuniform_nodes(self, kind):
+        """The box exclusion against the full scan where boxes of one level
+        differ in width, so that the level's quadratic bound, taken at its
+        widest box, is loosest on its narrowest; and on a grid of m = 332
+        cells, a multiple of no box side, whose edge boxes are clipped.
+        Scene conics, then random pairs, normal and subnormal."""
+        t = NONUNIFORM[kind]
+        rng = np.random.default_rng(1105)
+        cases = [*_scene_conics((random_scene(r)
+                                 for r in _trial_rngs(1106, 4)), t=t),
+                 *(random_conic_rows(rng, (-150.0, 150.0), None, t)
+                   for _ in range(20)),
+                 *(random_conic_rows(rng, (-318.0, -300.0), None, t)
+                   for _ in range(10))]
+        nonempty = 0
+        for F1, F2, t in cases:
+            want = full_grid_cells(F1, F2, t)
+            nonempty += len(want) > 0
+            np.testing.assert_array_equal(_candidate_cells(F1, F2, t), want)
+        assert nonempty >= len(cases) // 3
 
     def test_half_widths_cover_the_box(self):
         """c - h <= lo and hi <= c + h in exact arithmetic, c in [lo, hi]."""
@@ -476,26 +523,37 @@ class TestBoxTables:
     ], ids=["n1", "n2", "n3", "n129", "n200", "n2000", "geometric", "random"])
     def test_tables_are_centred_box_ends(self, t):
         """Column i of a level's table is _centred of the box ends t[i] and
-        t[min(i + side, m)], and that high end; row i of the node table is
+        t[min(i + side, m)], and the level's h is the largest of the
+        table's half-widths; the level's offsets tile a box of the previous
+        side (m at the first) row-major; column i of the node table is
         t[min(i + r, m)] for r = 0, ..., last side."""
         m = len(t) - 1
         levels, nodes = _box_tables(t)
         i = np.arange(max(m, 0))
-        for side, table in zip(_BOX_CELLS, levels):
-            hi = t[np.minimum(i + side, m)]
-            c, h = _centred(t[i], hi)
-            assert table.shape == (3, max(m, 0))
-            assert table.tobytes() == np.stack([c, h, hi]).tobytes()
+        for prev, side, (table, h_max, (di, dj)) in zip(
+                (m, *_BOX_CELLS), _BOX_CELLS, levels):
+            c, h = _centred(t[i], t[np.minimum(i + side, m)])
+            assert table.shape == (2, max(m, 0))
+            assert table.tobytes() == np.stack([c, h]).tobytes()
+            assert type(h_max) is float
+            assert h_max == max(h.tolist(), default=0.0)
+            off = range(0, max(prev, 0), side)
+            assert list(zip(di.tolist(), dj.tolist())) \
+                == [(a, b) for a in off for b in off]
+            assert not any(x.flags.writeable for x in (table, di, dj))
         r = np.arange(_BOX_CELLS[-1] + 1)
-        assert nodes.tobytes() == t[np.minimum(i[:, None] + r, m)].tobytes()
-        assert not any(x.flags.writeable for x in (*levels, nodes))
+        assert nodes.tobytes() == t[np.minimum(r[:, None] + i, m)].tobytes()
+        assert not nodes.flags.writeable
 
     def test_grid_tables_cached(self):
         grid = GridConfig(n=200)
         t, (levels, nodes) = _grid_tables(grid)
         assert t.tobytes() == np.linspace(0.1, 20.0, 200).tobytes()
         want, want_nodes = _box_tables(t)
-        assert [x.tobytes() for x in levels] == [x.tobytes() for x in want]
+        assert [(x.tobytes(), h, di.tobytes(), dj.tobytes())
+                for x, h, (di, dj) in levels] \
+            == [(x.tobytes(), h, di.tobytes(), dj.tobytes())
+                for x, h, (di, dj) in want]
         assert nodes.tobytes() == want_nodes.tobytes()
         assert _grid_tables(GridConfig(n=200))[1][1] is nodes
         assert not t.flags.writeable

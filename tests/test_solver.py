@@ -19,7 +19,8 @@ from p3pshare.errors import (DegenerateAngleError, DegenerateInputError,
                              InfeasibleRatioError, InfeasibleTripletError)
 from p3pshare.geometry import (ControlTriangle, RatioPair, SolutionTriplet,
                                _cross, view_angles_from_center)
-from p3pshare.scenes import _locus_scene, _trial_rngs, random_scene
+from p3pshare.scenes import (_locus_scene, _scene_at, _trial_rngs,
+                             random_scene)
 from p3pshare.sharing import POINT_LABELS, SIDE_LABELS
 from p3pshare.solver import (Solution, constraint_residuals, recover_centers,
                              solve, triplet_from_ratio)
@@ -138,6 +139,11 @@ class TestSolveUnfiltered:
         raises=AssertionError,
         reason="side a is 0.2% of the others: the truth and the returned point "
                "both leave conic residuals of 3e-16, 3e-6 of scale apart")
+    @example(seed=373709, scale=1.0).xfail(
+        raises=AssertionError,
+        reason="no sliver: the sides are 0.089, 1 and 0.91 of scale, the two "
+               "solutions' residuals are below 4e-12, and the nearest misses "
+               "the truth by 1.12e-6 of scale (ROADMAP item 3)")
     def test_contract_at_every_scale(self, seed, scale):
         # control points uniform in [-1, 1]^2, O uniform in [-2, 2]^3
         rng = np.random.default_rng(seed)
@@ -181,6 +187,27 @@ class TestSolveUnfiltered:
                                           np.array([a, 0.0, 0.0]))
         sol = solve(tri, view_angles_from_center(tri, np.array(O)))
         assert sol.count >= 1
+
+    # An ordinary triangle, O 0.021 of scale from the danger cylinder and
+    # inside every SceneConfig clearance, met by a sweep of O within
+    # ~1e-8 of scale of a change of solution count (a birth point): the
+    # triplet gate raises for the whole scene (ROADMAP "Sweeps")
+    @pytest.mark.xfail(
+        strict=True, raises=InconsistentInputError,
+        reason="ROADMAP item 3: at a near-double root the polished ratio "
+               "point fails _triplet's CONSTRAINT_TOL gate, and solve raises "
+               "instead of dropping it with a reason")
+    def test_birth_point_returns_a_solution(self):
+        points = [(1.2757133823962823, 0.19719977926016452, 0.0),
+                  (0.694869243994098, 0.7097370675941543, 0.0),
+                  (-0.1974525058125729, -0.19507790025004845, 0.0)]
+        tri = ControlTriangle.from_points(*(np.array(p) for p in points))
+        O = np.array([1.294383158531355, 0.2415417372322076,
+                      -2.3234693691173023])
+        scene = _scene_at(tri, O)
+        assert scene is not None
+        sol = solve(tri, scene.angles)
+        assert 1 <= sol.count <= 4
 
 
 class TestRecoverCenters:
